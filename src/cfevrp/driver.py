@@ -125,7 +125,11 @@ def comsat_solve(
         else:
             cr = clock.run("router", lambda: solve_routing(inst, sp, pr))
         if cr is None:
-            return SolveOutcome(INFEASIBLE, None, events, "no route set serves all tasks")
+            reason = "no route set serves all tasks"
+            if route_sets:
+                reason = (f"{route_sets} route set(s) tried; each ran out "
+                          "of assignments and path changes")
+            return SolveOutcome(INFEASIBLE, None, events, reason)
         route_sets += 1
 
         pa = []  # excluded assignments for this route set

@@ -7,6 +7,12 @@ component for strict inequalities).  Cardinality constraints use a totalizer
 encoding, and minimization of indicator counts runs a descending linear
 search over the totalizer outputs.
 
+The SAT core keeps its trail in lists indexed by variable and picks each
+decision from a heap ordered by (activity, index).  The theory check runs
+Bellman-Ford on integers: the bounds are scaled by the LCM of their
+denominators, and each infinitesimal count is packed into the same int, so
+the integer comparisons decide exactly as the rational ones would.
+
 Every model this backend deals in is exact: real values are Fractions.
 The fragment is deliberately small -- linear atoms must normalize to
 ``x - y <= c``, ``x <= c`` or ``x >= c`` -- which covers all sub-problem
@@ -15,8 +21,10 @@ models in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence, Union
 
 from .errors import SortError, UnsupportedConstraint
@@ -187,9 +195,6 @@ class Model:
     def value(self, v: VarRef):
         return self._assignment[v]
 
-    def __contains__(self, v: VarRef) -> bool:
-        return v in self._assignment
-
     def true_vars(self, vars: Iterable[VarRef]) -> frozenset[VarRef]:
         return frozenset(v for v in vars if self._assignment[v] is True)
 
@@ -198,14 +203,6 @@ class Model:
 class SolveResult:
     sat: bool
     model: Model | None = None
-
-
-# Bound with an infinitesimal component: value + eps * delta.
-_Bound = tuple[Fraction, int]
-
-
-def _bound_add(a: _Bound, b: _Bound) -> _Bound:
-    return (a[0] + b[0], a[1] + b[1])
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +216,9 @@ class _SatCore:
     Assumptions are handled as forced decisions on their own levels, so
     every learned clause is a consequence of the clause database alone and
     stays valid across calls.
+
+    Decisions take the free variable of highest activity, lowest index
+    first, and set it false.
     """
 
     def __init__(self) -> None:
@@ -226,56 +226,66 @@ class _SatCore:
         self.clauses: list[list[int]] = []
         self.occ: dict[int, list[int]] = {}
         self.empty_clause = False
-        self.activity: dict[int, float] = {}
+        self.activity: list[float] = [0.0]  # indexed by variable; 0 unused
 
     def new_var(self) -> int:
         self.nvars += 1
         v = self.nvars
         self.occ[v] = []
         self.occ[-v] = []
-        self.activity[v] = 0.0
+        self.activity.append(0.0)
         return v
 
     def add_clause(self, lits: Sequence[int]) -> int | None:
         """Add a clause, returning its index (None if dropped as tautology)."""
-        lits = sorted(set(lits), key=abs)
-        if any(-l in lits for l in lits):
+        distinct = set(lits)
+        if any(-l in distinct for l in distinct):
             return None
-        if not lits:
+        if not distinct:
             self.empty_clause = True
             return None
         idx = len(self.clauses)
-        self.clauses.append(list(lits))
-        for l in lits:
+        self.clauses.append(sorted(distinct, key=abs))
+        for l in distinct:
             self.occ[l].append(idx)
         return idx
 
     # -- main search ------------------------------------------------------
 
-    def solve(self, assumptions: Sequence[int] = ()) -> dict[int, bool] | None:
+    def solve(self, assumptions: Sequence[int] = ()) -> list[bool | None] | None:
+        """Return a satisfying assignment indexed by variable, or None.
+
+        Entry 0 of the list is unused; every other entry is True or False.
+        """
         if self.empty_clause:
             return None
-        assign: dict[int, bool] = {}
-        level: dict[int, int] = {}
-        reason: dict[int, int | None] = {}
+        n = self.nvars
+        clauses = self.clauses
+        occ = self.occ
+        activity = self.activity
+        # val[lit] is the value of literal lit: positive literals sit at
+        # 1..n, negative ones at n+1..2n through Python's negative indexing.
+        val: list[bool | None] = [None] * (2 * n + 1)
+        level = [0] * (n + 1)
+        reason: list[int | None] = [None] * (n + 1)
         trail: list[int] = []
         lim: list[int] = []
+        # Decision heap with lazy deletion.  queued[v] says that v has an
+        # entry carrying its current activity.  Analysis bumps assigned
+        # variables only, and backtracking queues each variable it frees, so
+        # every free variable is queued and its current entry surfaces
+        # before its stale ones.  Entries of assigned variables are skipped.
+        heap = [(-activity[v], v) for v in range(1, n + 1)]
+        heapify(heap)
+        queued = [True] * (n + 1)
 
-        def value(lit: int):
-            v = assign.get(abs(lit))
-            if v is None:
-                return None
-            return v if lit > 0 else not v
-
-        def enqueue(lit: int, why: int | None) -> bool:
-            val = value(lit)
-            if val is not None:
-                return val
-            assign[abs(lit)] = lit > 0
-            level[abs(lit)] = len(lim)
-            reason[abs(lit)] = why
+        def enqueue(lit: int, why: int | None) -> None:
+            val[lit] = True
+            val[-lit] = False
+            v = lit if lit > 0 else -lit
+            level[v] = len(lim)
+            reason[v] = why
             trail.append(lit)
-            return True
 
         head = 0
 
@@ -285,26 +295,20 @@ class _SatCore:
             while head < len(trail):
                 lit = trail[head]
                 head += 1
-                for ci in self.occ[-lit]:
-                    clause = self.clauses[ci]
-                    unassigned = None
-                    satisfied = False
-                    unit = True
-                    for other in clause:
-                        ov = value(other)
-                        if ov is True:
-                            satisfied = True
-                            break
+                for ci in occ[-lit]:
+                    unassigned = 0
+                    for other in clauses[ci]:
+                        ov = val[other]
+                        if ov:
+                            break  # satisfied
                         if ov is None:
-                            if unassigned is not None:
-                                unit = False
-                                break
+                            if unassigned:
+                                break  # two free literals: not unit
                             unassigned = other
-                    if satisfied or not unit:
-                        continue
-                    if unassigned is None:
-                        return ci
-                    enqueue(unassigned, ci)
+                    else:
+                        if not unassigned:
+                            return ci
+                        enqueue(unassigned, ci)
             return None
 
         def analyze(conflict_ci: int) -> list[int]:
@@ -314,7 +318,7 @@ class _SatCore:
             seen: set[int] = set()
             learned: list[int] = []
             counter = 0
-            lits = list(self.clauses[conflict_ci])
+            lits = clauses[conflict_ci]
             idx = len(trail) - 1
             while True:
                 for lit in lits:
@@ -322,7 +326,8 @@ class _SatCore:
                     if v in seen or level[v] == 0:
                         continue
                     seen.add(v)
-                    self.activity[v] += 1.0
+                    activity[v] += 1.0
+                    queued[v] = False
                     if level[v] == cur_level:
                         counter += 1
                     else:
@@ -339,17 +344,20 @@ class _SatCore:
                     return learned
                 why = reason[abs(uip_lit)]
                 assert why is not None, "non-UIP literal must have a reason"
-                lits = [l for l in self.clauses[why] if l != uip_lit]
+                lits = [l for l in clauses[why] if l != uip_lit]
 
         def backtrack(to_level: int) -> None:
             nonlocal head
-            while len(lim) > to_level:
-                mark = lim.pop()
-                while len(trail) > mark:
-                    lit = trail.pop()
-                    del assign[abs(lit)]
-                    del level[abs(lit)]
-                    del reason[abs(lit)]
+            if len(lim) > to_level:
+                mark = lim[to_level]
+                del lim[to_level:]
+                for lit in trail[mark:]:
+                    val[lit] = val[-lit] = None
+                    v = lit if lit > 0 else -lit
+                    if not queued[v]:
+                        heappush(heap, (-activity[v], v))
+                        queued[v] = True
+                del trail[mark:]
             head = min(head, len(trail))
 
         while True:
@@ -368,7 +376,7 @@ class _SatCore:
             failed = False
             placed = False
             for a in assumptions:
-                av = value(a)
+                av = val[a]
                 if av is False:
                     failed = True
                     break
@@ -381,10 +389,14 @@ class _SatCore:
                 return None
             if placed:
                 continue
-            free = [v for v in range(1, self.nvars + 1) if v not in assign]
-            if not free:
-                return dict(assign)
-            pick = max(free, key=lambda v: (self.activity[v], -v))
+            while heap:
+                neg_act, pick = heappop(heap)
+                if -neg_act == activity[pick]:
+                    queued[pick] = False
+                    if val[pick] is None:
+                        break
+            else:
+                return val[:n + 1]
             lim.append(len(trail))
             enqueue(-pick, None)
 
@@ -404,12 +416,11 @@ class Context:
         self._vars: list[VarRef] = []
         self._bool_lit: dict[VarRef, int] = {}
         # difference atoms: key (u, v, bound) meaning  val(u) - val(v) <= bound
-        self._atom_lit: dict[tuple[object, object, _Bound], int] = {}
-        self._atom_by_lit: dict[int, tuple[object, object, _Bound]] = {}
+        self._atom_lit: dict[tuple[object, object, Fraction], int] = {}
+        self._atom_by_lit: dict[int, tuple[object, object, Fraction]] = {}
         self._real_vars: list[VarRef] = []
-        self._en_cache: dict[tuple[tuple[VarRef, ...]], list[int]] = {}
-        self._assertions: list[Formula] = []
         self._totalizer_cache: dict[tuple[int, ...], list[int]] = {}
+        self._graph: _DiffGraph | None = None
 
     # -- variable management ---------------------------------------------
 
@@ -428,7 +439,6 @@ class Context:
     # -- assertion --------------------------------------------------------
 
     def assert_formula(self, f: Formula) -> None:
-        self._assertions.append(f)
         lit = self._encode(f)
         self._sat.add_clause([lit])
 
@@ -439,11 +449,6 @@ class Context:
             for v in vars
         ]
         self._sat.add_clause(clause)
-        self._assertions.append(
-            Or(tuple(
-                Not(Atom(v)) if m.value(v) is True else Atom(v) for v in vars
-            ))
-        )
 
     def block_true_subset(self, vars: Sequence[VarRef], m: Model) -> None:
         """Forbid every model where all vars true in m are true again.
@@ -452,9 +457,6 @@ class Context:
         """
         clause = [-self._bool_lit[v] for v in vars if m.value(v) is True]
         self._sat.add_clause(clause)
-        self._assertions.append(
-            Or(tuple(Not(Atom(v)) for v in vars if m.value(v) is True))
-        )
 
     # -- solving ----------------------------------------------------------
 
@@ -492,13 +494,6 @@ class Context:
         if k < len(indicators):
             self._sat.add_clause([-outs[k]])  # cap at the attained optimum
         return best
-
-    def assertion_count(self) -> int:
-        return len(self._assertions)
-
-    def dump(self) -> str:
-        """Debug dump of the assertion list in an SMT-LIB-flavoured text."""
-        return "\n".join(_pretty(f) for f in self._assertions)
 
     # -- encoding ---------------------------------------------------------
 
@@ -626,20 +621,20 @@ class Context:
         if len(terms) == 1:
             ((v, c),) = terms.items()
             if c > 0:
-                return self._atom(v, self._ZERO, (const / c, 0))
+                return self._atom(v, self._ZERO, const / c)
             # c < 0: v >= const/c, i.e. zero - v <= -(const/c)
-            return self._atom(self._ZERO, v, (-const / c, 0))
+            return self._atom(self._ZERO, v, -const / c)
         if len(terms) == 2:
             (v1, c1), (v2, c2) = sorted(terms.items(), key=lambda t: t[0].idx)
             if c1 == -c2:
                 if c1 > 0:
-                    return self._atom(v1, v2, (const / c1, 0))
-                return self._atom(v2, v1, (const / c2, 0))
+                    return self._atom(v1, v2, const / c1)
+                return self._atom(v2, v1, const / c2)
         raise UnsupportedConstraint(
             f"atom outside the difference fragment: {f.terms} {f.op} {f.const}"
         )
 
-    def _atom(self, u: object, v: object, bound: _Bound) -> int:
+    def _atom(self, u: object, v: object, bound: Fraction) -> int:
         key = (u, v, bound)
         if key not in self._atom_lit:
             lit = self._sat.new_var()
@@ -649,124 +644,137 @@ class Context:
 
     # -- theory -----------------------------------------------------------
 
-    def _theory_conflict(self, assignment: dict[int, bool]) -> list[int] | None:
+    def _diff_graph(self) -> _DiffGraph:
+        """The atoms in integer form, rebuilt only after atoms or reals are added."""
+        key = (len(self._atom_by_lit), len(self._real_vars))
+        if self._graph is None or self._graph.key != key:
+            self._graph = _DiffGraph(key, self._atom_by_lit, self._real_vars)
+        return self._graph
+
+    def _theory_conflict(self, assignment: Sequence[bool | None]) -> list[int] | None:
         """Check the difference constraints implied by `assignment`.
 
         Returns the literals of an inconsistent subset (a negative cycle),
         or None when consistent.
         """
-        # edge u -> v with weight w encodes  val(v) - val(u) <= w
-        edges: list[tuple[object, object, _Bound, int]] = []
-        for lit, (u, v, bound) in self._atom_by_lit.items():
-            val = assignment.get(lit)
-            if val is True:
-                # val(u) - val(v) <= bound : edge v -> u
-                edges.append((v, u, bound, lit))
-            elif val is False:
-                # negation: val(v) - val(u) <= -bound, strictly
-                nb = (-bound[0], -bound[1] - 1)
-                edges.append((u, v, nb, -lit))
-        for v in self._real_vars:
-            # nonnegative sort: zero - v <= 0  : edge v -> zero ... careful:
-            # v >= 0  <=>  zero - v <= 0  : edge v -> zero with weight 0
-            edges.append((v, self._ZERO, (Fraction(0), 0), 0))
-        nodes = {self._ZERO, *self._real_vars}
-        for u, v, _, _ in edges:
-            nodes.add(u)
-            nodes.add(v)
-        dist: dict[object, _Bound] = {n: (Fraction(0), 0) for n in nodes}
-        pred: dict[object, tuple[object, int]] = {}
-        n = len(nodes)
-        changed_node = None
-        for it in range(n):
-            changed_node = None
+        g = self._diff_graph()
+        edges = g.edges(assignment)
+        n = g.n
+        dist = [0] * n
+        pred = [0] * n
+        pred_lit = [0] * n
+        changed = -1
+        for _ in range(n):
+            changed = -1
             for u, v, w, lit in edges:
-                cand = _bound_add(dist[u], w)
+                cand = dist[u] + w
                 if cand < dist[v]:
                     dist[v] = cand
-                    pred[v] = (u, lit)
-                    changed_node = v
-            if changed_node is None:
+                    pred[v] = u
+                    pred_lit[v] = lit
+                    changed = v
+            if changed < 0:
                 return None
         # negative cycle: walk back n steps from the last relaxed node
-        node = changed_node
+        node = changed
         for _ in range(n):
-            node = pred[node][0]
+            node = pred[node]
         cycle_lits: list[int] = []
         cur = node
         while True:
-            prev, lit = pred[cur]
-            if lit != 0:
-                cycle_lits.append(lit)
-            cur = prev
+            if pred_lit[cur]:
+                cycle_lits.append(pred_lit[cur])
+            cur = pred[cur]
             if cur == node:
                 break
         return cycle_lits or None
 
-    def _build_model(self, assignment: dict[int, bool]) -> Model:
-        values: dict[VarRef, object] = {}
-        for v in self._vars:
-            if v.sort == BOOL:
-                values[v] = assignment.get(self._bool_lit[v], False)
+    def _build_model(self, assignment: Sequence[bool | None]) -> Model:
+        values: dict[VarRef, object] = {
+            v: assignment[self._bool_lit[v]] for v in self._vars if v.sort == BOOL
+        }
         values.update(self._real_values(assignment))
         return Model(values)
 
-    def _real_values(self, assignment: dict[int, bool]) -> dict[VarRef, Fraction]:
+    def _real_values(self, assignment: Sequence[bool | None]) -> dict[VarRef, Fraction]:
         if not self._real_vars:
             return {}
-        edges: list[tuple[object, object, _Bound]] = []
-        for lit, (u, v, bound) in self._atom_by_lit.items():
-            val = assignment.get(lit)
-            if val is True:
-                edges.append((v, u, bound))
-            elif val is False:
-                edges.append((u, v, (-bound[0], -bound[1] - 1)))
-        for v in self._real_vars:
-            edges.append((v, self._ZERO, (Fraction(0), 0)))
-        nodes = [self._ZERO, *self._real_vars]
-        dist: dict[object, _Bound] = {n: (Fraction(0), 0) for n in nodes}
-        for _ in range(len(nodes)):
+        g = self._diff_graph()
+        edges = g.edges(assignment)
+        dist = [0] * g.n
+        for _ in range(g.n):
             changed = False
-            for u, v, w in edges:
-                cand = _bound_add(dist[u], w)
+            for u, v, w, _lit in edges:
+                cand = dist[u] + w
                 if cand < dist[v]:
                     dist[v] = cand
                     changed = True
             if not changed:
                 break
-        base = dist[self._ZERO]
-        raw = {v: (dist[v][0] - base[0], dist[v][1] - base[1]) for v in self._real_vars}
+        r, e = zip(*map(g.unpack, dist))
         # realize the infinitesimal: pick delta keeping every edge satisfied
         delta = Fraction(1)
-        for u, v, w in edges:
-            slack_r = dist[u][0] + w[0] - dist[v][0]
-            slack_e = dist[u][1] + w[1] - dist[v][1]
+        for u, v, w, _lit in edges:
+            wr, we = g.unpack(w)
+            slack_r = r[u] + wr - r[v]
+            slack_e = e[u] + we - e[v]
             if slack_r > 0 and slack_e < 0:
-                delta = min(delta, Fraction(slack_r, -slack_e))
+                delta = min(delta, Fraction(slack_r, -slack_e * g.scale))
         delta = delta / 2
-        return {v: a + delta * b for v, (a, b) in raw.items()}
+        at = g.index
+        return {
+            v: Fraction(r[at[v]] - r[0], g.scale) + delta * (e[at[v]] - e[0])
+            for v in self._real_vars
+        }
 
 
-def _pretty(f: Formula) -> str:
-    if isinstance(f, BoolLit):
-        return "true" if f.value else "false"
-    if isinstance(f, Atom):
-        return f.var.name
-    if isinstance(f, Not):
-        return f"(not {_pretty(f.arg)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(_pretty(a) for a in f.args) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(_pretty(a) for a in f.args) + ")"
-    if isinstance(f, Implies):
-        return f"(=> {_pretty(f.lhs)} {_pretty(f.rhs)})"
-    if isinstance(f, Iff):
-        return f"(= {_pretty(f.lhs)} {_pretty(f.rhs)})"
-    if isinstance(f, Ite):
-        return f"(ite {_pretty(f.cond)} {_pretty(f.then)} {_pretty(f.other)})"
-    if isinstance(f, LinCmp):
-        body = " ".join(f"(* {c} {v.name})" for c, v in f.terms)
-        return f"({f.op} (+ {body}) {f.const})"
-    if isinstance(f, ExactlyN):
-        return f"(exactly {f.n} " + " ".join(v.name for v in f.vars) + ")"
-    return repr(f)
+class _DiffGraph:
+    """The difference atoms of a context as an integer constraint graph.
+
+    Node 0 is the zero node.  Bounds are multiplied by `scale`, the LCM of
+    their denominators, and a bound value + eps * delta (eps counts the
+    strict edges on a walk) is packed into the int value * M + eps.  An
+    edge u -> v with weight w encodes val(v) - val(u) <= w.  A relaxation
+    extends a walk by one edge of eps 0 or -1, and a check makes at most n
+    passes over the edges, so every eps lies strictly inside (-M/2, M/2)
+    and packed ints compare exactly as (value, eps) pairs do.
+    """
+
+    def __init__(self, key: tuple[int, int],
+                 atoms: dict[int, tuple[object, object, Fraction]],
+                 real_vars: Sequence[VarRef]) -> None:
+        self.key = key
+        self.index: dict[object, int] = {Context._ZERO: 0}
+        for x in real_vars:
+            self.index.setdefault(x, len(self.index))
+        for u, v, _ in atoms.values():
+            self.index.setdefault(u, len(self.index))
+            self.index.setdefault(v, len(self.index))
+        self.n = len(self.index)
+        self.scale = math.lcm(*(c.denominator for _, _, c in atoms.values()))
+        self.M = 2 * (self.n * (len(atoms) + len(real_vars)) + 1) + 1
+        M = self.M
+        # (lit, u, v, weight of edge v -> u when true, of u -> v when false)
+        self.atoms = []
+        for lit, (u, v, c) in atoms.items():
+            w = c.numerator * (self.scale // c.denominator) * M
+            self.atoms.append((lit, self.index[u], self.index[v], w, -w - 1))
+        # nonnegative sort: zero - x <= 0, an edge x -> zero of weight 0
+        self.sort_edges = [(self.index[x], 0, 0, 0) for x in real_vars]
+
+    def edges(self, assignment: Sequence[bool | None]) -> list[tuple[int, ...]]:
+        """(u, v, weight, literal) per edge; the sort edges carry literal 0.
+
+        A true atom u - v <= c is the edge v -> u; a false one is the
+        strict negation v - u < -c, the edge u -> v.
+        """
+        out = [(v, u, wt, lit) if assignment[lit] else (u, v, wf, -lit)
+               for lit, u, v, wt, wf in self.atoms]
+        out += self.sort_edges
+        return out
+
+    def unpack(self, x: int) -> tuple[int, int]:
+        """Split a packed int into its scaled value and its eps."""
+        h = self.M // 2
+        r, e = divmod(x + h, self.M)
+        return r, e - h

@@ -140,7 +140,7 @@ def validate_schedule(cvs: Schedule, inst: Instance) -> ValidationReport:
                     PRECEDENCE, where[t.id][0], ti,
                     f"task {t.id} at {ti} precedes its predecessor {pred} at {pi}"))
 
-    bad.extend(_capacity_violations(cvs, g))
+    bad.extend(_capacity_violations(cvs, g, inst.fleet.speed))
     bad.extend(_charging_violations(cvs, inst))
     return ValidationReport(not bad, tuple(bad))
 
@@ -172,7 +172,9 @@ def _check_structure(cvs: Schedule, inst: Instance) -> None:
                     f"route {ri}: node_out disagrees with the next edge entry")
 
 
-def _capacity_violations(cvs: Schedule, g: PlantGraph) -> list[Violation]:
+def _capacity_violations(
+    cvs: Schedule, g: PlantGraph, speed: float,
+) -> list[Violation]:
     bad: list[Violation] = []
     routes = cvs.routes
     for r1 in range(len(routes)):
@@ -204,8 +206,8 @@ def _capacity_violations(cvs: Schedule, g: PlantGraph) -> list[Violation]:
                                 f"routes {r1} and {r2} enter edge {e1} "
                                 f"at {t1} and {t2}"))
                     elif e1 == (e2[1], e2[0]):
-                        d1 = g.edges[e1].length
-                        d2 = g.edges[e2].length
+                        d1 = g.edges[e1].length / speed
+                        d2 = g.edges[e2].length / speed
                         if not (t1 >= t2 + d2 - _TOL or t2 >= t1 + d1 - _TOL):
                             bad.append(Violation(
                                 EDGE_CAPACITY_OPPOSITE, r1, max(t1, t2),

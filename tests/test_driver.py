@@ -9,7 +9,7 @@ from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
 from cfevrp.validator import validate_schedule
-from conftest import corridor_instance, swap_deadlock_instance
+from conftest import random_tiny_instance
 
 
 def test_corridor_solves_and_validates(corridor):
@@ -100,3 +100,66 @@ def test_zero_jobs_feasible_with_empty_schedule():
     assert out.status == FEASIBLE
     assert out.schedule.routes == ()
     assert total_distance(out) == 0
+
+
+def _star_instance():
+    """One vehicle at hub 1 of the star 1-2, 1-3; each task needs its own
+    route, and the charging gap between the two routes overruns T=6."""
+    g = validate_graph([1, 2, 3], [1], [(1, 2, 1.0, 1), (1, 3, 1.0, 1)])
+    fleet = FleetParams(2, 1.5, 1, 1, 1, 6)
+    return build_instance(
+        g, [1], fleet, [Vehicle("v1", 1)],
+        [Job("j2", ("t2",), frozenset({"v1"})),
+         Job("j3", ("t3",), frozenset({"v1"}))],
+        [Task("t2", "j2", 2, TimeWindow(0, 6), 0.0),
+         Task("t3", "j3", 3, TimeWindow(0, 6), 0.0)])
+
+
+def test_exhausted_route_sets_have_their_own_reason():
+    out = comsat_solve(_star_instance())
+    assert out.status == INFEASIBLE
+    assert [e.phase for e in out.events] == [
+        "router", "assign", "capacity", "paths", "routes_check",
+        "capacity", "paths", "assign", "router"]
+    assert out.reason == (
+        "1 route set(s) tried; each ran out of assignments and path changes")
+
+
+# Pinned event sequences and schedules: a change to any search step of the
+# solver (decision order, learned clauses, theory conflicts) shows here.
+# Re-record them only for a change that means to alter the search.
+
+def _trajectory(out):
+    return [(e.phase, e.sat) for e in out.events]
+
+
+def test_swap_deadlock_trajectory_is_pinned(swap_deadlock):
+    out = comsat_solve(swap_deadlock)
+    assert _trajectory(out) == (
+        [("router", True), ("assign", False)] * 3
+        + [("router", True), ("assign", True),
+           ("capacity", False), ("paths", True), ("routes_check", True),
+           ("capacity", False), ("paths", False), ("assign", False),
+           ("router", False)])
+    assert out.schedule is None
+    assert out.reason.startswith("4 route set(s) tried")
+
+
+def test_tiny_seed_250_trajectory_is_pinned():
+    out = comsat_solve(random_tiny_instance(250))
+    assert _trajectory(out) == (
+        [("router", True), ("assign", False)] * 2
+        + [("router", True), ("assign", True)]
+        + [("capacity", False), ("paths", True), ("routes_check", True)] * 16
+        + [("capacity", False), ("paths", False), ("assign", False),
+           ("router", True), ("assign", True), ("capacity", True)])
+    assert out.paths_changer_calls == 17
+    assert [(r.vehicle, r.nodes, r.node_in, r.node_out, r.edge_in)
+            for r in out.schedule.routes] == [
+        ("v1", (1, 2, 1), (10.0, 11.0, 13.0), (10.0, 12.0, 13.0),
+         (10.0, 12.0)),
+        ("v2", (6, 1, 3, 4, 3, 1, 6),
+         (6.0, 7.0, 8.0, 9.0, 11.0, 12.0, 13.0),
+         (6.0, 7.0, 8.0, 10.0, 11.0, 12.0, 13.0),
+         (6.0, 7.0, 8.0, 10.0, 11.0, 12.0)),
+    ]

@@ -194,3 +194,134 @@ def test_unsupported_linear_form_raises():
     with pytest.raises(UnsupportedConstraint):
         ctx.assert_formula(S.lin([(2, a), (1, b)], "<=", 3))
         ctx.check()
+
+
+# --- difference theory against a Fraction reference -------------------------
+#
+# The theory check works on integers: bounds scaled by the LCM of their
+# denominators, a strict-edge count packed into each weight.  These
+# references run the same Bellman-Ford on (Fraction, eps) pairs, so the
+# integer check must return the same cycle and the same model.
+
+def _ref_edges(ctx, assignment):
+    edges = []
+    for lit, (u, v, c) in ctx._atom_by_lit.items():
+        if assignment[lit]:
+            edges.append((v, u, (c, 0), lit))
+        else:
+            edges.append((u, v, (-c, -1), -lit))
+    for x in ctx._real_vars:
+        edges.append((x, ctx._ZERO, (Fraction(0), 0), 0))
+    return edges
+
+
+def _ref_relax(dist, edges, passes, pred=None):
+    """In-place Bellman-Ford passes; returns the last node relaxed."""
+    changed = None
+    for _ in range(passes):
+        changed = None
+        for u, v, w, lit in edges:
+            cand = (dist[u][0] + w[0], dist[u][1] + w[1])
+            if cand < dist[v]:
+                dist[v] = cand
+                if pred is not None:
+                    pred[v] = (u, lit)
+                changed = v
+        if changed is None:
+            break
+    return changed
+
+
+def reference_theory_conflict(ctx, assignment):
+    edges = _ref_edges(ctx, assignment)
+    nodes = {ctx._ZERO, *ctx._real_vars}
+    for u, v, _, _ in edges:
+        nodes.update((u, v))
+    dist = {x: (Fraction(0), 0) for x in nodes}
+    pred = {}
+    node = _ref_relax(dist, edges, len(nodes), pred)
+    if node is None:
+        return None
+    for _ in range(len(nodes)):
+        node = pred[node][0]
+    lits, cur = [], node
+    while True:
+        cur, lit = pred[cur]
+        if lit:
+            lits.append(lit)
+        if cur == node:
+            return lits or None
+
+
+def reference_real_values(ctx, assignment):
+    edges = _ref_edges(ctx, assignment)
+    nodes = [ctx._ZERO, *ctx._real_vars]
+    dist = {x: (Fraction(0), 0) for x in nodes}
+    _ref_relax(dist, edges, len(nodes))
+    delta = Fraction(1)
+    for u, v, w, _ in edges:
+        slack_r = dist[u][0] + w[0] - dist[v][0]
+        slack_e = dist[u][1] + w[1] - dist[v][1]
+        if slack_r > 0 and slack_e < 0:
+            delta = min(delta, Fraction(slack_r, -slack_e))
+    base = dist[ctx._ZERO]
+    return {x: dist[x][0] - base[0] + delta / 2 * (dist[x][1] - base[1])
+            for x in ctx._real_vars}
+
+
+def _random_bound(rng):
+    return rng.choice([
+        Fraction(rng.randint(-12, 12), 3),
+        Fraction(rng.randint(-12, 12), 7),
+        Fraction(rng.choice([0.7, -0.7, 2.1, 1.3])),
+        Fraction(rng.randint(-4, 4)),
+    ])
+
+
+def _random_atom(rng, xs):
+    kind = rng.randrange(4)
+    c = _random_bound(rng)
+    if kind == 0:
+        return S.var_le(rng.choice(xs), c)
+    if kind == 1:
+        return S.var_ge(rng.choice(xs), c)
+    a, b = rng.sample(xs, 2)
+    return S.diff_ge(a, b, c) if kind == 2 else S.lin([(1, a), (-1, b)], "<=", c)
+
+
+def test_integer_theory_matches_fraction_reference():
+    rng = random.Random(7)
+    outcomes = {"conflict": 0, "consistent": 0}
+    for _ in range(60):
+        ctx = S.Context()
+        xs = [ctx.new_real(f"x{i}") for i in range(rng.randint(2, 5))]
+        for _batch in range(2):  # new atoms must rebuild the integer graph
+            for _ in range(rng.randint(2, 6)):
+                f = _random_atom(rng, xs)
+                ctx.assert_formula(S.or_(f, S.not_(f)))
+            for _ in range(5):
+                assignment = [None] + [rng.random() < 0.5
+                                       for _ in range(ctx._sat.nvars)]
+                got = ctx._theory_conflict(assignment)
+                assert got == reference_theory_conflict(ctx, assignment)
+                if got is None:
+                    outcomes["consistent"] += 1
+                    assert (ctx._real_values(assignment)
+                            == reference_real_values(ctx, assignment))
+                else:
+                    outcomes["conflict"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_model_values_are_exact_fractions():
+    ctx = S.Context()
+    a, b = ctx.new_real("a"), ctx.new_real("b")
+    ctx.assert_formula(S.diff_ge(b, a, Fraction(1, 3)))
+    ctx.assert_formula(S.var_le(b, Fraction(0.7)))
+    ctx.assert_formula(S.not_(S.var_le(a, Fraction(2, 7))))  # a > 2/7
+    res = ctx.check()
+    assert res.sat
+    va, vb = res.model.value(a), res.model.value(b)
+    assert isinstance(va, Fraction) and isinstance(vb, Fraction)
+    assert va > Fraction(2, 7) and vb - va >= Fraction(1, 3)
+    assert vb <= Fraction(0.7)

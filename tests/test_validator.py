@@ -257,6 +257,23 @@ def test_exact_window_bounds_are_ok():
     assert validate_schedule(cvs, inst).ok
 
 
+def test_opposite_traversals_are_timed_at_fleet_speed():
+    # segments of length 4 at speed 2 take 2 time units each way
+    g = validate_graph([1, 2, 3], [1, 3], [(1, 2, 4.0, 1), (2, 3, 4.0, 1)])
+    fleet = FleetParams(20, 1, 1, 1, 2, 20)
+    tasks = [Task("a1", "a", 3, TimeWindow(0, 20), 0.0),
+             Task("b1", "b", 1, TimeWindow(0, 20), 0.0)]
+    jobs = [Job("a", ("a1",), frozenset({"v1"})),
+            Job("b", ("b1",), frozenset({"v2"}))]
+    inst = build_instance(g, [1, 3], fleet,
+                          [Vehicle("v1", 1), Vehicle("v2", 3)], jobs, tasks)
+    out = comsat_solve(inst)
+    assert out.status == "feasible"
+    report = validate_schedule(out.schedule, inst)
+    assert EDGE_CAPACITY_OPPOSITE not in {v.kind for v in report.violations}
+    assert report.ok, report.violations
+
+
 # --- brute-force oracle -----------------------------------------------------
 
 def test_oracle_guard_rejects_large_instances():
