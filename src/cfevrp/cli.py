@@ -164,9 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relaxed", action="store_true",
                    help="skip capacity verification")
     p.add_argument("--max-path-sets", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for interface stability; the solve "
-                        "pipeline is deterministic")
     p.add_argument("--log-json", action="store_true",
                    help="include the phase event log in the output")
     p.add_argument("--out")

@@ -67,15 +67,6 @@ class PlantGraph:
     hubs: frozenset[NodeId]
     edges: dict[tuple[NodeId, NodeId], Edge] = field(hash=False)
 
-    def edge(self, src: NodeId, dst: NodeId) -> Edge:
-        return self.edges[(src, dst)]
-
-    def reverse(self, e: Edge) -> Edge:
-        return self.edges[(e.dst, e.src)]
-
-    def successors(self, n: NodeId) -> list[NodeId]:
-        return sorted(d for (s, d) in self.edges if s == n)
-
     def out_edges(self, n: NodeId) -> list[Edge]:
         return [self.edges[(s, d)] for (s, d) in sorted(self.edges) if s == n]
 
@@ -193,23 +184,3 @@ def all_pairs_task_paths(
             out[(src, dst)] = labels[dst] if src != dst else Path((src,), 0.0)
     return out
 
-
-def simple_paths(g: PlantGraph, src: NodeId, dst: NodeId) -> list[Path]:
-    """All simple paths src -> dst by DFS, in lexicographic node order."""
-    if src == dst:
-        return [Path((src,), 0.0)]
-    found: list[Path] = []
-
-    def walk(seq: list[NodeId], dist: float) -> None:
-        node = seq[-1]
-        if node == dst:
-            found.append(Path(tuple(seq), dist))
-            return
-        for e in g.out_edges(node):
-            if e.dst not in seq:
-                seq.append(e.dst)
-                walk(seq, dist + e.length)
-                seq.pop()
-
-    walk([src], 0.0)
-    return found

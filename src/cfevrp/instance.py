@@ -65,10 +65,6 @@ class FleetParams:
             if getattr(self, name) <= 0:
                 raise InvariantViolation(f"fleet parameter {name} must be > 0")
 
-    @property
-    def full_charge(self) -> float:
-        return self.operating_range / self.charge_to_range
-
 
 def _start_id(depot: NodeId) -> str:
     return f"__start_{depot}"

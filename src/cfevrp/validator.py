@@ -4,17 +4,24 @@ validate_schedule replays a schedule against every problem requirement
 using plain arithmetic.  brute_force_feasible exhaustively enumerates
 route partitions, vehicle maps, and simple-path combinations on tiny
 instances, deciding timing feasibility exactly by case-splitting the
-conflict disjunctions over a difference-constraint system.
+conflict disjunctions over a difference-constraint system.  That system
+works in integer ticks: every bound of a candidate is scaled by the LCM of
+the denominators of its exact Fraction value, so nothing is rounded.  One
+potential (a solution of the constraints so far) lives across the whole
+disjunction search; each chosen disjunct adds one edge, repaired
+incrementally, and backtracking restores the potential from a trail.
 
 Nothing here shares code with the constraint-solving pipeline; this module
-is the ground truth the pipeline is tested against.
+is the ground truth the pipeline is tested against.  It takes only the
+Schedule type from capacity.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
+from math import lcm
 
 from .capacity import Schedule
 from .errors import MalformedSchedule, TooLarge
@@ -252,31 +259,115 @@ class OracleVerdict:
     stats: OracleStats = field(default_factory=OracleStats, compare=False)
 
 
-_DiffCon = tuple[int, int, Fraction]  # var_a - var_b <= bound
+_DiffEdge = tuple[int, int, int]  # (u, v, w): x[v] - x[u] <= w
 
 
-def _diff_feasible(n_vars: int, cons: list[_DiffCon]) -> bool:
-    """Bellman-Ford feasibility of a difference-constraint system.
+class _Potential:
+    """A difference-constraint system kept feasible one edge at a time.
 
-    Variables are implicitly nonnegative; var -1 is the zero reference.
+    Each constraint x[v] - x[u] <= w is an edge u -> v of weight w, and
+    `pot` is one solution of all edges pushed so far.  A push that `pot`
+    already satisfies costs nothing; otherwise `pot[v]` is lowered and the
+    change relaxed forward from v.  The system has a negative cycle exactly
+    when that relaxation lowers u: every lowered value is pot[u] + w plus a
+    path from v, so a lower pot[u] closes a cycle through u -> v of negative
+    weight, and if u is never lowered the relaxed `pot` satisfies every
+    edge.  The old potentials go on a trail so that `pop` restores them
+    (incremental negative-cycle detection, Cotton & Maler 2006).
     """
-    dist = [Fraction(0)] * (n_vars + 1)  # slot n_vars is the reference
-    edges = [(b if b >= 0 else n_vars, a if a >= 0 else n_vars, c)
-             for a, b, c in cons]
-    for v in range(n_vars):
-        edges.append((v, n_vars, Fraction(0)))  # 0 - v <= 0
-    for _ in range(n_vars + 1):
-        changed = False
-        for u, v, wgt in edges:
-            if dist[u] + wgt < dist[v]:
-                dist[v] = dist[u] + wgt
-                changed = True
-        if not changed:
+
+    def __init__(self, n: int) -> None:
+        self.pot = [0] * n
+        self.out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.trail: list[tuple[int, int]] = []   # (node, potential before)
+        self.marks: list[tuple[int, int]] = []   # (u, trail length) per push
+
+    def push(self, u: int, v: int, w: int) -> bool:
+        """Add x[v] - x[u] <= w; False when the system has become infeasible.
+
+        After False, pop this edge before pushing another.
+        """
+        self.out[u].append((v, w))
+        self.marks.append((u, len(self.trail)))
+        pot = self.pot
+        if pot[u] + w >= pot[v]:
             return True
-    return False
+        out, trail = self.out, self.trail
+        trail.append((v, pot[v]))
+        pot[v] = pot[u] + w
+        queue = [v]
+        for x in queue:  # FIFO: the loop sees what is appended below
+            px = pot[x]
+            for y, wy in out[x]:
+                if px + wy < pot[y]:
+                    if y == u:
+                        return False
+                    trail.append((y, pot[y]))
+                    pot[y] = px + wy
+                    queue.append(y)
+        return True
+
+    def pop(self) -> None:
+        """Remove the last pushed edge and restore the potential before it."""
+        u, mark = self.marks.pop()
+        self.out[u].pop()
+        pot, trail = self.pot, self.trail
+        while len(trail) > mark:
+            node, before = trail.pop()
+            pot[node] = before
 
 
-def _simple_paths(g: PlantGraph, src: NodeId, dst: NodeId) -> list[tuple[NodeId, ...]]:
+def _ticks(value: Fraction, scale: int) -> int:
+    """`value * scale` as an int; the scale must make it whole."""
+    ticks, rest = divmod(value.numerator * scale, value.denominator)
+    assert rest == 0, f"{value} is not a whole number of 1/{scale} units"
+    return ticks
+
+
+@dataclass(frozen=True)
+class _Clock:
+    """An instance's times in integer ticks of 1/scale time units.
+
+    `scale` is the LCM of the denominators of T, the task windows and
+    service times and every edge's length/speed, so each of these is a
+    whole number of ticks (as is the 1-unit margin: `scale` ticks).  C's
+    denominator is in it too, which makes the charging gap C*len whole for
+    whole route lengths; `_timing_ok` refines the ticks when it is not.
+    """
+    scale: int
+    horizon: int
+    transit: dict[tuple[NodeId, NodeId], int]
+    lower: dict[str, int]
+    upper: dict[str, int]
+    service: dict[str, int]
+    charge_coeff: Fraction
+
+
+def _clock(inst: Instance) -> _Clock:
+    fleet = inst.fleet
+    speed = Fraction(fleet.speed)
+    horizon = Fraction(fleet.horizon)
+    charge_coeff = Fraction(fleet.charge_coeff)
+    transit = {e: Fraction(edge.length) / speed
+               for e, edge in inst.graph.edges.items()}
+    lower = {t.id: Fraction(t.window.lower) for t in inst.tasks.values()}
+    upper = {t.id: Fraction(t.window.upper) for t in inst.tasks.values()}
+    service = {t.id: Fraction(t.service_time) for t in inst.tasks.values()}
+    scale = lcm(horizon.denominator, charge_coeff.denominator, *(
+        f.denominator for table in (transit, lower, upper, service)
+        for f in table.values()))
+
+    def ticks(table):
+        return {k: _ticks(f, scale) for k, f in table.items()}
+
+    return _Clock(scale, _ticks(horizon, scale), ticks(transit), ticks(lower),
+                  ticks(upper), ticks(service), charge_coeff)
+
+
+def _simple_paths(
+    succ: dict[NodeId, list[NodeId]], src: NodeId, dst: NodeId,
+) -> list[tuple[NodeId, ...]]:
+    """Every simple path src -> dst, in lexicographic node order."""
     if src == dst:
         return [(src,)]
     found: list[tuple[NodeId, ...]] = []
@@ -285,8 +376,8 @@ def _simple_paths(g: PlantGraph, src: NodeId, dst: NodeId) -> list[tuple[NodeId,
         if seq[-1] == dst:
             found.append(tuple(seq))
             return
-        for (s, d) in sorted(g.edges):
-            if s == seq[-1] and d not in seq:
+        for d in succ[seq[-1]]:
+            if d not in seq:
                 seq.append(d)
                 walk(seq)
                 seq.pop()
@@ -318,13 +409,21 @@ def brute_force_feasible(inst: Instance, max_candidates: int = 2_000_000) -> Ora
     Enumerates ordered task partitions x depot anchors x vehicle maps x
     simple-path combinations, then decides each candidate's timing by
     exploring orientations of the conflict disjunctions over an exact
-    difference-constraint system.
+    difference-constraint system.  Times are integer ticks (every bound
+    scaled by the LCM of its denominators, never rounded).  The base
+    system of a candidate is checked once; each disjunct the search picks
+    adds one edge and repairs a single potential incrementally, and
+    backtracking undoes that repair.
     """
     if len(inst.tasks) > 4 or len(inst.vehicles) > 3 or len(inst.graph.nodes) > 8:
         raise TooLarge("oracle guard: at most 4 tasks, 3 vehicles, 8 nodes")
     stats = OracleStats()
     g = inst.graph
     fleet = inst.fleet
+    clock = _clock(inst)
+    succ: dict[NodeId, list[NodeId]] = {n: [] for n in g.nodes}
+    for s, d in sorted(g.edges):  # sorted: paths come out in lexicographic order
+        succ[s].append(d)
     tasks = inst.real_task_ids()
     best: float | None = None
 
@@ -332,7 +431,7 @@ def brute_force_feasible(inst: Instance, max_candidates: int = 2_000_000) -> Ora
 
     def paths(a: NodeId, b: NodeId):
         if (a, b) not in path_cache:
-            path_cache[(a, b)] = _simple_paths(g, a, b)
+            path_cache[(a, b)] = _simple_paths(succ, a, b)
         return path_cache[(a, b)]
 
     for part in _ordered_partitions(tasks):
@@ -370,7 +469,7 @@ def brute_force_feasible(inst: Instance, max_candidates: int = 2_000_000) -> Ora
                     legs_per_route = _regroup(combo, leg_options)
                     if not _range_ok(g, legs_per_route, fleet):
                         continue
-                    if _timing_ok(inst, part, depots, vehicles,
+                    if _timing_ok(inst, clock, part, depots, vehicles,
                                   legs_per_route, stats):
                         best = total
     return OracleVerdict(best is not None, best, stats)
@@ -430,42 +529,49 @@ def _range_ok(g, legs_per_route, fleet) -> bool:
     return True
 
 
-def _timing_ok(inst, part, depots, vehicles, legs_per_route, stats) -> bool:
+def _timing_ok(inst, clock, part, depots, vehicles, legs_per_route, stats) -> bool:
     """Exact timing feasibility for one fully decided candidate."""
     g = inst.graph
-    fleet = inst.fleet
-    v = Fraction(fleet.speed)
+
+    # charging gaps C*len in ticks, for routes whose vehicle runs another
+    # route too; where one is not whole, every tick is split k ways
+    charge = {r: clock.charge_coeff * clock.scale
+              * Fraction(_route_len(g, legs_per_route[r]))
+              for r in range(len(part)) if vehicles.count(vehicles[r]) > 1}
+    k = lcm(*(c.denominator for c in charge.values()))
+    T = clock.horizon * k
+    one = clock.scale * k
 
     # flatten each route into positions/edges with merged co-located stops
     route_nodes: list[list[NodeId]] = []
-    route_lower: list[list[Fraction]] = []
-    route_upper: list[list[Fraction]] = []
-    route_service: list[list[Fraction]] = []
+    route_lower: list[list[int]] = []
+    route_upper: list[list[int]] = []
+    route_service: list[list[int]] = []
     route_edges: list[list[tuple[NodeId, NodeId]]] = []
-    T = Fraction(fleet.horizon)
     for seq, o, legs in zip(part, depots, legs_per_route):
         nodes = [o]
-        lo, up, sv = [Fraction(0)], [T], [Fraction(0)]
+        lo, up, sv = [0], [T], [0]
         edges: list[tuple[NodeId, NodeId]] = []
         for li, leg in enumerate(legs):
             for a, b in zip(leg, leg[1:]):
                 edges.append((a, b))
                 nodes.append(b)
-                lo.append(Fraction(0))
+                lo.append(0)
                 up.append(T)
-                sv.append(Fraction(0))
+                sv.append(0)
             if li < len(seq):
-                t = inst.tasks[seq[li]]
-                lo[-1] = max(lo[-1], Fraction(t.window.lower))
-                up[-1] = min(up[-1], Fraction(t.window.upper))
-                sv[-1] += Fraction(t.service_time)
+                t = seq[li]
+                lo[-1] = max(lo[-1], clock.lower[t] * k)
+                up[-1] = min(up[-1], clock.upper[t] * k)
+                sv[-1] += clock.service[t] * k
         route_nodes.append(nodes)
         route_lower.append(lo)
         route_upper.append(up)
         route_service.append(sv)
         route_edges.append(edges)
 
-    # variable layout: per route, x for positions then y for edges
+    # variable layout: per route, x for positions then y for edges; the
+    # zero reference comes last
     var_of_x: list[list[int]] = []
     var_of_y: list[list[int]] = []
     nv = 0
@@ -474,33 +580,42 @@ def _timing_ok(inst, part, depots, vehicles, legs_per_route, stats) -> bool:
         nv += len(nodes)
         var_of_y.append(list(range(nv, nv + len(edges))))
         nv += len(edges)
+    ref = nv
 
-    base: list[_DiffCon] = []
+    # every time is nonnegative already: x >= lower >= 0 and y >= x
+    base: list[_DiffEdge] = []
     for r in range(len(part)):
         xs, ys = var_of_x[r], var_of_y[r]
         for q, e in enumerate(route_edges[r]):
-            base.append((xs[q], ys[q], -route_service[r][q]))  # y >= x + S
-            d = Fraction(g.edges[e].length) / v
-            base.append((xs[q + 1], ys[q], d))    # x <= y + d
-            base.append((ys[q], xs[q + 1], -d))   # y <= x - d
+            d = clock.transit[e] * k
+            base.append((ys[q], xs[q], -route_service[r][q]))  # y >= x + S
+            base.append((ys[q], xs[q + 1], d))     # x <= y + d
+            base.append((xs[q + 1], ys[q], -d))    # y <= x - d
         for p in range(len(xs)):
-            base.append((-1, xs[p], -route_lower[r][p]))  # x >= lower
-            base.append((xs[p], -1, route_upper[r][p]))   # x <= upper
+            base.append((xs[p], ref, -route_lower[r][p]))  # x >= lower
+            base.append((ref, xs[p], route_upper[r][p]))   # x <= upper
+
+    system = _Potential(nv + 1)
+    stats.timing_checks += 1
+    # back to front: a chain edge then lowers a node whose own edges back
+    # along the route are not in the system yet, so little is relaxed
+    for u, v, w in reversed(base):
+        if not system.push(u, v, w):
+            return False
 
     # disjunctions: node swaps, edge sharing, opposite edges, charging gaps
-    disjunctions: list[list[_DiffCon]] = []
-    one = Fraction(1)
+    disjunctions: list[list[_DiffEdge]] = []
     for r1 in range(len(part)):
         for r2 in range(r1 + 1, len(part)):
             for p1, n1 in enumerate(route_nodes[r1]):
                 for p2, n2 in enumerate(route_nodes[r2]):
                     if n1 != n2 or n1 in g.hubs:
                         continue
-                    opts: list[_DiffCon] = []
-                    if p2 < len(route_edges[r2]):
-                        opts.append((var_of_y[r2][p2], var_of_x[r1][p1], -one))
-                    if p1 < len(route_edges[r1]):
-                        opts.append((var_of_y[r1][p1], var_of_x[r2][p2], -one))
+                    opts: list[_DiffEdge] = []
+                    if p2 < len(route_edges[r2]):  # x1 >= y2 + 1
+                        opts.append((var_of_x[r1][p1], var_of_y[r2][p2], -one))
+                    if p1 < len(route_edges[r1]):  # x2 >= y1 + 1
+                        opts.append((var_of_x[r2][p2], var_of_y[r1][p1], -one))
                     if opts:
                         disjunctions.append(opts)
             for q1, e1 in enumerate(route_edges[r1]):
@@ -509,30 +624,28 @@ def _timing_ok(inst, part, depots, vehicles, legs_per_route, stats) -> bool:
                         continue
                     y1, y2 = var_of_y[r1][q1], var_of_y[r2][q2]
                     if e1 == e2:
-                        disjunctions.append([(y2, y1, -one), (y1, y2, -one)])
+                        disjunctions.append([(y1, y2, -one), (y2, y1, -one)])
                     elif e1 == (e2[1], e2[0]):
-                        d1 = Fraction(g.edges[e1].length) / v
-                        d2 = Fraction(g.edges[e2].length) / v
-                        disjunctions.append([(y2, y1, -d2), (y1, y2, -d1)])
+                        d1 = clock.transit[e1] * k
+                        d2 = clock.transit[e2] * k
+                        disjunctions.append([(y1, y2, -d2), (y2, y1, -d1)])
             if vehicles[r1] == vehicles[r2]:
-                C = Fraction(fleet.charge_coeff)
-                len1 = Fraction(_route_len(g, legs_per_route[r1]))
-                len2 = Fraction(_route_len(g, legs_per_route[r2]))
-                end1 = (var_of_x[r1][-1], route_service[r1][-1])
-                end2 = (var_of_x[r2][-1], route_service[r2][-1])
+                end1, end2 = var_of_x[r1][-1], var_of_x[r2][-1]
+                gap1 = route_service[r2][-1] + _ticks(charge[r1], k)
+                gap2 = route_service[r1][-1] + _ticks(charge[r2], k)
                 disjunctions.append([
-                    (end2[0], var_of_x[r1][0], -(end2[1] + C * len1)),
-                    (end1[0], var_of_x[r2][0], -(end1[1] + C * len2)),
+                    (var_of_x[r1][0], end2, -gap1),  # r1 starts after r2
+                    (var_of_x[r2][0], end1, -gap2),  # r2 starts after r1
                 ])
 
-    def search(i: int, chosen: list[_DiffCon]) -> bool:
-        stats.timing_checks += 1
-        if not _diff_feasible(nv, base + chosen):
-            return False
+    def search(i: int) -> bool:
         if i == len(disjunctions):
             return True
-        return any(
-            search(i + 1, chosen + [opt]) for opt in disjunctions[i]
-        )
+        for u, v, w in disjunctions[i]:
+            stats.timing_checks += 1
+            if system.push(u, v, w) and search(i + 1):
+                return True
+            system.pop()
+        return False
 
-    return search(0, [])
+    return search(0)

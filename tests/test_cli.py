@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, determinism, bench output."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cfevrp
 from cfevrp.cli import main
 from cfevrp.fileio import dumps_canonical, instance_to_json
 from cfevrp.graph import validate_graph
@@ -142,6 +145,25 @@ def test_console_script_is_installed(corridor_file):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outcome"] == "feasible"
+
+
+def test_python_dash_m_runs_the_cli(corridor_file):
+    src = Path(cfevrp.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfevrp", "solve", str(corridor_file)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outcome"] == "feasible"
+
+
+def test_solve_has_no_seed_flag(corridor_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(corridor_file), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_log_json_includes_event_log(corridor_file, tmp_path):

@@ -6,6 +6,9 @@ structurally malformed).
 """
 
 import dataclasses
+import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -21,9 +24,9 @@ from cfevrp.routing import Route, RouteSet
 from cfevrp.validator import (
     CHARGING_GAP, EDGE_CAPACITY_DIRECT, EDGE_CAPACITY_OPPOSITE, ELIGIBILITY,
     JOB_CONTIGUITY, NODE_CAPACITY, OPERATING_RANGE, PRECEDENCE, TIME_WINDOW,
-    brute_force_feasible, validate_schedule,
+    _Potential, _ticks, brute_force_feasible, validate_schedule,
 )
-from conftest import corridor_instance
+from conftest import corridor_instance, swap_deadlock_instance
 
 
 # --- fixture schedules ------------------------------------------------------
@@ -308,3 +311,88 @@ def test_oracle_minimum_on_corridor():
     # with everyone on shortest paths the corridor deadlocks in either task
     # order, so the true minimum needs the length-4 detour: 4 + 8 = 12
     assert verdict.best_total_distance == 12.0
+
+
+def test_oracle_pins_on_the_fixtures():
+    # verdicts, minima and search counts of the Fraction Bellman-Ford oracle
+    # this one replaced; the incremental check visits the same search nodes
+    for inst, expected in ((corridor_instance(), (True, 12.0, 128, 1054)),
+                           (swap_deadlock_instance(), (False, None, 1, 3))):
+        v = brute_force_feasible(inst)
+        assert (v.feasible, v.best_total_distance,
+                v.stats.candidates, v.stats.timing_checks) == expected
+
+
+def _fractional_gap_instance(T):
+    """One vehicle serves a star's two leaves on separate routes (one route
+    for both is out of range), so the charging gap 0.7*len decides T."""
+    g = validate_graph([1, 2, 3], [1], [(1, 2, 0.5, 1), (1, 3, 0.75, 1)])
+    fleet = FleetParams(1.0, 0.7, 1, 1, 2, T)
+    tasks = [Task("a1", "a", 2, TimeWindow(0, T), 0.5),
+             Task("b1", "b", 3, TimeWindow(0.25, T), 0.0)]
+    jobs = [Job("a", ("a1",), frozenset({"v1"})),
+            Job("b", ("b1",), frozenset({"v1"}))]
+    return build_instance(g, [1], fleet, [Vehicle("v1", 1)], jobs, tasks)
+
+
+def test_oracle_exact_on_fractional_charging_gap():
+    # route 1-3-1 (0.75 time units), charge 0.7*1.0, route 1-2-1 with 0.5
+    # service (1.0): done at 2.45 (a hair less, as Fraction(0.7) < 0.7)
+    for T, expected in ((2.45, (True, 2.5, 3, 2)), (2.449, (False, None, 3, 3))):
+        v = brute_force_feasible(_fractional_gap_instance(T))
+        assert (v.feasible, v.best_total_distance,
+                v.stats.candidates, v.stats.timing_checks) == expected, T
+
+
+def _reference_feasible(n, edges):
+    """From-scratch Fraction Bellman-Ford: True iff no negative cycle."""
+    dist = [Fraction(0)] * n
+    for _ in range(n + 1):
+        changed = False
+        for u, v, w in edges:
+            if dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                changed = True
+        if not changed:
+            return True
+    return False
+
+
+def test_potential_matches_fraction_bellman_ford():
+    rng = random.Random(2006)
+    cycles = tight = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        pool = [Fraction(rng.randint(-6, 6), rng.choice((1, 3, 7)))
+                for _ in range(6)]
+        pool += [Fraction(0.7), -Fraction(0.7), 3 * Fraction(0.7)]
+        scale = lcm(21, *(w.denominator for w in pool))
+        system = _Potential(n)
+        edges: list[tuple[int, int, Fraction]] = []  # as pushed, in order
+        for _ in range(rng.randint(5, 30)):
+            if edges and rng.random() < 0.2:
+                system.pop()
+                edges.pop()
+            else:
+                if edges and rng.random() < 0.3:
+                    # close a two-cycle on an edge: zero weight or negative
+                    a, b, w = rng.choice(edges)
+                    u, v = b, a
+                    w = -w - rng.choice((0, 0, Fraction(1, 7), Fraction(1, 3)))
+                else:
+                    u, v = rng.sample(range(n), 2)
+                    w = rng.choice(pool)
+                edges.append((u, v, w))
+                ok = system.push(u, v, _ticks(w, scale))
+                assert ok == _reference_feasible(n, edges), edges
+                if not ok:
+                    # backtrack out of the negative cycle and go on
+                    cycles += 1
+                    system.pop()
+                    edges.pop()
+                tight += ok and any(
+                    (b, a, -w) in edges for a, b, w in edges)
+            # the potential solves every edge still in the system
+            for u, v, w in edges:
+                assert system.pot[v] - system.pot[u] <= _ticks(w, scale)
+    assert cycles > 100 and tight > 100, (cycles, tight)
