@@ -53,9 +53,6 @@ class Path:
     def edge_keys(self) -> tuple[tuple[NodeId, NodeId], ...]:
         return tuple(zip(self.nodes, self.nodes[1:]))
 
-    def is_empty(self) -> bool:
-        return len(self.nodes) == 1
-
 
 def path_length(p: Path) -> float:
     return p.length
@@ -67,11 +64,28 @@ class PlantGraph:
     hubs: frozenset[NodeId]
     edges: dict[tuple[NodeId, NodeId], Edge] = field(hash=False)
 
-    def out_edges(self, n: NodeId) -> list[Edge]:
-        return [self.edges[(s, d)] for (s, d) in sorted(self.edges) if s == n]
+    # Out- and in-edges per node, each in (src, dst) key order.  Built in
+    # __post_init__, not cached on first use: adding a key to a built
+    # instance's __dict__ makes every later attribute read on it slower,
+    # and the oracle reads g.edges in its inner loops.
+    _out: dict[NodeId, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
+    _in: dict[NodeId, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
 
-    def in_edges(self, n: NodeId) -> list[Edge]:
-        return [self.edges[(s, d)] for (s, d) in sorted(self.edges) if d == n]
+    def __post_init__(self) -> None:
+        outs: dict[NodeId, list[Edge]] = {}
+        ins: dict[NodeId, list[Edge]] = {}
+        for key in sorted(self.edges):
+            e = self.edges[key]
+            outs.setdefault(e.src, []).append(e)
+            ins.setdefault(e.dst, []).append(e)
+        object.__setattr__(self, "_out", {n: tuple(es) for n, es in outs.items()})
+        object.__setattr__(self, "_in", {n: tuple(es) for n, es in ins.items()})
+
+    def out_edges(self, n: NodeId) -> tuple[Edge, ...]:
+        return self._out.get(n, ())
+
+    def in_edges(self, n: NodeId) -> tuple[Edge, ...]:
+        return self._in.get(n, ())
 
     def path_between(self, nodes: tuple[NodeId, ...]) -> Path:
         """Build a Path from an explicit node sequence, summing edge lengths."""

@@ -46,10 +46,6 @@ class RouteSet:
     routes: tuple[Route, ...]
     theta_lits: ThetaLits
 
-    @property
-    def total_length(self) -> float:
-        return sum(r.length for r in self.routes)
-
 
 PathMap = dict[tuple[NodeId, NodeId], Path]
 

@@ -1,17 +1,20 @@
 """Constraint-solving backend: Boolean logic plus difference arithmetic.
 
-A self-contained lazy-SMT engine: a CDCL SAT core over the Boolean skeleton,
+A self-contained DPLL(T) engine: a CDCL SAT core over the Boolean skeleton,
 with arithmetic atoms delegated to a difference-logic theory solver
 (negative-cycle detection over rational bounds with an infinitesimal
 component for strict inequalities).  Cardinality constraints use a totalizer
 encoding, and minimization of indicator counts runs a descending linear
 search over the totalizer outputs.
 
-The SAT core keeps its trail in lists indexed by variable and picks each
-decision from a heap ordered by (activity, index).  The theory check runs
-Bellman-Ford on integers: the bounds are scaled by the LCM of their
-denominators, and each infinitesimal count is packed into the same int, so
-the integer comparisons decide exactly as the rational ones would.
+The SAT core propagates with two watched literals, keeps its trail in
+lists indexed by variable and picks each decision from a heap ordered by
+(activity, index).  It calls the theory on every complete assignment and
+learns each negative cycle as a clause inside the same search, so one
+check() is one SAT search.  The theory check runs Bellman-Ford on
+integers: the bounds are scaled by the LCM of their denominators, and each
+infinitesimal count is packed into the same int, so the integer
+comparisons decide exactly as the rational ones would.
 
 Every model this backend deals in is exact: real values are Fractions.
 The fragment is deliberately small -- linear atoms must normalize to
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import SortError, UnsupportedConstraint
 
@@ -210,12 +213,24 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 class _SatCore:
-    """Small CDCL solver: occurrence-list propagation, 1UIP learning,
-    backjumping.  Literals are nonzero ints; variable v has literals v, -v.
+    """Small CDCL solver with a theory hook.  Literals are nonzero ints;
+    variable v has literals v, -v.
+
+    Clauses of two or more literals are watched on their first two
+    positions (two watched literals, as in Chaff); unit clauses are kept
+    apart and put on level 0 when a search starts.  Conflicts are analysed
+    to the first UIP, learned, and undone by backjumping.
+
+    The theory callback sees every complete assignment and returns the
+    distinct literals of an inconsistent subset, or None.  The negation of
+    that subset is learned on the spot: with one literal on its top level
+    it is asserted after a backjump, with several it is analysed like a
+    conflict, and on level 0 it ends the search unsat.  This is DPLL(T)
+    with the theory checked on complete assignments only.
 
     Assumptions are handled as forced decisions on their own levels, so
-    every learned clause is a consequence of the clause database alone and
-    stays valid across calls.
+    every learned clause is a consequence of the clause database and the
+    theory alone and stays valid across calls.
 
     Decisions take the free variable of highest activity, lowest index
     first, and set it false.
@@ -224,15 +239,17 @@ class _SatCore:
     def __init__(self) -> None:
         self.nvars = 0
         self.clauses: list[list[int]] = []
-        self.occ: dict[int, list[int]] = {}
+        self.units: list[int] = []
+        # watches[lit]: indices of the clauses watching lit in position 0 or 1
+        self.watches: dict[int, list[int]] = {}
         self.empty_clause = False
         self.activity: list[float] = [0.0]  # indexed by variable; 0 unused
 
     def new_var(self) -> int:
         self.nvars += 1
         v = self.nvars
-        self.occ[v] = []
-        self.occ[-v] = []
+        self.watches[v] = []
+        self.watches[-v] = []
         self.activity.append(0.0)
         return v
 
@@ -244,28 +261,41 @@ class _SatCore:
         if not distinct:
             self.empty_clause = True
             return None
+        return self._store(sorted(distinct, key=abs))
+
+    def _store(self, clause: list[int]) -> int:
+        """Append a clause of distinct literals, watching its first two."""
         idx = len(self.clauses)
-        self.clauses.append(sorted(distinct, key=abs))
-        for l in distinct:
-            self.occ[l].append(idx)
+        self.clauses.append(clause)
+        if len(clause) == 1:
+            self.units.append(clause[0])
+        else:
+            self.watches[clause[0]].append(idx)
+            self.watches[clause[1]].append(idx)
         return idx
 
     # -- main search ------------------------------------------------------
 
-    def solve(self, assumptions: Sequence[int] = ()) -> list[bool | None] | None:
+    def solve(self, assumptions: Sequence[int],
+              theory: Callable[[Sequence[bool | None]], list[int] | None],
+              ) -> list[bool | None] | None:
         """Return a satisfying assignment indexed by variable, or None.
 
         Entry 0 of the list is unused; every other entry is True or False.
+        `theory` is called on each complete assignment as described above.
         """
         if self.empty_clause:
             return None
         n = self.nvars
         clauses = self.clauses
-        occ = self.occ
         activity = self.activity
-        # val[lit] is the value of literal lit: positive literals sit at
-        # 1..n, negative ones at n+1..2n through Python's negative indexing.
+        # val[lit] is the value of literal lit, and watch[lit] its watch
+        # list: positive literals sit at 1..n, negative ones at n+1..2n
+        # through Python's negative indexing.
         val: list[bool | None] = [None] * (2 * n + 1)
+        watch: list[list[int]] = [[]] * (2 * n + 1)
+        for lit, ws in self.watches.items():
+            watch[lit] = ws
         level = [0] * (n + 1)
         reason: list[int | None] = [None] * (n + 1)
         trail: list[int] = []
@@ -290,30 +320,58 @@ class _SatCore:
         head = 0
 
         def propagate() -> int | None:
-            """Unit propagation; returns a conflicting clause index or None."""
+            """Unit propagation; returns a conflicting clause index or None.
+
+            A clause is visited only when one of its two watched literals
+            becomes false; it then watches another non-false literal, or
+            is unit on its other watch, or is conflicting.
+            """
             nonlocal head
+            cur_level = len(lim)
             while head < len(trail):
-                lit = trail[head]
+                false_lit = -trail[head]
                 head += 1
-                for ci in occ[-lit]:
-                    unassigned = 0
-                    for other in clauses[ci]:
-                        ov = val[other]
-                        if ov:
-                            break  # satisfied
-                        if ov is None:
-                            if unassigned:
-                                break  # two free literals: not unit
-                            unassigned = other
+                ws = watch[false_lit]
+                i = j = 0
+                end = len(ws)
+                while i < end:
+                    ci = ws[i]
+                    i += 1
+                    c = clauses[ci]
+                    if c[0] == false_lit:
+                        c[0] = c[1]
+                        c[1] = false_lit
+                    first = c[0]
+                    if val[first]:
+                        ws[j] = ci
+                        j += 1
+                        continue
+                    for k in range(2, len(c)):
+                        other = c[k]
+                        if val[other] is not False:
+                            c[1] = other
+                            c[k] = false_lit
+                            watch[other].append(ci)
+                            break
                     else:
-                        if not unassigned:
+                        ws[j] = ci
+                        j += 1
+                        if val[first] is None:
+                            val[first] = True
+                            val[-first] = False
+                            v = first if first > 0 else -first
+                            level[v] = cur_level
+                            reason[v] = ci
+                            trail.append(first)
+                        else:
+                            del ws[j:i]
                             return ci
-                        enqueue(unassigned, ci)
+                del ws[j:]
             return None
 
         def analyze(conflict_ci: int) -> list[int]:
-            """1UIP conflict analysis; returns the learned clause (last
-            element is the asserting literal)."""
+            """1UIP conflict analysis; returns the learned clause, its
+            asserting literal first."""
             cur_level = len(lim)
             seen: set[int] = set()
             learned: list[int] = []
@@ -340,11 +398,10 @@ class _SatCore:
                 seen.discard(abs(uip_lit))
                 counter -= 1
                 if counter == 0:
-                    learned.append(-uip_lit)
-                    return learned
+                    return [-uip_lit, *learned]
                 why = reason[abs(uip_lit)]
                 assert why is not None, "non-UIP literal must have a reason"
-                lits = [l for l in clauses[why] if l != uip_lit]
+                lits = clauses[why][1:]  # a reason clause implies its first literal
 
         def backtrack(to_level: int) -> None:
             nonlocal head
@@ -360,17 +417,30 @@ class _SatCore:
                 del trail[mark:]
             head = min(head, len(trail))
 
+        def learn(clause: list[int]) -> None:
+            """Store a clause whose literals are all false and whose only
+            literal on its top level is clause[0]; backjump to the next
+            level down and assert clause[0] there."""
+            to_level = 0
+            if len(clause) > 1:
+                k = max(range(1, len(clause)), key=lambda k: level[abs(clause[k])])
+                clause[1], clause[k] = clause[k], clause[1]
+                to_level = level[abs(clause[1])]
+            backtrack(to_level)
+            enqueue(clause[0], self._store(clause))
+
+        for lit in self.units:
+            if val[lit] is False:
+                return None
+            if val[lit] is None:
+                enqueue(lit, None)
+
         while True:
             ci = propagate()
             if ci is not None:
                 if not lim:
                     return None
-                learned = analyze(ci)
-                uip = learned[-1]
-                bj = max((level[abs(l)] for l in learned[:-1]), default=0)
-                backtrack(bj)
-                idx = self.add_clause(learned)
-                enqueue(uip, idx)
+                learn(analyze(ci))
                 continue
             # place any pending assumption on its own decision level
             failed = False
@@ -396,7 +466,21 @@ class _SatCore:
                     if val[pick] is None:
                         break
             else:
-                return val[:n + 1]
+                conflict = theory(val)
+                if conflict is None:
+                    return val[:n + 1]
+                lemma = [-l for l in conflict]
+                top = max(level[abs(l)] for l in lemma)
+                if top == 0:
+                    self._store(lemma)
+                    return None
+                lemma.sort(key=lambda l: level[abs(l)] != top)
+                if len(lemma) > 1 and level[abs(lemma[1])] == top:
+                    backtrack(top)
+                    learn(analyze(self._store(lemma)))
+                else:
+                    learn(lemma)
+                continue
             lim.append(len(trail))
             enqueue(-pick, None)
 
@@ -461,14 +545,10 @@ class Context:
     # -- solving ----------------------------------------------------------
 
     def check(self, assumptions: Sequence[int] = ()) -> SolveResult:
-        while True:
-            assignment = self._sat.solve(assumptions)
-            if assignment is None:
-                return SolveResult(False, None)
-            conflict = self._theory_conflict(assignment)
-            if conflict is None:
-                return SolveResult(True, self._build_model(assignment))
-            self._sat.add_clause([-l for l in conflict])
+        assignment = self._sat.solve(assumptions, self._theory_conflict)
+        if assignment is None:
+            return SolveResult(False, None)
+        return SolveResult(True, self._build_model(assignment))
 
     def minimize(self, indicators: Sequence[VarRef]) -> SolveResult:
         """Minimize the number of true variables among `indicators`.
@@ -564,39 +644,38 @@ class Context:
         so the outputs can be used under either polarity.
         """
         key = tuple(lits)
-        if key in self._totalizer_cache:
-            return self._totalizer_cache[key]
+        if key not in self._totalizer_cache:
+            self._totalizer_cache[key] = self._totalizer_node(list(lits))
+        return self._totalizer_cache[key]
 
-        def build(ls: list[int]) -> list[int]:
-            if len(ls) == 1:
-                return [ls[0]]
-            mid = len(ls) // 2
-            a = build(ls[:mid])
-            b = build(ls[mid:])
-            r = [self._sat.new_var() for _ in range(len(a) + len(b))]
-            p, q = len(a), len(b)
-            for i in range(p + 1):
-                for j in range(q + 1):
-                    if 1 <= i + j <= p + q:
-                        clause = [r[i + j - 1]]
-                        if i >= 1:
-                            clause.append(-a[i - 1])
-                        if j >= 1:
-                            clause.append(-b[j - 1])
-                        if i >= 1 or j >= 1:
-                            self._sat.add_clause(clause)
-                    if 0 <= i + j < p + q:
-                        clause = [-r[i + j]]
-                        if i < p:
-                            clause.append(a[i])
-                        if j < q:
-                            clause.append(b[j])
+    def _totalizer_node(self, ls: list[int]) -> list[int]:
+        """Outputs of the totalizer subtree over ls (a method, not a closure,
+        so that building one leaves no reference cycle through the context)."""
+        if len(ls) == 1:
+            return [ls[0]]
+        mid = len(ls) // 2
+        a = self._totalizer_node(ls[:mid])
+        b = self._totalizer_node(ls[mid:])
+        r = [self._sat.new_var() for _ in range(len(a) + len(b))]
+        p, q = len(a), len(b)
+        for i in range(p + 1):
+            for j in range(q + 1):
+                if 1 <= i + j <= p + q:
+                    clause = [r[i + j - 1]]
+                    if i >= 1:
+                        clause.append(-a[i - 1])
+                    if j >= 1:
+                        clause.append(-b[j - 1])
+                    if i >= 1 or j >= 1:
                         self._sat.add_clause(clause)
-            return r
-
-        outs = build(list(lits))
-        self._totalizer_cache[key] = outs
-        return outs
+                if 0 <= i + j < p + q:
+                    clause = [-r[i + j]]
+                    if i < p:
+                        clause.append(a[i])
+                    if j < q:
+                        clause.append(b[j])
+                    self._sat.add_clause(clause)
+        return r
 
     # -- arithmetic atoms --------------------------------------------------
 

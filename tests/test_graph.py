@@ -128,3 +128,14 @@ def test_determinism():
     for a in sorted(g1.nodes):
         for b in sorted(g1.nodes):
             assert shortest_path(g1, a, b).nodes == shortest_path(g2, a, b).nodes
+
+
+def test_adjacency_matches_sort_and_filter():
+    rng = random.Random(31)
+    for _ in range(50):
+        g = random_connected_graph(rng, max_nodes=15)
+        for n in sorted(g.nodes) + [max(g.nodes) + 1]:
+            assert list(g.out_edges(n)) == [
+                g.edges[k] for k in sorted(g.edges) if k[0] == n]
+            assert list(g.in_edges(n)) == [
+                g.edges[k] for k in sorted(g.edges) if k[1] == n]

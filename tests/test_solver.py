@@ -1,7 +1,9 @@
 """Constraint backend: satisfiability, arithmetic, enumeration, minimization."""
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -121,6 +123,22 @@ def test_exactly_n():
         res = ctx.check()
         assert res.sat
         assert sum(1 for v in vars_ if res.model.value(v)) == n
+
+
+def test_context_with_totalizer_is_freed_without_gc():
+    # Path changer contexts are large; a reference cycle would keep each one
+    # alive until a full collection.
+    gc.disable()
+    try:
+        ctx = S.Context()
+        vars_ = [ctx.new_bool(f"b{i}") for i in range(5)]
+        ctx.assert_formula(S.exactly(vars_, 2))
+        assert ctx.check().sat
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_ite_links_boolean_to_arithmetic():
@@ -325,3 +343,120 @@ def test_model_values_are_exact_fractions():
     assert isinstance(va, Fraction) and isinstance(vb, Fraction)
     assert va > Fraction(2, 7) and vb - va >= Fraction(1, 3)
     assert vb <= Fraction(0.7)
+
+
+# --- the CDCL(T) core against brute force -------------------------------------
+#
+# Random small CNFs over Boolean variables and difference atoms.  Brute force
+# decides every projection onto the Boolean variables by trying each truth
+# value of each atom and a Fraction Bellman-Ford on the atoms' constraints.
+# The seed makes the solver hit theory conflicts with one literal on their
+# top level, theory conflicts on level 0, and unit clauses added between two
+# check() calls; breaking the handling of any of them fails this test.
+
+def _atom_formula(atom):
+    a, b, c = atom  # val(a) - val(b) <= c, either side may be the zero node
+    if b is None:
+        return S.var_le(a, c)
+    if a is None:
+        return S.var_ge(b, -c)
+    return S.lin([(1, a), (-1, b)], "<=", c)
+
+
+def _atoms_consistent(xs, atoms, truth):
+    zero = "zero"
+    edges = [(x, zero, (Fraction(0), 0), 0) for x in xs]
+    for (a, b, c), t in zip(atoms, truth):
+        a, b = a or zero, b or zero
+        edges.append((b, a, (c, 0), 0) if t else (a, b, (-c, -1), 0))
+    dist = {x: (Fraction(0), 0) for x in [zero, *xs]}
+    return _ref_relax(dist, edges, len(dist)) is None
+
+
+def _holds(lit, bools, atoms, value):
+    kind, i, pos = lit
+    if kind == "b":
+        return value(bools[i]) is pos
+    a, b, c = atoms[i]
+    va = value(a) if a is not None else 0
+    vb = value(b) if b is not None else 0
+    return (va - vb <= c) is pos
+
+
+def _lit_formula(lit, bools, atoms):
+    kind, i, pos = lit
+    f = S.bvar(bools[i]) if kind == "b" else _atom_formula(atoms[i])
+    return f if pos else S.not_(f)
+
+
+def _brute_force_projections(bools, xs, atoms, clauses):
+    out = set()
+    for bbits in itertools.product([False, True], repeat=len(bools)):
+        for abits in itertools.product([False, True], repeat=len(atoms)):
+            ok = all(any(
+                (bbits[i] if kind == "b" else abits[i]) is pos
+                for kind, i, pos in cl) for cl in clauses)
+            if ok and _atoms_consistent(xs, atoms, abits):
+                out.add(bbits)
+                break
+    return out
+
+
+def _check_model(res, bools, atoms, clauses):
+    value = res.model.value
+    for cl in clauses:
+        assert any(_holds(lit, bools, atoms, value) for lit in cl), cl
+    return tuple(value(v) for v in bools)
+
+
+def _random_lit(rng, nb, na):
+    if rng.random() < 0.5:
+        return ("b", rng.randrange(nb), rng.random() < 0.5)
+    return ("a", rng.randrange(na), rng.random() < 0.5)
+
+
+def test_cdcl_t_core_matches_brute_force():
+    rng = random.Random(11)
+    for _ in range(40):
+        ctx = S.Context()
+        bools = [ctx.new_bool(f"b{i}") for i in range(rng.randint(2, 4))]
+        xs = [ctx.new_real(f"x{i}") for i in range(rng.randint(2, 3))]
+        atoms = []
+        for _ in range(rng.randint(3, 5)):
+            a, b = rng.sample([None, *xs], 2)
+            atoms.append((a, b, Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))))
+        clauses = [[_random_lit(rng, len(bools), len(atoms))
+                    for _ in range(rng.randint(1, 3))]
+                   for _ in range(rng.randint(3, 7))]
+
+        def assert_clause(cl):
+            ctx.assert_formula(S.or_(*[_lit_formula(l, bools, atoms) for l in cl]))
+
+        for cl in clauses:
+            assert_clause(cl)
+        for round_ in range(2):
+            expected = _brute_force_projections(bools, xs, atoms, clauses)
+            # every projection, one check(assumptions=...) call each
+            for bits in itertools.product([False, True], repeat=len(bools)):
+                lits = [ctx._bool_lit[v] if t else -ctx._bool_lit[v]
+                        for v, t in zip(bools, bits)]
+                res = ctx.check(assumptions=lits)
+                assert res.sat == (bits in expected), (round_, bits)
+                if res.sat:
+                    assert _check_model(res, bools, atoms, clauses) == bits
+            if round_ == 0:
+                # a unit clause between two check() calls
+                unit = [_random_lit(rng, len(bools), len(atoms))]
+                clauses.append(unit)
+                assert_clause(unit)
+        # enumerate by blocking each model's projection
+        found = set()
+        while True:
+            res = ctx.check()
+            if not res.sat:
+                break
+            bits = _check_model(res, bools, atoms, clauses)
+            assert bits in expected and bits not in found
+            found.add(bits)
+            ctx.block_model(bools, res.model)
+        assert found == expected
