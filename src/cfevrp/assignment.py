@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import solver as S
 from .instance import Instance
-from .routing import Route, RouteSet
+from .routing import RouteSet
 
 AlphaLits = frozenset[tuple[str, int]]
 
@@ -36,10 +36,6 @@ class Assignment:
 
     def routes_of(self, vehicle: str) -> list[int]:
         return [i for i, v in enumerate(self.vehicle_of) if v == vehicle]
-
-
-def _route_duration(r: Route, inst: Instance, cum_service: float) -> float:
-    return r.length / inst.fleet.speed + cum_service
 
 
 def compute_route_attributes(

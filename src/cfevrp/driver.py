@@ -16,7 +16,7 @@ from .assignment import Assignment, compute_route_attributes, solve_assignment
 from .capacity import Schedule, RouteSchedule, build_visit_lists, verify_capacity
 from .graph import all_pairs_task_paths
 from .instance import Instance
-from .pathschanger import solve_paths_changing
+from .pathschanger import PathChanger, solve_paths_changing
 from .routesverify import verify_routes
 from .routing import PathMap, Route, RouteSet, solve_routing
 from .errors import InvariantViolation
@@ -158,7 +158,7 @@ def _capacity_phase(inst, cr, ca, limits, clock):
     Returns a final SolveOutcome, or None to signal 'try a new assignment'.
     """
     current = cr  # carries the current leg paths
-    pp = []       # excluded path combinations for this assignment
+    changer = PathChanger(cr, inst)  # blocks each combination it returns
     path_sets = 0
     while True:
         vls = build_visit_lists(current, inst)
@@ -172,12 +172,10 @@ def _capacity_phase(inst, cr, ca, limits, clock):
             if path_sets >= limits.max_path_sets:
                 return SolveOutcome(
                     ABORTED, None, clock.events, "path set limit reached")
-            np = clock.run(
-                "paths", lambda: solve_paths_changing(cr, inst, pp))
+            np = clock.run("paths", lambda: solve_paths_changing(changer))
             path_sets += 1
             if np is None:
                 return None  # every path combination failed: new assignment
-            pp.append(np.z_lits)
             candidate = np.apply(cr)
             rvf = clock.run(
                 "routes_check",

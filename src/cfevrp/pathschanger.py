@@ -2,9 +2,15 @@
 
 One Boolean model covers every leg of every route at once: node and edge
 selection variables per leg, flow-style degree constraints tying them into
-a simple chain from the leg's start to its end.  The total number of used
-nodes is minimized and previously returned path combinations are excluded,
-so repeated calls enumerate all simple-path combinations.
+a simple chain from the leg's start to its end.  Repeated calls enumerate
+every simple-path combination, fewest used nodes first.
+
+A `PathChanger` serves one route set for as long as its assignment is
+tried.  It builds the model on its first call and keeps it: each returned
+combination is blocked in place, and the next minimum is searched from the
+last one.  Blocking only removes combinations, so the last optimum is a
+proven lower bound and usually attained again by a single check under the
+assumption "at most that many nodes".
 """
 
 from __future__ import annotations
@@ -18,13 +24,11 @@ from .routing import RouteSet
 from .instance import Instance
 
 EdgeKey = tuple[NodeId, NodeId]
-ZLits = frozenset[tuple[int, int, EdgeKey]]
 
 
 @dataclass(frozen=True)
 class PathAssignment:
     legs: dict[tuple[int, int], Path]  # (route index, leg index) -> path
-    z_lits: ZLits
 
     def apply(self, cr: RouteSet) -> RouteSet:
         routes = []
@@ -36,88 +40,105 @@ class PathAssignment:
         return RouteSet(tuple(routes), cr.theta_lits)
 
 
-def solve_paths_changing(
-    cr: RouteSet,
-    inst: Instance,
-    pp: list[ZLits],
-) -> PathAssignment | None:
-    """A fresh minimal-node path combination for all legs, or None."""
-    g: PlantGraph = inst.graph
-    ctx = S.Context()
-    legs: list[tuple[int, int, NodeId, NodeId]] = []
-    degenerate: dict[tuple[int, int], Path] = {}
-    for r, route in enumerate(cr.routes):
-        locs = route.locations(inst)
-        for i, (xi, pi) in enumerate(zip(locs, locs[1:])):
-            if xi == pi:
-                # the empty path is the only simple path from a node to itself
-                degenerate[(r, i)] = Path((xi,), 0.0)
-            else:
-                legs.append((r, i, xi, pi))
+class PathChanger:
+    """The path combinations of one route set's legs, fewest nodes first."""
 
-    w: dict[tuple[int, int, NodeId], S.VarRef] = {}
-    z: dict[tuple[int, int, EdgeKey], S.VarRef] = {}
-    for r, i, _, _ in legs:
-        for n in sorted(g.nodes):
-            w[(r, i, n)] = ctx.new_bool(f"w[{r},{i},{n}]")
-        for e in sorted(g.edges):
-            z[(r, i, e)] = ctx.new_bool(f"z[{r},{i},{e[0]}-{e[1]}]")
+    def __init__(self, cr: RouteSet, inst: Instance):
+        self._graph: PlantGraph = inst.graph
+        self._legs: list[tuple[int, int, NodeId, NodeId]] = []
+        self._degenerate: dict[tuple[int, int], Path] = {}
+        for r, route in enumerate(cr.routes):
+            locs = route.locations(inst)
+            for i, (xi, pi) in enumerate(zip(locs, locs[1:])):
+                if xi == pi:
+                    # the empty path is the only simple path from a node to
+                    # itself
+                    self._degenerate[(r, i)] = Path((xi,), 0.0)
+                else:
+                    self._legs.append((r, i, xi, pi))
+        self._ctx: S.Context | None = None  # built on the first call
+        self._w: list[S.VarRef] = []
+        self._z: dict[tuple[int, int, EdgeKey], S.VarRef] = {}
+        self._optimum = 0  # node count of the last combination returned
 
-    for r, i, xi, pi in legs:
-        ctx.assert_formula(S.and_(
-            S.bvar(w[(r, i, xi)]), S.bvar(w[(r, i, pi)])))
-        ctx.assert_formula(S.exactly(
-            [z[(r, i, e.key)] for e in g.out_edges(xi)], 1))
-        ctx.assert_formula(S.exactly(
-            [z[(r, i, e.key)] for e in g.in_edges(pi)], 1))
-        for e in sorted(g.edges):
-            ctx.assert_formula(S.implies(
-                S.bvar(z[(r, i, e)]),
-                S.not_(S.bvar(z[(r, i, (e[1], e[0]))])),
-            ))
-        for n in sorted(g.nodes):
-            if n in (xi, pi):
-                continue
-            outs = [z[(r, i, e.key)] for e in g.out_edges(n)]
-            ins = [z[(r, i, e.key)] for e in g.in_edges(n)]
-            ctx.assert_formula(S.ite(
-                S.bvar(w[(r, i, n)]),
-                S.and_(S.exactly(outs, 1), S.exactly(ins, 1)),
-                S.and_(S.exactly(outs, 0), S.exactly(ins, 0)),
-            ))
+    def _build(self) -> None:
+        g = self._graph
+        ctx = self._ctx = S.Context()
+        w: dict[tuple[int, int, NodeId], S.VarRef] = {}
+        z = self._z
+        for r, i, _, _ in self._legs:
+            for n in sorted(g.nodes):
+                w[(r, i, n)] = ctx.new_bool(f"w[{r},{i},{n}]")
+            for e in sorted(g.edges):
+                z[(r, i, e)] = ctx.new_bool(f"z[{r},{i},{e[0]}-{e[1]}]")
 
-    for lits in pp:
-        ctx.assert_formula(S.or_(*[
-            S.not_(S.bvar(z[t])) for t in sorted(lits)
-        ]))
+        for r, i, xi, pi in self._legs:
+            ctx.assert_formula(S.and_(
+                S.bvar(w[(r, i, xi)]), S.bvar(w[(r, i, pi)])))
+            ctx.assert_formula(S.exactly(
+                [z[(r, i, e.key)] for e in g.out_edges(xi)], 1))
+            ctx.assert_formula(S.exactly(
+                [z[(r, i, e.key)] for e in g.in_edges(pi)], 1))
+            for e in sorted(g.edges):
+                ctx.assert_formula(S.implies(
+                    S.bvar(z[(r, i, e)]),
+                    S.not_(S.bvar(z[(r, i, (e[1], e[0]))])),
+                ))
+            for n in sorted(g.nodes):
+                if n in (xi, pi):
+                    continue
+                outs = [z[(r, i, e.key)] for e in g.out_edges(n)]
+                ins = [z[(r, i, e.key)] for e in g.in_edges(n)]
+                ctx.assert_formula(S.ite(
+                    S.bvar(w[(r, i, n)]),
+                    S.and_(S.exactly(outs, 1), S.exactly(ins, 1)),
+                    S.and_(S.exactly(outs, 0), S.exactly(ins, 0)),
+                ))
+        self._w = sorted(w.values(), key=lambda v: v.idx)
 
-    res = ctx.minimize(sorted(w.values(), key=lambda v: v.idx))
-    if not res.sat:
-        return None
-    m = res.model
-    out: dict[tuple[int, int], Path] = dict(degenerate)
-    lits: set[tuple[int, int, EdgeKey]] = set()
-    for r, i, xi, pi in legs:
-        chosen = {
-            e: m.value(z[(r, i, e)]) is True for e in g.edges
-        }
-        succ: dict[NodeId, NodeId] = {}
-        for (a, b), val in chosen.items():
-            if val and a in succ:
-                raise DecodingCycle(f"leg ({r},{i}): node {a} has two exits")
-            if val:
-                succ[a] = b
-        seq = [xi]
-        cur = xi
-        while cur != pi:
-            if cur not in succ:
-                raise DecodingCycle(f"leg ({r},{i}): chain breaks at {cur}")
-            cur = succ[cur]
-            if cur in seq:
-                raise DecodingCycle(f"leg ({r},{i}): cycle through {cur}")
-            seq.append(cur)
-        path = g.path_between(tuple(seq))
-        out[(r, i)] = path
-        for e in path.edge_keys:
-            lits.add((r, i, e))
-    return PathAssignment(out, frozenset(lits))
+    def next(self) -> PathAssignment | None:
+        """A minimal-node combination not returned before, or None."""
+        if self._ctx is None:
+            self._build()
+        ctx = self._ctx
+        res = ctx.minimize(self._w, lower=self._optimum)
+        if not res.sat:
+            return None
+        m = res.model
+        self._optimum = len(m.true_vars(self._w))
+        g = self._graph
+        z = self._z
+        out: dict[tuple[int, int], Path] = dict(self._degenerate)
+        used: list[S.VarRef] = []
+        for r, i, xi, pi in self._legs:
+            succ: dict[NodeId, NodeId] = {}
+            for e in g.edges:
+                if m.value(z[(r, i, e)]) is True:
+                    if e[0] in succ:
+                        raise DecodingCycle(
+                            f"leg ({r},{i}): node {e[0]} has two exits")
+                    succ[e[0]] = e[1]
+            seq = [xi]
+            cur = xi
+            while cur != pi:
+                if cur not in succ:
+                    raise DecodingCycle(f"leg ({r},{i}): chain breaks at {cur}")
+                cur = succ[cur]
+                if cur in seq:
+                    raise DecodingCycle(f"leg ({r},{i}): cycle through {cur}")
+                seq.append(cur)
+            path = g.path_between(tuple(seq))
+            out[(r, i)] = path
+            used.extend(z[(r, i, e)] for e in path.edge_keys)
+        # exclude this combination, and any model containing all its edges
+        ctx.block_true_subset(used, m)
+        return PathAssignment(out)
+
+
+def solve_paths_changing(changer: PathChanger) -> PathAssignment | None:
+    """The next path combination of `changer`, or None when none is left.
+
+    This is the `paths` stage as the driver calls it, once per event, under
+    the name the per-layer tracer (bench/tracing.py) wraps.
+    """
+    return changer.next()

@@ -271,14 +271,18 @@ def solve_routing(
     accepted solution optimal whenever no path change is needed later.
     """
     model = RoutingModel(inst, cp, pr)
-    res = model.ctx.minimize(model.start_indicators)
+    starts = model.start_indicators
+    res = model.ctx.minimize(starts)
     if not res.sat:
         return None
+    k = len(res.model.true_vars(starts))
+    if k < len(starts):
+        model.ctx.assert_formula(S.at_most(starts, k))
     best_m, best_d = res.model, _model_distance(res.model, model)
     theta_vars = [model.theta[p] for p in sorted(model.theta)]
     if theta_vars:
-        # minimize() capped the route count, so this walks exactly the
-        # route sets at the optimum
+        # the route count is capped at its optimum, so this walks exactly
+        # the route sets at the optimum
         model.ctx.block_model(theta_vars, best_m)
         while True:
             nxt = model.ctx.check()

@@ -5,7 +5,9 @@ with arithmetic atoms delegated to a difference-logic theory solver
 (negative-cycle detection over rational bounds with an infinitesimal
 component for strict inequalities).  Cardinality constraints use a totalizer
 encoding, and minimization of indicator counts runs a descending linear
-search over the totalizer outputs.
+search over the totalizer outputs; it can start from a known lower bound,
+so a context that only gains clauses re-minimizes under an assumption
+instead of starting over.
 
 The SAT core propagates with two watched literals, keeps its trail in
 lists indexed by variable and picks each decision from a heap ordered by
@@ -118,6 +120,12 @@ class ExactlyN(Formula):
     n: int
 
 
+@dataclass(frozen=True)
+class AtMostN(Formula):
+    vars: tuple[VarRef, ...]
+    n: int
+
+
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
 
@@ -154,6 +162,10 @@ def ite(c: Formula, t: Formula, e: Formula) -> Formula:
 
 def exactly(vars: Iterable[VarRef], n: int) -> Formula:
     return ExactlyN(tuple(vars), n)
+
+
+def at_most(vars: Iterable[VarRef], n: int) -> Formula:
+    return AtMostN(tuple(vars), n)
 
 
 def lin(terms: Iterable[tuple[Number, VarRef]], op: str, const: Number) -> Formula:
@@ -550,30 +562,36 @@ class Context:
             return SolveResult(False, None)
         return SolveResult(True, self._build_model(assignment))
 
-    def minimize(self, indicators: Sequence[VarRef]) -> SolveResult:
+    def minimize(self, indicators: Sequence[VarRef],
+                 lower: int = 0) -> SolveResult:
         """Minimize the number of true variables among `indicators`.
 
-        Descending linear search over totalizer outputs.  On success the
-        attained bound is asserted permanently, so later check() calls stay
-        satisfiable at the optimum.
+        Descending linear search over totalizer outputs.  `lower` must be a
+        proven lower bound on that number, such as an earlier optimum of
+        this context when only clauses were added since: the search then
+        first checks under the assumption "at most `lower`", whose model is
+        optimal, and descends no further than `lower` + 1 otherwise.
+        Nothing is asserted, so later check() calls see the same clauses;
+        callers that want the optimum capped assert at_most themselves.
         """
+        lits = [self._bool_lit[v] for v in indicators]
+        if 0 < lower < len(lits):
+            res = self.check(assumptions=[-self._totalizer(lits)[lower]])
+            if res.sat:
+                return res
+            lower += 1
         res = self.check()
-        if not res.sat:
+        if not res.sat or not lits:
             return res
-        if not indicators:
-            return res
-        outs = self._totalizer([self._bool_lit[v] for v in indicators])
-        best = res
-        k = len(best.model.true_vars(indicators))
-        while k > 0:
+        outs = self._totalizer(lits)
+        k = len(res.model.true_vars(indicators))
+        while k > lower:
             tighter = self.check(assumptions=[-outs[k - 1]])
             if not tighter.sat:
                 break
-            best = tighter
-            k = len(best.model.true_vars(indicators))
-        if k < len(indicators):
-            self._sat.add_clause([-outs[k]])  # cap at the attained optimum
-        return best
+            res = tighter
+            k = len(res.model.true_vars(indicators))
+        return res
 
     # -- encoding ---------------------------------------------------------
 
@@ -622,6 +640,12 @@ class Context:
             if f.n < len(lits):
                 parts.append(-outs[f.n])  # at most n
             return self._define_and(parts) if parts else self._encode(TRUE)
+        if isinstance(f, AtMostN):
+            if f.n < 0:
+                return self._encode(FALSE)
+            if f.n >= len(f.vars):
+                return self._encode(TRUE)
+            return -self._totalizer([self._bool_lit[v] for v in f.vars])[f.n]
         if isinstance(f, LinCmp):
             return self._encode_lincmp(f)
         raise SortError(f"unknown formula node {f!r}")
@@ -651,8 +675,8 @@ class Context:
     def _totalizer_node(self, ls: list[int]) -> list[int]:
         """Outputs of the totalizer subtree over ls (a method, not a closure,
         so that building one leaves no reference cycle through the context)."""
-        if len(ls) == 1:
-            return [ls[0]]
+        if len(ls) <= 1:
+            return list(ls)
         mid = len(ls) // 2
         a = self._totalizer_node(ls[:mid])
         b = self._totalizer_node(ls[mid:])

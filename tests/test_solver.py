@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -204,6 +205,56 @@ def test_minimize_matches_brute_force():
         else:
             assert res.sat
             assert sum(1 for v in vars_ if res.model.value(v)) == best
+
+
+def test_cardinality_over_no_variables():
+    for f, sat in ((S.exactly([], 0), True), (S.exactly([], 1), False),
+                   (S.at_most([], 0), True), (S.at_most([], 1), True),
+                   (S.at_most([], -1), False)):
+        ctx = S.Context()
+        ctx.assert_formula(f)
+        assert ctx.check().sat is sat
+    assert S.Context().minimize([], lower=1).sat
+
+
+def test_at_most_matches_brute_force():
+    for n in range(-1, 6):
+        ctx = S.Context()
+        vars_ = [ctx.new_bool(f"b{i}") for i in range(4)]
+        ctx.assert_formula(S.at_most(vars_, n))
+        models = 0
+        while (res := ctx.check()).sat:
+            assert len(res.model.true_vars(vars_)) <= n
+            ctx.block_model(vars_, res.model)
+            models += 1
+        assert models == sum(math.comb(4, k) for k in range(max(n + 1, 0)))
+
+
+def test_minimize_from_last_optimum_lists_models_by_cost():
+    # Blocking each optimum and minimizing again from it must walk every
+    # model in cost order: no cap may survive a minimize call, and the
+    # lower bound must not skip a cheaper model.
+    rng = random.Random(8)
+    for _ in range(15):
+        ctx = S.Context()
+        vars_ = [ctx.new_bool(f"b{i}") for i in range(5)]
+        clauses = []
+        for _ in range(5):
+            lits = [(rng.choice(vars_), rng.random() < 0.5) for _ in range(2)]
+            clauses.append(lits)
+            ctx.assert_formula(S.or_(*[
+                S.bvar(v) if pos else S.not_(S.bvar(v)) for v, pos in lits
+            ]))
+        costs = sorted(
+            sum(bits) for bits in itertools.product([False, True], repeat=5)
+            if all(any(dict(zip(vars_, bits))[v] == pos for v, pos in lits)
+                   for lits in clauses))
+        got, lower = [], 0
+        while (res := ctx.minimize(vars_, lower=lower)).sat:
+            lower = len(res.model.true_vars(vars_))
+            got.append(lower)
+            ctx.block_model(vars_, res.model)
+        assert got == costs
 
 
 def test_unsupported_linear_form_raises():
