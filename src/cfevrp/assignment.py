@@ -80,40 +80,35 @@ def solve_assignment(
     n = len(cr.routes)
     vehicles = sorted(inst.vehicles)
     ctx = S.Context()
-    alpha: dict[tuple[str, int], S.VarRef] = {
-        (v, r): ctx.new_bool(f"alpha[{v},{r}]")
-        for v in vehicles for r in range(n)
+    alpha: dict[tuple[str, int], int] = {
+        (v, r): ctx.new_bool() for v in vehicles for r in range(n)
     }
-    s_var = [ctx.new_real(f"start[{r}]") for r in range(n)]
-    e_var = [ctx.new_real(f"end[{r}]") for r in range(n)]
+    s_var = [ctx.new_real() for _ in range(n)]
+    e_var = [ctx.new_real() for _ in range(n)]
     speed = Fraction(inst.fleet.speed)
     C = Fraction(inst.fleet.charge_coeff)
 
     for r in range(n):
-        ctx.assert_formula(S.exactly([alpha[(v, r)] for v in vehicles], 1))
-        elig = sorted(attrs[r].eligible)
-        ctx.assert_formula(S.or_(*[S.bvar(alpha[(v, r)]) for v in elig]))
+        ctx.exactly([alpha[(v, r)] for v in vehicles], 1)
+        ctx.assert_formula(*[alpha[(v, r)] for v in sorted(attrs[r].eligible)])
         dur = Fraction(attrs[r].length) / speed + Fraction(attrs[r].cum_service)
-        ctx.assert_formula(S.diff_eq(e_var[r], s_var[r], dur))
-        ctx.assert_formula(S.var_le(s_var[r], Fraction(attrs[r].latest_start)))
+        ctx.assert_formula(ctx.le(e_var[r], s_var[r], dur))
+        ctx.assert_formula(ctx.le(s_var[r], e_var[r], -dur))
+        ctx.assert_formula(ctx.le(s_var[r], 0, attrs[r].latest_start))
 
     for v in vehicles:
         for r1 in range(n):
             for r2 in range(r1 + 1, n):
+                # on one vehicle, r1 starts after r2 has ended and r1's
+                # charging gap has passed, or the other way round
                 gap1 = C * Fraction(attrs[r1].length)
                 gap2 = C * Fraction(attrs[r2].length)
-                ctx.assert_formula(S.implies(
-                    S.and_(S.bvar(alpha[(v, r1)]), S.bvar(alpha[(v, r2)])),
-                    S.or_(
-                        S.diff_ge(s_var[r1], e_var[r2], gap1),
-                        S.diff_ge(s_var[r2], e_var[r1], gap2),
-                    ),
-                ))
+                ctx.assert_formula(-alpha[(v, r1)], -alpha[(v, r2)],
+                                   ctx.le(e_var[r2], s_var[r1], -gap1),
+                                   ctx.le(e_var[r1], s_var[r2], -gap2))
 
     for lits in pa:
-        ctx.assert_formula(S.or_(*[
-            S.not_(S.bvar(alpha[p])) for p in sorted(lits)
-        ]))
+        ctx.assert_formula(*[-alpha[p] for p in sorted(lits)])
 
     res = ctx.check()
     if not res.sat:
@@ -121,11 +116,11 @@ def solve_assignment(
     m = res.model
     vehicle_of = []
     for r in range(n):
-        chosen = [v for v in vehicles if m.value(alpha[(v, r)]) is True]
+        chosen = [v for v in vehicles if m.value(alpha[(v, r)])]
         assert len(chosen) == 1
         vehicle_of.append(chosen[0])
     lits = frozenset(
-        (v, r) for (v, r), var in alpha.items() if m.value(var) is True
+        (v, r) for (v, r), var in alpha.items() if m.value(var)
     )
     starts, ends = _canonical_times(cr, attrs, inst, vehicle_of, m, s_var)
     return Assignment(tuple(vehicle_of), starts, ends, lits)
@@ -148,7 +143,7 @@ def _canonical_times(cr, attrs, inst, vehicle_of, m, s_var):
     for r in range(n):
         by_vehicle.setdefault(vehicle_of[r], []).append(r)
     for v, rs in by_vehicle.items():
-        rs.sort(key=lambda r: (m.value(s_var[r]), r))
+        rs.sort(key=lambda r: (m.real(s_var[r]), r))
         prev_end = None
         for r in rs:
             dur = attrs[r].length / speed + attrs[r].cum_service

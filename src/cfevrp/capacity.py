@@ -9,7 +9,7 @@ of a unit-capacity segment never overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import solver as S
@@ -69,7 +69,6 @@ class CapacityStats:
     edge_opposite_constraints: int = 0
     hub_exempt_pairs: int = 0
     capacity2_exempt_pairs: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def build_visit_lists(cr: RouteSet, inst: Instance) -> list[VisitList]:
@@ -122,20 +121,23 @@ def verify_capacity(
     ctx = S.Context()
     stats = CapacityStats()
     n_routes = len(visit_lists)
-    x: list[list[S.VarRef]] = []
-    y: list[list[S.VarRef]] = []
+    x: list[list[int]] = []  # entry time per position
+    y: list[list[int]] = []  # entry time per edge
     for r, vl in enumerate(visit_lists):
-        x.append([ctx.new_real(f"x[{r},{p}]") for p in range(len(vl.positions))])
-        y.append([ctx.new_real(f"y[{r},{q}]") for q in range(len(vl.edges))])
-        ctx.assert_formula(S.var_ge(x[r][0], Fraction(ca.starts[r])))
+        x.append([ctx.new_real() for _ in vl.positions])
+        y.append([ctx.new_real() for _ in vl.edges])
+        # x >= c is the atom 0 - x <= -c; node 0 is zero
+        ctx.assert_formula(ctx.le(0, x[r][0], -Fraction(ca.starts[r])))
         for q, ekey in enumerate(vl.edges):
-            ctx.assert_formula(S.diff_ge(
-                y[r][q], x[r][q], Fraction(vl.positions[q].service)))
+            # enter the edge after the service, reach its end d later
+            ctx.assert_formula(ctx.le(
+                x[r][q], y[r][q], -Fraction(vl.positions[q].service)))
             d = Fraction(g.edges[ekey].length) / Fraction(inst.fleet.speed)
-            ctx.assert_formula(S.diff_eq(x[r][q + 1], y[r][q], d))
+            ctx.assert_formula(ctx.le(x[r][q + 1], y[r][q], d))
+            ctx.assert_formula(ctx.le(y[r][q], x[r][q + 1], -d))
         for p, pos in enumerate(vl.positions):
-            ctx.assert_formula(S.var_ge(x[r][p], Fraction(pos.lower)))
-            ctx.assert_formula(S.var_le(x[r][p], Fraction(pos.upper)))
+            ctx.assert_formula(ctx.le(0, x[r][p], -Fraction(pos.lower)))
+            ctx.assert_formula(ctx.le(x[r][p], 0, pos.upper))
 
     # shared non-hub nodes: one vehicle at a time, no swapping
     for r1 in range(n_routes):
@@ -149,13 +151,14 @@ def verify_capacity(
                         continue
                     have1 = p1 < len(visit_lists[r1].edges)
                     have2 = p2 < len(visit_lists[r2].edges)
+                    # one enters a unit after the other has left
                     parts = []
                     if have2:
-                        parts.append(S.diff_ge(x[r1][p1], y[r2][p2], 1))
+                        parts.append(ctx.le(y[r2][p2], x[r1][p1], -1))
                     if have1:
-                        parts.append(S.diff_ge(x[r2][p2], y[r1][p1], 1))
+                        parts.append(ctx.le(y[r1][p1], x[r2][p2], -1))
                     if parts:
-                        ctx.assert_formula(S.or_(*parts))
+                        ctx.assert_formula(*parts)
                         stats.node_conflict_constraints += 1
 
     # shared edges
@@ -167,10 +170,8 @@ def verify_capacity(
                         if g.edges[e1].capacity != 1:
                             stats.capacity2_exempt_pairs += 1
                             continue
-                        ctx.assert_formula(S.or_(
-                            S.diff_ge(y[r1][q1], y[r2][q2], 1),
-                            S.diff_ge(y[r2][q2], y[r1][q1], 1),
-                        ))
+                        ctx.assert_formula(ctx.le(y[r2][q2], y[r1][q1], -1),
+                                           ctx.le(y[r1][q1], y[r2][q2], -1))
                         stats.edge_direct_constraints += 1
                     elif e1 == (e2[1], e2[0]):
                         if g.edges[e1].capacity != 1:
@@ -178,10 +179,8 @@ def verify_capacity(
                             continue
                         d1 = Fraction(g.edges[e1].length) / Fraction(inst.fleet.speed)
                         d2 = Fraction(g.edges[e2].length) / Fraction(inst.fleet.speed)
-                        ctx.assert_formula(S.or_(
-                            S.diff_ge(y[r1][q1], y[r2][q2], d2),
-                            S.diff_ge(y[r2][q2], y[r1][q1], d1),
-                        ))
+                        ctx.assert_formula(ctx.le(y[r2][q2], y[r1][q1], -d2),
+                                           ctx.le(y[r1][q1], y[r2][q2], -d1))
                         stats.edge_opposite_constraints += 1
 
     # same-vehicle routes keep their charging gaps under the actual times
@@ -194,10 +193,8 @@ def verify_capacity(
             end2 = (x[r2][-1], Fraction(visit_lists[r2].positions[-1].service))
             gap1 = C * Fraction(visit_lists[r1].route_length)
             gap2 = C * Fraction(visit_lists[r2].route_length)
-            ctx.assert_formula(S.or_(
-                S.diff_ge(x[r1][0], end2[0], end2[1] + gap1),
-                S.diff_ge(x[r2][0], end1[0], end1[1] + gap2),
-            ))
+            ctx.assert_formula(ctx.le(end2[0], x[r1][0], -(end2[1] + gap1)),
+                               ctx.le(end1[0], x[r2][0], -(end1[1] + gap2)))
 
     res = ctx.check()
     if not res.sat:
@@ -205,8 +202,8 @@ def verify_capacity(
     m = res.model
     routes = []
     for r, vl in enumerate(visit_lists):
-        node_in = tuple(float(m.value(var)) for var in x[r])
-        edge_in = tuple(float(m.value(var)) for var in y[r])
+        node_in = tuple(float(m.real(var)) for var in x[r])
+        edge_in = tuple(float(m.real(var)) for var in y[r])
         node_out = tuple(
             edge_in[p] if p < len(edge_in)
             else node_in[p] + vl.positions[p].service

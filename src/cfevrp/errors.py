@@ -37,17 +37,6 @@ class GenerationFailed(CfEvrpError):
     pass
 
 
-# --------------------------------------------------------------- solver layer
-
-class SortError(CfEvrpError):
-    """A formula mixes Boolean and arithmetic subterms illegally."""
-
-
-class UnsupportedConstraint(CfEvrpError):
-    """A linear atom falls outside the difference-logic fragment the
-    built-in theory solver handles."""
-
-
 # ----------------------------------------------------------- sub-problem layer
 
 class MalformedChain(CfEvrpError):

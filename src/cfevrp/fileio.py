@@ -10,7 +10,7 @@ import json
 from typing import Any
 
 from .capacity import RouteSchedule, Schedule
-from .driver import Event, SolveOutcome
+from .driver import SolveOutcome
 from .errors import SchemaError
 from .graph import validate_graph
 from .instance import (

@@ -57,44 +57,41 @@ class PathChanger:
                 else:
                     self._legs.append((r, i, xi, pi))
         self._ctx: S.Context | None = None  # built on the first call
-        self._w: list[S.VarRef] = []
-        self._z: dict[tuple[int, int, EdgeKey], S.VarRef] = {}
+        self._w: list[int] = []  # node variables
+        self._z: dict[tuple[int, int, EdgeKey], int] = {}  # edge variables
         self._optimum = 0  # node count of the last combination returned
 
     def _build(self) -> None:
         g = self._graph
         ctx = self._ctx = S.Context()
-        w: dict[tuple[int, int, NodeId], S.VarRef] = {}
+        w: dict[tuple[int, int, NodeId], int] = {}
         z = self._z
         for r, i, _, _ in self._legs:
             for n in sorted(g.nodes):
-                w[(r, i, n)] = ctx.new_bool(f"w[{r},{i},{n}]")
+                w[(r, i, n)] = ctx.new_bool()
             for e in sorted(g.edges):
-                z[(r, i, e)] = ctx.new_bool(f"z[{r},{i},{e[0]}-{e[1]}]")
+                z[(r, i, e)] = ctx.new_bool()
 
         for r, i, xi, pi in self._legs:
-            ctx.assert_formula(S.and_(
-                S.bvar(w[(r, i, xi)]), S.bvar(w[(r, i, pi)])))
-            ctx.assert_formula(S.exactly(
-                [z[(r, i, e.key)] for e in g.out_edges(xi)], 1))
-            ctx.assert_formula(S.exactly(
-                [z[(r, i, e.key)] for e in g.in_edges(pi)], 1))
+            ctx.assert_formula(w[(r, i, xi)])
+            ctx.assert_formula(w[(r, i, pi)])
+            ctx.exactly([z[(r, i, e.key)] for e in g.out_edges(xi)], 1)
+            ctx.exactly([z[(r, i, e.key)] for e in g.in_edges(pi)], 1)
             for e in sorted(g.edges):
-                ctx.assert_formula(S.implies(
-                    S.bvar(z[(r, i, e)]),
-                    S.not_(S.bvar(z[(r, i, (e[1], e[0]))])),
-                ))
+                if e[0] < e[1]:  # one clause per segment: not both ways
+                    ctx.assert_formula(-z[(r, i, e)], -z[(r, i, (e[1], e[0]))])
             for n in sorted(g.nodes):
                 if n in (xi, pi):
                     continue
+                # a used node is entered and left once, an unused one never
+                visited = w[(r, i, n)]
                 outs = [z[(r, i, e.key)] for e in g.out_edges(n)]
                 ins = [z[(r, i, e.key)] for e in g.in_edges(n)]
-                ctx.assert_formula(S.ite(
-                    S.bvar(w[(r, i, n)]),
-                    S.and_(S.exactly(outs, 1), S.exactly(ins, 1)),
-                    S.and_(S.exactly(outs, 0), S.exactly(ins, 0)),
-                ))
-        self._w = sorted(w.values(), key=lambda v: v.idx)
+                ctx.exactly(outs, 1, visited)
+                ctx.exactly(ins, 1, visited)
+                ctx.exactly(outs, 0, -visited)
+                ctx.exactly(ins, 0, -visited)
+        self._w = list(w.values())
 
     def next(self) -> PathAssignment | None:
         """A minimal-node combination not returned before, or None."""
@@ -109,11 +106,11 @@ class PathChanger:
         g = self._graph
         z = self._z
         out: dict[tuple[int, int], Path] = dict(self._degenerate)
-        used: list[S.VarRef] = []
+        used: list[int] = []
         for r, i, xi, pi in self._legs:
             succ: dict[NodeId, NodeId] = {}
             for e in g.edges:
-                if m.value(z[(r, i, e)]) is True:
+                if m.value(z[(r, i, e)]):
                     if e[0] in succ:
                         raise DecodingCycle(
                             f"leg ({r},{i}): node {e[0]} has two exits")

@@ -57,10 +57,10 @@ class RoutingModel:
         self.inst = inst
         self.cp = cp
         self.ctx = S.Context()
-        self.theta: dict[tuple[str, str], S.VarRef] = {}
-        self.gamma: dict[str, S.VarRef] = {}
-        self.eps: dict[str, S.VarRef] = {}
-        self.start_indicators: list[S.VarRef] = []
+        self.theta: dict[tuple[str, str], int] = {}  # travel a -> b
+        self.gamma: dict[str, int] = {}  # arrival time
+        self.eps: dict[str, int] = {}  # remaining charge
+        self.start_indicators: list[int] = []
         self._build(pr)
 
     def _loc(self, tid: str) -> NodeId:
@@ -100,36 +100,31 @@ class RoutingModel:
             for f in ends:
                 pairs.append((k, f))
         for p in pairs:
-            self.theta[p] = ctx.new_bool(f"theta[{p[0]},{p[1]}]")
+            self.theta[p] = ctx.new_bool()
 
         for tid in real + starts + ends:
-            self.gamma[tid] = ctx.new_real(f"gamma[{tid}]")
-            self.eps[tid] = ctx.new_real(f"eps[{tid}]")
-            ctx.assert_formula(S.var_le(self.eps[tid], full))
+            gamma = self.gamma[tid] = ctx.new_real()
+            eps = self.eps[tid] = ctx.new_real()
+            # x <= c is the atom x - 0 <= c, and x >= c is 0 - x <= -c
+            ctx.assert_formula(ctx.le(eps, 0, full))
             if tid in inst.tasks:
                 w = inst.tasks[tid].window
-                ctx.assert_formula(S.var_ge(self.gamma[tid], w.lower))
-                ctx.assert_formula(S.var_le(self.gamma[tid], w.upper))
+                ctx.assert_formula(ctx.le(0, gamma, -Fraction(w.lower)))
+                ctx.assert_formula(ctx.le(gamma, 0, w.upper))
             else:
-                ctx.assert_formula(S.var_le(self.gamma[tid], T))
+                ctx.assert_formula(ctx.le(gamma, 0, T))
         for s in starts:
-            # vehicles leave the depot at full charge
-            ctx.assert_formula(S.var_eq(self.eps[s], full))
+            # vehicles leave the depot at full charge (at most full: above)
+            ctx.assert_formula(ctx.le(0, self.eps[s], -full))
 
         # travel propagates time forward and charge downward
         for (a, b), var in self.theta.items():
             d = Fraction(self._dist(a, b))
             v = Fraction(fleet.speed)
-            ctx.assert_formula(S.implies(
-                S.bvar(var),
-                S.diff_ge(self.gamma[b], self.gamma[a],
-                          Fraction(self._service(a)) + d / v),
-            ))
-            ctx.assert_formula(S.implies(
-                S.bvar(var),
-                S.lin([(1, self.eps[b]), (-1, self.eps[a])], "<=",
-                      -Fraction(fleet.discharge_coeff) * d / v),
-            ))
+            ctx.assert_formula(-var, ctx.le(
+                self.gamma[a], self.gamma[b], -(Fraction(self._service(a)) + d / v)))
+            ctx.assert_formula(-var, ctx.le(
+                self.eps[b], self.eps[a], -Fraction(fleet.discharge_coeff) * d / v))
 
         # no direct travel between mutually exclusive jobs
         for k1 in real:
@@ -137,43 +132,39 @@ class RoutingModel:
                 if k1 == k2:
                     continue
                 if inst.tasks[k2].job in mex[inst.tasks[k1].job]:
-                    ctx.assert_formula(S.not_(S.bvar(self.theta[(k1, k2)])))
+                    ctx.assert_formula(-self.theta[(k1, k2)])
 
         # every task has exactly one successor and one predecessor
         for k in real:
             outgoing = [self.theta[(k, k2)] for k2 in real if k2 != k]
             outgoing += [self.theta[(k, f)] for f in ends]
-            ctx.assert_formula(S.exactly(outgoing, 1))
+            ctx.exactly(outgoing, 1)
             incoming = [self.theta[(k2, k)] for k2 in real if k2 != k]
             incoming += [self.theta[(s, k)] for s in starts]
-            ctx.assert_formula(S.exactly(incoming, 1))
+            ctx.exactly(incoming, 1)
 
         # depot coherence: every chain stays anchored to one depot, which
         # also forces each start dummy's chain to close at its own end dummy
         if len(inst.depots) > 1:
-            delta: dict[tuple[str, NodeId], S.VarRef] = {}
+            delta: dict[tuple[str, NodeId], int] = {}
             for k in real:
                 for o in inst.depots:
-                    delta[(k, o)] = ctx.new_bool(f"anchor[{k},{o}]")
-                ctx.assert_formula(
-                    S.exactly([delta[(k, o)] for o in inst.depots], 1)
-                )
+                    delta[(k, o)] = ctx.new_bool()
+                ctx.exactly([delta[(k, o)] for o in inst.depots], 1)
             for o in inst.depots:
                 s, f = inst.start_tasks[o].id, inst.end_tasks[o].id
                 for k in real:
-                    ctx.assert_formula(S.implies(
-                        S.bvar(self.theta[(s, k)]), S.bvar(delta[(k, o)])))
-                    ctx.assert_formula(S.implies(
-                        S.bvar(self.theta[(k, f)]), S.bvar(delta[(k, o)])))
+                    ctx.assert_formula(-self.theta[(s, k)], delta[(k, o)])
+                    ctx.assert_formula(-self.theta[(k, f)], delta[(k, o)])
             for k1 in real:
                 for k2 in real:
                     if k1 == k2:
                         continue
+                    link = self.theta[(k1, k2)]
                     for o in inst.depots:
-                        ctx.assert_formula(S.implies(
-                            S.bvar(self.theta[(k1, k2)]),
-                            S.iff(S.bvar(delta[(k1, o)]), S.bvar(delta[(k2, o)])),
-                        ))
+                        d1, d2 = delta[(k1, o)], delta[(k2, o)]
+                        ctx.assert_formula(-link, -d1, d2)
+                        ctx.assert_formula(-link, d1, -d2)
 
         # multi-task jobs run contiguously in some order
         for jid in sorted(inst.jobs):
@@ -182,24 +173,25 @@ class RoutingModel:
                 continue
             alternatives = []
             for ord_ in permutations(tasks):
-                links = [
-                    S.bvar(self.theta[(a, b)])
-                    for a, b in zip(ord_, ord_[1:])
-                ]
-                alternatives.append(S.and_(*links))
-            ctx.assert_formula(S.or_(*alternatives))
+                links = [self.theta[(a, b)] for a, b in zip(ord_, ord_[1:])]
+                if len(links) == 1:
+                    alternatives.append(links[0])
+                    continue
+                # one Boolean per order, true only if all its links are
+                chosen = ctx.new_bool()
+                for link in links:
+                    ctx.assert_formula(-chosen, link)
+                alternatives.append(chosen)
+            ctx.assert_formula(*alternatives)
 
         # precedence within a job
         for k in real:
             for k_prev in sorted(inst.tasks[k].predecessors):
-                ctx.assert_formula(
-                    S.diff_ge(self.gamma[k], self.gamma[k_prev], 0))
+                ctx.assert_formula(ctx.le(self.gamma[k_prev], self.gamma[k], 0))
 
         # rule out previously returned route sets
         for lits in pr:
-            ctx.assert_formula(S.or_(*[
-                S.not_(S.bvar(self.theta[p])) for p in sorted(lits)
-            ]))
+            ctx.assert_formula(*[-self.theta[p] for p in sorted(lits)])
 
         self.start_indicators = [
             self.theta[(s, k)] for s in starts for k in real
@@ -213,7 +205,7 @@ def extract_routes(m: S.Model, model: RoutingModel) -> RouteSet:
     succ: dict[str, str] = {}
     true_lits: set[tuple[str, str]] = set()
     for pair, var in model.theta.items():
-        if m.value(var) is True:
+        if m.value(var):
             true_lits.add(pair)
             if pair[0] in real:
                 # start dummies may head several routes; tasks may not
@@ -258,7 +250,7 @@ def extract_routes(m: S.Model, model: RoutingModel) -> RouteSet:
 def _model_distance(m: S.Model, model: RoutingModel) -> float:
     return sum(model._dist(a, b)
                for (a, b), var in model.theta.items()
-               if m.value(var) is True)
+               if m.value(var))
 
 
 def solve_routing(
@@ -277,7 +269,7 @@ def solve_routing(
         return None
     k = len(res.model.true_vars(starts))
     if k < len(starts):
-        model.ctx.assert_formula(S.at_most(starts, k))
+        model.ctx.at_most(starts, k)
     best_m, best_d = res.model, _model_distance(res.model, model)
     theta_vars = [model.theta[p] for p in sorted(model.theta)]
     if theta_vars:

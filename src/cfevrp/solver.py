@@ -1,13 +1,26 @@
-"""Constraint-solving backend: Boolean logic plus difference arithmetic.
+"""Constraint-solving backend: clauses over Booleans and difference atoms.
 
-A self-contained DPLL(T) engine: a CDCL SAT core over the Boolean skeleton,
-with arithmetic atoms delegated to a difference-logic theory solver
-(negative-cycle detection over rational bounds with an infinitesimal
-component for strict inequalities).  Cardinality constraints use a totalizer
-encoding, and minimization of indicator counts runs a descending linear
-search over the totalizer outputs; it can start from a known lower bound,
-so a context that only gains clauses re-minimizes under an assumption
-instead of starting over.
+A self-contained DPLL(T) engine whose API is the clause level that the
+sub-problem models of this package write in:
+
+- a Boolean is a SAT variable, a positive int ``b`` from ``new_bool()``;
+  ``-b`` is its negation;
+- a real is a node of the difference graph, a positive int ``x`` from
+  ``new_real()``; node 0 is the constant zero, and every real is
+  nonnegative;
+- ``le(x, y, c)`` is the literal of the atom ``x - y <= c``; its negation
+  is the strict ``y - x < -c``;
+- ``assert_formula(*lits)`` asserts one clause over such literals;
+- ``exactly`` and ``at_most`` count literals through a cached totalizer
+  and hold whenever all their guard literals are true.
+
+A CDCL SAT core searches the Boolean skeleton and hands the atoms to a
+difference-logic theory solver (negative-cycle detection over rational
+bounds with an infinitesimal component for strict inequalities).
+Minimization of an indicator count runs a descending linear search over
+the totalizer outputs; it can start from a known lower bound, so a context
+that only gains clauses re-minimizes under an assumption instead of
+starting over.
 
 The SAT core propagates with two watched literals, keeps its trail in
 lists indexed by variable and picks each decision from a heap ordered by
@@ -16,12 +29,8 @@ learns each negative cycle as a clause inside the same search, so one
 check() is one SAT search.  The theory check runs Bellman-Ford on
 integers: the bounds are scaled by the LCM of their denominators, and each
 infinitesimal count is packed into the same int, so the integer
-comparisons decide exactly as the rational ones would.
-
-Every model this backend deals in is exact: real values are Fractions.
-The fragment is deliberately small -- linear atoms must normalize to
-``x - y <= c``, ``x <= c`` or ``x >= c`` -- which covers all sub-problem
-models in this package.
+comparisons decide exactly as the rational ones would.  Real values in
+models are exact Fractions.
 """
 
 from __future__ import annotations
@@ -32,171 +41,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import SortError, UnsupportedConstraint
-
-BOOL = "bool"
-REAL = "real"
-
 Number = Union[int, float, Fraction]
-
-
-@dataclass(frozen=True)
-class VarRef:
-    idx: int
-    name: str
-    sort: str
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-# ---------------------------------------------------------------------------
-# Formula trees
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Formula:
-    pass
-
-
-@dataclass(frozen=True)
-class BoolLit(Formula):
-    value: bool
-
-
-@dataclass(frozen=True)
-class Atom(Formula):
-    """Boolean occurrence of a Boolean variable."""
-
-    var: VarRef
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    args: tuple[Formula, ...]
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    args: tuple[Formula, ...]
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
-
-
-@dataclass(frozen=True)
-class Iff(Formula):
-    lhs: Formula
-    rhs: Formula
-
-
-@dataclass(frozen=True)
-class Ite(Formula):
-    cond: Formula
-    then: Formula
-    other: Formula
-
-
-@dataclass(frozen=True)
-class LinCmp(Formula):
-    """sum(coeff * var) op const, with op in {<=, >=, ==}."""
-
-    terms: tuple[tuple[Fraction, VarRef], ...]
-    op: str
-    const: Fraction
-
-
-@dataclass(frozen=True)
-class ExactlyN(Formula):
-    vars: tuple[VarRef, ...]
-    n: int
-
-
-@dataclass(frozen=True)
-class AtMostN(Formula):
-    vars: tuple[VarRef, ...]
-    n: int
-
-
-TRUE = BoolLit(True)
-FALSE = BoolLit(False)
-
-
-def bvar(v: VarRef) -> Formula:
-    if v.sort != BOOL:
-        raise SortError(f"{v.name} is not Boolean")
-    return Atom(v)
-
-
-def not_(f: Formula) -> Formula:
-    return Not(f)
-
-
-def and_(*fs: Formula) -> Formula:
-    return And(tuple(fs))
-
-
-def or_(*fs: Formula) -> Formula:
-    return Or(tuple(fs))
-
-
-def implies(a: Formula, b: Formula) -> Formula:
-    return Implies(a, b)
-
-
-def iff(a: Formula, b: Formula) -> Formula:
-    return Iff(a, b)
-
-
-def ite(c: Formula, t: Formula, e: Formula) -> Formula:
-    return Ite(c, t, e)
-
-
-def exactly(vars: Iterable[VarRef], n: int) -> Formula:
-    return ExactlyN(tuple(vars), n)
-
-
-def at_most(vars: Iterable[VarRef], n: int) -> Formula:
-    return AtMostN(tuple(vars), n)
-
-
-def lin(terms: Iterable[tuple[Number, VarRef]], op: str, const: Number) -> Formula:
-    assert op in ("<=", ">=", "==")
-    tt = tuple((Fraction(c), v) for c, v in terms)
-    for _, v in tt:
-        if v.sort != REAL:
-            raise SortError(f"{v.name} is not real-sorted")
-    return LinCmp(tt, op, Fraction(const))
-
-
-def diff_ge(x: VarRef, y: VarRef, c: Number) -> Formula:
-    """x >= y + c"""
-    return lin([(1, x), (-1, y)], ">=", c)
-
-
-def var_le(x: VarRef, c: Number) -> Formula:
-    return lin([(1, x)], "<=", c)
-
-
-def var_ge(x: VarRef, c: Number) -> Formula:
-    return lin([(1, x)], ">=", c)
-
-
-def var_eq(x: VarRef, c: Number) -> Formula:
-    return lin([(1, x)], "==", c)
-
-
-def diff_eq(x: VarRef, y: VarRef, c: Number) -> Formula:
-    """x == y + c"""
-    return lin([(1, x), (-1, y)], "==", c)
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +49,20 @@ def diff_eq(x: VarRef, y: VarRef, c: Number) -> Formula:
 # ---------------------------------------------------------------------------
 
 class Model:
-    def __init__(self, assignment: dict[VarRef, object]):
-        self._assignment = assignment
+    """A satisfying assignment: literal values and real values by node."""
 
-    def value(self, v: VarRef):
-        return self._assignment[v]
+    def __init__(self, lits: Sequence[bool], reals: Sequence[Fraction]):
+        self._lits = lits
+        self._reals = reals
 
-    def true_vars(self, vars: Iterable[VarRef]) -> frozenset[VarRef]:
-        return frozenset(v for v in vars if self._assignment[v] is True)
+    def value(self, lit: int) -> bool:
+        return self._lits[lit]
+
+    def real(self, x: int) -> Fraction:
+        return self._reals[x]
+
+    def true_vars(self, lits: Iterable[int]) -> frozenset[int]:
+        return frozenset(l for l in lits if self._lits[l])
 
 
 @dataclass(frozen=True)
@@ -291,10 +142,11 @@ class _SatCore:
     def solve(self, assumptions: Sequence[int],
               theory: Callable[[Sequence[bool | None]], list[int] | None],
               ) -> list[bool | None] | None:
-        """Return a satisfying assignment indexed by variable, or None.
+        """Return a satisfying assignment indexed by literal, or None.
 
-        Entry 0 of the list is unused; every other entry is True or False.
-        `theory` is called on each complete assignment as described above.
+        Entry lit of the list is the value of lit: True or False for every
+        literal (entry 0 is unused).  `theory` is called on each complete
+        assignment as described above.
         """
         if self.empty_clause:
             return None
@@ -480,7 +332,7 @@ class _SatCore:
             else:
                 conflict = theory(val)
                 if conflict is None:
-                    return val[:n + 1]
+                    return val
                 lemma = [-l for l in conflict]
                 top = max(level[abs(l)] for l in lemma)
                 if top == 0:
@@ -498,61 +350,80 @@ class _SatCore:
 
 
 # ---------------------------------------------------------------------------
-# Context: formulas in, models out
+# Context: clauses in, models out
 # ---------------------------------------------------------------------------
 
 class Context:
-    """One assertion set plus its solver state.
+    """One clause set plus its solver state.
 
-    Assertions are additive; there is no push/pop beyond model blocking.
+    Clauses are additive; there is no push/pop beyond model blocking.
     """
 
     def __init__(self) -> None:
         self._sat = _SatCore()
-        self._vars: list[VarRef] = []
-        self._bool_lit: dict[VarRef, int] = {}
-        # difference atoms: key (u, v, bound) meaning  val(u) - val(v) <= bound
-        self._atom_lit: dict[tuple[object, object, Fraction], int] = {}
-        self._atom_by_lit: dict[int, tuple[object, object, Fraction]] = {}
-        self._real_vars: list[VarRef] = []
+        self._nreals = 0
+        # difference atoms: key (x, y, c) meaning  val(x) - val(y) <= c
+        self._atom_lit: dict[tuple[int, int, Fraction], int] = {}
+        self._atom_by_lit: dict[int, tuple[int, int, Fraction]] = {}
         self._totalizer_cache: dict[tuple[int, ...], list[int]] = {}
         self._graph: _DiffGraph | None = None
 
-    # -- variable management ---------------------------------------------
+    # -- building ---------------------------------------------------------
 
-    def new_bool(self, name: str) -> VarRef:
-        v = VarRef(len(self._vars), name, BOOL)
-        self._vars.append(v)
-        self._bool_lit[v] = self._sat.new_var()
-        return v
+    def new_bool(self) -> int:
+        return self._sat.new_var()
 
-    def new_real(self, name: str) -> VarRef:
-        v = VarRef(len(self._vars), name, REAL)
-        self._vars.append(v)
-        self._real_vars.append(v)
-        return v
+    def new_real(self) -> int:
+        """A nonnegative real, as its node in the difference graph."""
+        self._nreals += 1
+        return self._nreals
 
-    # -- assertion --------------------------------------------------------
+    def le(self, x: int, y: int, c: Number) -> int:
+        """The literal of the atom x - y <= c (0 is the zero node)."""
+        key = (x, y, Fraction(c))
+        lit = self._atom_lit.get(key)
+        if lit is None:
+            lit = self._atom_lit[key] = self._sat.new_var()
+            self._atom_by_lit[lit] = key
+        return lit
 
-    def assert_formula(self, f: Formula) -> None:
-        lit = self._encode(f)
-        self._sat.add_clause([lit])
+    def assert_formula(self, *lits: int) -> None:
+        """Assert the clause lits[0] or lits[1] or ... (no lits: unsat).
 
-    def block_model(self, vars: Sequence[VarRef], m: Model) -> None:
-        """Forbid the projection of model m onto the given Boolean vars."""
-        clause = [
-            -self._bool_lit[v] if m.value(v) is True else self._bool_lit[v]
-            for v in vars
-        ]
-        self._sat.add_clause(clause)
+        The one clause method: the stages and exactly/at_most assert their
+        clauses here, so that bench/tracing.py, which times this method as
+        a stage's `encode_s`, sees them.  Only the totalizer's own clauses
+        and the blocking clauses are added below it.
+        """
+        self._sat.add_clause(lits)
 
-    def block_true_subset(self, vars: Sequence[VarRef], m: Model) -> None:
-        """Forbid every model where all vars true in m are true again.
+    def exactly(self, lits: Sequence[int], n: int, *guards: int) -> None:
+        """Exactly n of lits are true whenever every guard is true."""
+        unless = [-g for g in guards]
+        if n > len(lits):
+            self.assert_formula(*unless)
+        elif n >= 1:  # at least n
+            self.assert_formula(*unless, self._totalizer(lits)[n - 1])
+        self.at_most(lits, n, *guards)
+
+    def at_most(self, lits: Sequence[int], n: int, *guards: int) -> None:
+        """At most n of lits are true whenever every guard is true."""
+        unless = [-g for g in guards]
+        if n < 0:
+            self.assert_formula(*unless)
+        elif n < len(lits):
+            self.assert_formula(*unless, -self._totalizer(lits)[n])
+
+    def block_model(self, lits: Sequence[int], m: Model) -> None:
+        """Forbid the projection of model m onto the given literals."""
+        self._sat.add_clause([-l if m.value(l) else l for l in lits])
+
+    def block_true_subset(self, lits: Sequence[int], m: Model) -> None:
+        """Forbid every model where all lits true in m are true again.
 
         Stronger than block_model: also rules out supersets.
         """
-        clause = [-self._bool_lit[v] for v in vars if m.value(v) is True]
-        self._sat.add_clause(clause)
+        self._sat.add_clause([-l for l in lits if m.value(l)])
 
     # -- solving ----------------------------------------------------------
 
@@ -560,11 +431,12 @@ class Context:
         assignment = self._sat.solve(assumptions, self._theory_conflict)
         if assignment is None:
             return SolveResult(False, None)
-        return SolveResult(True, self._build_model(assignment))
+        return SolveResult(
+            True, Model(assignment, self._real_values(assignment)))
 
-    def minimize(self, indicators: Sequence[VarRef],
+    def minimize(self, indicators: Sequence[int],
                  lower: int = 0) -> SolveResult:
-        """Minimize the number of true variables among `indicators`.
+        """Minimize the number of true literals among `indicators`.
 
         Descending linear search over totalizer outputs.  `lower` must be a
         proven lower bound on that number, such as an earlier optimum of
@@ -574,16 +446,15 @@ class Context:
         Nothing is asserted, so later check() calls see the same clauses;
         callers that want the optimum capped assert at_most themselves.
         """
-        lits = [self._bool_lit[v] for v in indicators]
-        if 0 < lower < len(lits):
-            res = self.check(assumptions=[-self._totalizer(lits)[lower]])
+        if 0 < lower < len(indicators):
+            res = self.check(assumptions=[-self._totalizer(indicators)[lower]])
             if res.sat:
                 return res
             lower += 1
         res = self.check()
-        if not res.sat or not lits:
+        if not res.sat or not indicators:
             return res
-        outs = self._totalizer(lits)
+        outs = self._totalizer(indicators)
         k = len(res.model.true_vars(indicators))
         while k > lower:
             tighter = self.check(assumptions=[-outs[k - 1]])
@@ -593,75 +464,9 @@ class Context:
             k = len(res.model.true_vars(indicators))
         return res
 
-    # -- encoding ---------------------------------------------------------
+    # -- cardinality ------------------------------------------------------
 
-    def _encode(self, f: Formula) -> int:
-        """Return a SAT literal equivalent to f (full Tseitin)."""
-        if isinstance(f, BoolLit):
-            lit = self._sat.new_var()
-            self._sat.add_clause([lit if f.value else -lit])  # pin it
-            return lit
-        if isinstance(f, Atom):
-            return self._bool_lit[f.var]
-        if isinstance(f, Not):
-            return -self._encode(f.arg)
-        if isinstance(f, And):
-            lits = [self._encode(a) for a in f.args]
-            return self._define_and(lits)
-        if isinstance(f, Or):
-            lits = [self._encode(a) for a in f.args]
-            return -self._define_and([-l for l in lits])
-        if isinstance(f, Implies):
-            return -self._define_and([self._encode(f.lhs), -self._encode(f.rhs)])
-        if isinstance(f, Iff):
-            a, b = self._encode(f.lhs), self._encode(f.rhs)
-            p = self._sat.new_var()
-            self._sat.add_clause([-p, -a, b])
-            self._sat.add_clause([-p, a, -b])
-            self._sat.add_clause([p, a, b])
-            self._sat.add_clause([p, -a, -b])
-            return p
-        if isinstance(f, Ite):
-            c, t, e = self._encode(f.cond), self._encode(f.then), self._encode(f.other)
-            p = self._sat.new_var()
-            self._sat.add_clause([-p, -c, t])
-            self._sat.add_clause([-p, c, e])
-            self._sat.add_clause([p, -c, -t])
-            self._sat.add_clause([p, c, -e])
-            return p
-        if isinstance(f, ExactlyN):
-            lits = [self._bool_lit[v] for v in f.vars]
-            outs = self._totalizer(lits)
-            if f.n > len(lits):
-                return self._encode(FALSE)
-            parts = []
-            if f.n >= 1:
-                parts.append(outs[f.n - 1])  # at least n
-            if f.n < len(lits):
-                parts.append(-outs[f.n])  # at most n
-            return self._define_and(parts) if parts else self._encode(TRUE)
-        if isinstance(f, AtMostN):
-            if f.n < 0:
-                return self._encode(FALSE)
-            if f.n >= len(f.vars):
-                return self._encode(TRUE)
-            return -self._totalizer([self._bool_lit[v] for v in f.vars])[f.n]
-        if isinstance(f, LinCmp):
-            return self._encode_lincmp(f)
-        raise SortError(f"unknown formula node {f!r}")
-
-    def _define_and(self, lits: list[int]) -> int:
-        if not lits:
-            return self._encode(TRUE)
-        if len(lits) == 1:
-            return lits[0]
-        p = self._sat.new_var()
-        for l in lits:
-            self._sat.add_clause([-p, l])
-        self._sat.add_clause([p] + [-l for l in lits])
-        return p
-
-    def _totalizer(self, lits: list[int]) -> list[int]:
+    def _totalizer(self, lits: Sequence[int]) -> list[int]:
         """Sorted-output counter: outs[k] is true iff > k inputs are true.
 
         outs[k] <=> (#true >= k+1).  Both implication directions are encoded
@@ -701,57 +506,13 @@ class Context:
                     self._sat.add_clause(clause)
         return r
 
-    # -- arithmetic atoms --------------------------------------------------
-
-    _ZERO = "<zero>"
-
-    def _encode_lincmp(self, f: LinCmp) -> int:
-        if f.op == "==":
-            le = LinCmp(f.terms, "<=", f.const)
-            ge = LinCmp(f.terms, ">=", f.const)
-            return self._define_and([self._encode_lincmp(le), self._encode_lincmp(ge)])
-        terms: dict[VarRef, Fraction] = {}
-        for c, v in f.terms:
-            terms[v] = terms.get(v, Fraction(0)) + c
-        terms = {v: c for v, c in terms.items() if c != 0}
-        const = f.const
-        if f.op == ">=":
-            terms = {v: -c for v, c in terms.items()}
-            const = -const
-        # now: sum(c*v) <= const
-        if not terms:
-            return self._encode(TRUE if 0 <= const else FALSE)
-        if len(terms) == 1:
-            ((v, c),) = terms.items()
-            if c > 0:
-                return self._atom(v, self._ZERO, const / c)
-            # c < 0: v >= const/c, i.e. zero - v <= -(const/c)
-            return self._atom(self._ZERO, v, -const / c)
-        if len(terms) == 2:
-            (v1, c1), (v2, c2) = sorted(terms.items(), key=lambda t: t[0].idx)
-            if c1 == -c2:
-                if c1 > 0:
-                    return self._atom(v1, v2, const / c1)
-                return self._atom(v2, v1, const / c2)
-        raise UnsupportedConstraint(
-            f"atom outside the difference fragment: {f.terms} {f.op} {f.const}"
-        )
-
-    def _atom(self, u: object, v: object, bound: Fraction) -> int:
-        key = (u, v, bound)
-        if key not in self._atom_lit:
-            lit = self._sat.new_var()
-            self._atom_lit[key] = lit
-            self._atom_by_lit[lit] = key
-        return self._atom_lit[key]
-
     # -- theory -----------------------------------------------------------
 
     def _diff_graph(self) -> _DiffGraph:
         """The atoms in integer form, rebuilt only after atoms or reals are added."""
-        key = (len(self._atom_by_lit), len(self._real_vars))
+        key = (len(self._atom_by_lit), self._nreals)
         if self._graph is None or self._graph.key != key:
-            self._graph = _DiffGraph(key, self._atom_by_lit, self._real_vars)
+            self._graph = _DiffGraph(key, self._atom_by_lit, self._nreals)
         return self._graph
 
     def _theory_conflict(self, assignment: Sequence[bool | None]) -> list[int] | None:
@@ -792,16 +553,8 @@ class Context:
                 break
         return cycle_lits or None
 
-    def _build_model(self, assignment: Sequence[bool | None]) -> Model:
-        values: dict[VarRef, object] = {
-            v: assignment[self._bool_lit[v]] for v in self._vars if v.sort == BOOL
-        }
-        values.update(self._real_values(assignment))
-        return Model(values)
-
-    def _real_values(self, assignment: Sequence[bool | None]) -> dict[VarRef, Fraction]:
-        if not self._real_vars:
-            return {}
+    def _real_values(self, assignment: Sequence[bool | None]) -> list[Fraction]:
+        """The value of every node, indexed by node (0 for the zero node)."""
         g = self._diff_graph()
         edges = g.edges(assignment)
         dist = [0] * g.n
@@ -824,56 +577,49 @@ class Context:
             if slack_r > 0 and slack_e < 0:
                 delta = min(delta, Fraction(slack_r, -slack_e * g.scale))
         delta = delta / 2
-        at = g.index
-        return {
-            v: Fraction(r[at[v]] - r[0], g.scale) + delta * (e[at[v]] - e[0])
-            for v in self._real_vars
-        }
+        return [Fraction(r[x] - r[0], g.scale) + delta * (e[x] - e[0])
+                for x in range(g.n)]
 
 
 class _DiffGraph:
     """The difference atoms of a context as an integer constraint graph.
 
-    Node 0 is the zero node.  Bounds are multiplied by `scale`, the LCM of
-    their denominators, and a bound value + eps * delta (eps counts the
-    strict edges on a walk) is packed into the int value * M + eps.  An
-    edge u -> v with weight w encodes val(v) - val(u) <= w.  A relaxation
+    Node x is the context's real x, and node 0 the zero node.  Bounds are
+    multiplied by `scale`, the LCM of their denominators, and a bound
+    value + eps * delta (eps counts the strict edges on a walk) is packed
+    into the int value * M + eps.  An edge u -> v with weight w encodes
+    val(v) - val(u) <= w.  A relaxation
     extends a walk by one edge of eps 0 or -1, and a check makes at most n
     passes over the edges, so every eps lies strictly inside (-M/2, M/2)
     and packed ints compare exactly as (value, eps) pairs do.
     """
 
     def __init__(self, key: tuple[int, int],
-                 atoms: dict[int, tuple[object, object, Fraction]],
-                 real_vars: Sequence[VarRef]) -> None:
+                 atoms: dict[int, tuple[int, int, Fraction]],
+                 nreals: int) -> None:
         self.key = key
-        self.index: dict[object, int] = {Context._ZERO: 0}
-        for x in real_vars:
-            self.index.setdefault(x, len(self.index))
-        for u, v, _ in atoms.values():
-            self.index.setdefault(u, len(self.index))
-            self.index.setdefault(v, len(self.index))
-        self.n = len(self.index)
+        self.n = nreals + 1
         self.scale = math.lcm(*(c.denominator for _, _, c in atoms.values()))
-        self.M = 2 * (self.n * (len(atoms) + len(real_vars)) + 1) + 1
+        self.M = 2 * (self.n * (len(atoms) + nreals) + 1) + 1
         M = self.M
         # (lit, u, v, weight of edge v -> u when true, of u -> v when false)
         self.atoms = []
         for lit, (u, v, c) in atoms.items():
             w = c.numerator * (self.scale // c.denominator) * M
-            self.atoms.append((lit, self.index[u], self.index[v], w, -w - 1))
-        # nonnegative sort: zero - x <= 0, an edge x -> zero of weight 0
-        self.sort_edges = [(self.index[x], 0, 0, 0) for x in real_vars]
+            self.atoms.append((lit, u, v, w, -w - 1))
+        # nonnegative reals: zero - x <= 0, an edge x -> zero of weight 0
+        self.nonneg_edges = [(x, 0, 0, 0) for x in range(1, self.n)]
 
     def edges(self, assignment: Sequence[bool | None]) -> list[tuple[int, ...]]:
-        """(u, v, weight, literal) per edge; the sort edges carry literal 0.
+        """(u, v, weight, literal) per edge; the nonnegativity edges carry
+        literal 0.
 
         A true atom u - v <= c is the edge v -> u; a false one is the
         strict negation v - u < -c, the edge u -> v.
         """
         out = [(v, u, wt, lit) if assignment[lit] else (u, v, wf, -lit)
                for lit, u, v, wt, wf in self.atoms]
-        out += self.sort_edges
+        out += self.nonneg_edges
         return out
 
     def unpack(self, x: int) -> tuple[int, int]:

@@ -12,7 +12,6 @@ from cfevrp.driver import (
     FEASIBLE, INFEASIBLE, Limits, c_comsat_solve, comsat_solve,
     routes_from_task_orders, shortest_path_map, total_distance,
 )
-from cfevrp.pathschanger import solve_paths_changing
 from cfevrp.routing import solve_routing
 from cfevrp.validator import brute_force_feasible, validate_schedule
 

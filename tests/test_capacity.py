@@ -2,7 +2,7 @@
 
 import pytest
 
-from cfevrp.assignment import Assignment, compute_route_attributes, solve_assignment
+from cfevrp.assignment import compute_route_attributes, solve_assignment
 from cfevrp.capacity import build_visit_lists, verify_capacity
 from cfevrp.driver import routes_from_task_orders, shortest_path_map
 from cfevrp.errors import BrokenChain
@@ -12,7 +12,7 @@ from cfevrp.instance import (
 )
 from cfevrp.routing import Route, RouteSet
 from cfevrp.validator import validate_schedule
-from conftest import corridor_instance, swap_deadlock_instance
+from conftest import swap_deadlock_instance
 
 
 def partial_routes(inst, orders):

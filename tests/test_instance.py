@@ -8,7 +8,7 @@ from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
     mutually_exclusive_jobs,
 )
-from conftest import corridor_graph, corridor_instance
+from conftest import corridor_instance
 
 
 def line_graph():

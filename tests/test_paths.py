@@ -14,7 +14,7 @@ from cfevrp.instance import (
 )
 from cfevrp.pathschanger import PathChanger, solve_paths_changing
 from cfevrp.routing import Route, RouteSet
-from conftest import corridor_graph, corridor_instance, random_tiny_instance
+from conftest import corridor_instance, random_tiny_instance
 from test_graph import random_connected_graph
 
 

@@ -4,7 +4,6 @@ from cfevrp.driver import shortest_path_map
 from cfevrp.graph import Path
 from cfevrp.routesverify import verify_routes
 from cfevrp.routing import Route, RouteSet, solve_routing
-from conftest import corridor_instance
 
 
 def detour_route_set(inst):

@@ -1,7 +1,5 @@
 """Route construction: minimality, blocking-based enumeration, edge cases."""
 
-from itertools import permutations
-
 from cfevrp.graph import path_length, shortest_path, validate_graph
 from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
@@ -9,7 +7,7 @@ from cfevrp.instance import (
 )
 from cfevrp.driver import shortest_path_map
 from cfevrp.routing import solve_routing
-from conftest import corridor_graph, corridor_instance
+from conftest import corridor_graph
 
 
 def enumerate_route_partitions(inst):

@@ -2,15 +2,11 @@
 
 import gc
 import itertools
-import math
 import random
 import weakref
 from fractions import Fraction
 
-import pytest
-
 from cfevrp import solver as S
-from cfevrp.errors import UnsupportedConstraint
 
 
 def test_empty_context_is_sat():
@@ -20,49 +16,51 @@ def test_empty_context_is_sat():
 
 def test_two_contexts_are_independent():
     c1, c2 = S.Context(), S.Context()
-    x = c1.new_bool("x")
-    c1.assert_formula(S.bvar(x))
-    c1.assert_formula(S.not_(S.bvar(x)))
+    x = c1.new_bool()
+    c1.assert_formula(x)
+    c1.assert_formula(-x)
     assert not c1.check().sat
     assert c2.check().sat
 
 
 def test_assert_true_stays_sat():
     ctx = S.Context()
-    ctx.assert_formula(S.TRUE)
+    x = ctx.new_bool()
+    ctx.assert_formula(x, -x)  # a tautology
     assert ctx.check().sat
 
 
 def test_contradiction_is_unsat():
     ctx = S.Context()
-    x = ctx.new_bool("x")
-    ctx.assert_formula(S.and_(S.bvar(x), S.not_(S.bvar(x))))
+    x = ctx.new_bool()
+    ctx.assert_formula(x)
+    ctx.assert_formula(-x)
     assert not ctx.check().sat
 
 
 def test_pinned_real_value():
     ctx = S.Context()
-    g = ctx.new_real("g")
-    ctx.assert_formula(S.var_ge(g, 2))
-    ctx.assert_formula(S.var_le(g, 2))
+    g = ctx.new_real()
+    ctx.assert_formula(ctx.le(0, g, -2))  # g >= 2
+    ctx.assert_formula(ctx.le(g, 0, 2))  # g <= 2
     res = ctx.check()
-    assert res.sat and res.model.value(g) == Fraction(2)
+    assert res.sat and res.model.real(g) == Fraction(2)
 
 
 def test_strict_inequalities_separate():
     ctx = S.Context()
-    a, b = ctx.new_real("a"), ctx.new_real("b")
-    ctx.assert_formula(S.lin([(1, a), (-1, b)], "<=", Fraction(-1)))  # a <= b - 1
-    ctx.assert_formula(S.var_le(b, 3))
+    a, b = ctx.new_real(), ctx.new_real()
+    ctx.assert_formula(ctx.le(a, b, Fraction(-1)))  # a <= b - 1
+    ctx.assert_formula(ctx.le(b, 0, 3))
     res = ctx.check()
     assert res.sat
-    assert res.model.value(b) - res.model.value(a) >= 1
+    assert res.model.real(b) - res.model.real(a) >= 1
 
 
 def test_minimize_at_least_one():
     ctx = S.Context()
-    x, y = ctx.new_bool("x"), ctx.new_bool("y")
-    ctx.assert_formula(S.or_(S.bvar(x), S.bvar(y)))
+    x, y = ctx.new_bool(), ctx.new_bool()
+    ctx.assert_formula(x, y)
     res = ctx.minimize([x, y])
     assert res.sat
     assert sum(1 for v in (x, y) if res.model.value(v)) == 1
@@ -70,7 +68,7 @@ def test_minimize_at_least_one():
 
 def test_minimize_unconstrained_indicators_gives_zero():
     ctx = S.Context()
-    vars_ = [ctx.new_bool(f"b{i}") for i in range(4)]
+    vars_ = [ctx.new_bool() for _ in range(4)]
     res = ctx.minimize(vars_)
     assert res.sat
     assert all(res.model.value(v) is False for v in vars_)
@@ -78,9 +76,9 @@ def test_minimize_unconstrained_indicators_gives_zero():
 
 def test_block_single_model_then_other_survives():
     ctx = S.Context()
-    x, y = ctx.new_bool("x"), ctx.new_bool("y")
-    ctx.assert_formula(S.or_(S.bvar(x), S.bvar(y)))
-    ctx.assert_formula(S.not_(S.bvar(y)))
+    x, y = ctx.new_bool(), ctx.new_bool()
+    ctx.assert_formula(x, y)
+    ctx.assert_formula(-y)
     res = ctx.check()
     assert res.sat and res.model.value(x) is True
     ctx.block_model([x, y], res.model)
@@ -89,8 +87,8 @@ def test_block_single_model_then_other_survives():
 
 def test_full_model_enumeration_counts_seven():
     ctx = S.Context()
-    vars_ = [ctx.new_bool(f"b{i}") for i in range(3)]
-    ctx.assert_formula(S.or_(*[S.bvar(v) for v in vars_]))
+    vars_ = [ctx.new_bool() for _ in range(3)]
+    ctx.assert_formula(*vars_)
     seen = set()
     while True:
         res = ctx.check()
@@ -103,8 +101,8 @@ def test_full_model_enumeration_counts_seven():
 
 def test_positive_subset_blocking_is_coarser():
     ctx = S.Context()
-    vars_ = [ctx.new_bool(f"b{i}") for i in range(3)]
-    ctx.assert_formula(S.or_(*[S.bvar(v) for v in vars_]))
+    vars_ = [ctx.new_bool() for _ in range(3)]
+    ctx.assert_formula(*vars_)
     count = 0
     while True:
         res = ctx.check()
@@ -116,14 +114,38 @@ def test_positive_subset_blocking_is_coarser():
     assert 1 <= count < 7  # supersets of earlier true-sets are gone too
 
 
+def _cardinality_matches_brute_force(add, holds):
+    """Enumerate the models of add(ctx, lits, n, *guards) over 0-4 lits,
+    n from -1 to len+1, no guard or a guard that is true, false or free,
+    and compare them with brute force.  The count holds exactly when the
+    guard is true (or absent); under a false guard the lits are free."""
+    for nv in range(5):
+        for n in range(-1, nv + 2):
+            for guard in (None, True, False, "free"):
+                ctx = S.Context()
+                lits = [ctx.new_bool() for _ in range(nv)]
+                g = ctx.new_bool()
+                add(ctx, lits, n, *([] if guard is None else [g]))
+                if guard in (True, False):
+                    ctx.assert_formula(g if guard else -g)
+                found = set()
+                while (res := ctx.check()).sat:
+                    model = tuple(res.model.value(v) for v in [*lits, g])
+                    assert model not in found
+                    found.add(model)
+                    ctx.block_model([*lits, g], res.model)
+                expected = {
+                    bits + (gv,)
+                    for bits in itertools.product([False, True], repeat=nv)
+                    for gv in (False, True)
+                    if guard in (None, "free", gv)
+                    and (holds(sum(bits), n) or (guard is not None and not gv))
+                }
+                assert found == expected, (nv, n, guard)
+
+
 def test_exactly_n():
-    for n in range(4):
-        ctx = S.Context()
-        vars_ = [ctx.new_bool(f"b{i}") for i in range(3)]
-        ctx.assert_formula(S.exactly(vars_, n))
-        res = ctx.check()
-        assert res.sat
-        assert sum(1 for v in vars_ if res.model.value(v)) == n
+    _cardinality_matches_brute_force(S.Context.exactly, lambda k, n: k == n)
 
 
 def test_context_with_totalizer_is_freed_without_gc():
@@ -132,8 +154,8 @@ def test_context_with_totalizer_is_freed_without_gc():
     gc.disable()
     try:
         ctx = S.Context()
-        vars_ = [ctx.new_bool(f"b{i}") for i in range(5)]
-        ctx.assert_formula(S.exactly(vars_, 2))
+        vars_ = [ctx.new_bool() for _ in range(5)]
+        ctx.exactly(vars_, 2)
         assert ctx.check().sat
         ref = weakref.ref(ctx)
         del ctx
@@ -143,28 +165,32 @@ def test_context_with_totalizer_is_freed_without_gc():
 
 
 def test_ite_links_boolean_to_arithmetic():
+    # if c then r >= 5 else r <= 1, as two guarded clauses
     ctx = S.Context()
-    c = ctx.new_bool("c")
-    r = ctx.new_real("r")
-    ctx.assert_formula(S.ite(S.bvar(c), S.var_ge(r, 5), S.var_le(r, 1)))
-    ctx.assert_formula(S.var_ge(r, 2))
+    c = ctx.new_bool()
+    r = ctx.new_real()
+    ctx.assert_formula(-c, ctx.le(0, r, -5))
+    ctx.assert_formula(c, ctx.le(r, 0, 1))
+    ctx.assert_formula(ctx.le(0, r, -2))  # r >= 2
     res = ctx.check()
     assert res.sat
-    assert res.model.value(c) is True and res.model.value(r) >= 5
+    assert res.model.value(c) is True and res.model.real(r) >= 5
+
+
+def _clause_lits(lits):
+    return [v if pos else -v for v, pos in lits]
 
 
 def test_models_satisfy_asserted_formulas():
     rng = random.Random(99)
     for _ in range(30):
         ctx = S.Context()
-        vars_ = [ctx.new_bool(f"b{i}") for i in range(5)]
+        vars_ = [ctx.new_bool() for _ in range(5)]
         clauses = []
         for _ in range(8):
             lits = [(rng.choice(vars_), rng.random() < 0.5) for _ in range(3)]
             clauses.append(lits)
-            ctx.assert_formula(S.or_(*[
-                S.bvar(v) if pos else S.not_(S.bvar(v)) for v, pos in lits
-            ]))
+            ctx.assert_formula(*_clause_lits(lits))
         res = ctx.check()
         truth = {}
         if res.sat:
@@ -185,14 +211,12 @@ def test_minimize_matches_brute_force():
     rng = random.Random(4)
     for _ in range(20):
         ctx = S.Context()
-        vars_ = [ctx.new_bool(f"b{i}") for i in range(6)]
+        vars_ = [ctx.new_bool() for _ in range(6)]
         clauses = []
         for _ in range(6):
             lits = [(rng.choice(vars_), rng.random() < 0.6) for _ in range(2)]
             clauses.append(lits)
-            ctx.assert_formula(S.or_(*[
-                S.bvar(v) if pos else S.not_(S.bvar(v)) for v, pos in lits
-            ]))
+            ctx.assert_formula(*_clause_lits(lits))
         res = ctx.minimize(vars_)
         best = None
         for bits in itertools.product([False, True], repeat=6):
@@ -208,26 +232,19 @@ def test_minimize_matches_brute_force():
 
 
 def test_cardinality_over_no_variables():
-    for f, sat in ((S.exactly([], 0), True), (S.exactly([], 1), False),
-                   (S.at_most([], 0), True), (S.at_most([], 1), True),
-                   (S.at_most([], -1), False)):
+    for add, sat in ((lambda c: c.exactly([], 0), True),
+                     (lambda c: c.exactly([], 1), False),
+                     (lambda c: c.at_most([], 0), True),
+                     (lambda c: c.at_most([], 1), True),
+                     (lambda c: c.at_most([], -1), False)):
         ctx = S.Context()
-        ctx.assert_formula(f)
+        add(ctx)
         assert ctx.check().sat is sat
     assert S.Context().minimize([], lower=1).sat
 
 
 def test_at_most_matches_brute_force():
-    for n in range(-1, 6):
-        ctx = S.Context()
-        vars_ = [ctx.new_bool(f"b{i}") for i in range(4)]
-        ctx.assert_formula(S.at_most(vars_, n))
-        models = 0
-        while (res := ctx.check()).sat:
-            assert len(res.model.true_vars(vars_)) <= n
-            ctx.block_model(vars_, res.model)
-            models += 1
-        assert models == sum(math.comb(4, k) for k in range(max(n + 1, 0)))
+    _cardinality_matches_brute_force(S.Context.at_most, lambda k, n: k <= n)
 
 
 def test_minimize_from_last_optimum_lists_models_by_cost():
@@ -237,14 +254,12 @@ def test_minimize_from_last_optimum_lists_models_by_cost():
     rng = random.Random(8)
     for _ in range(15):
         ctx = S.Context()
-        vars_ = [ctx.new_bool(f"b{i}") for i in range(5)]
+        vars_ = [ctx.new_bool() for _ in range(5)]
         clauses = []
         for _ in range(5):
             lits = [(rng.choice(vars_), rng.random() < 0.5) for _ in range(2)]
             clauses.append(lits)
-            ctx.assert_formula(S.or_(*[
-                S.bvar(v) if pos else S.not_(S.bvar(v)) for v, pos in lits
-            ]))
+            ctx.assert_formula(*_clause_lits(lits))
         costs = sorted(
             sum(bits) for bits in itertools.product([False, True], repeat=5)
             if all(any(dict(zip(vars_, bits))[v] == pos for v, pos in lits)
@@ -255,14 +270,6 @@ def test_minimize_from_last_optimum_lists_models_by_cost():
             got.append(lower)
             ctx.block_model(vars_, res.model)
         assert got == costs
-
-
-def test_unsupported_linear_form_raises():
-    ctx = S.Context()
-    a, b = ctx.new_real("a"), ctx.new_real("b")
-    with pytest.raises(UnsupportedConstraint):
-        ctx.assert_formula(S.lin([(2, a), (1, b)], "<=", 3))
-        ctx.check()
 
 
 # --- difference theory against a Fraction reference -------------------------
@@ -279,8 +286,8 @@ def _ref_edges(ctx, assignment):
             edges.append((v, u, (c, 0), lit))
         else:
             edges.append((u, v, (-c, -1), -lit))
-    for x in ctx._real_vars:
-        edges.append((x, ctx._ZERO, (Fraction(0), 0), 0))
+    for x in range(1, ctx._nreals + 1):  # node 0 is zero
+        edges.append((x, 0, (Fraction(0), 0), 0))
     return edges
 
 
@@ -303,7 +310,7 @@ def _ref_relax(dist, edges, passes, pred=None):
 
 def reference_theory_conflict(ctx, assignment):
     edges = _ref_edges(ctx, assignment)
-    nodes = {ctx._ZERO, *ctx._real_vars}
+    nodes = set(range(ctx._nreals + 1))
     for u, v, _, _ in edges:
         nodes.update((u, v))
     dist = {x: (Fraction(0), 0) for x in nodes}
@@ -324,7 +331,7 @@ def reference_theory_conflict(ctx, assignment):
 
 def reference_real_values(ctx, assignment):
     edges = _ref_edges(ctx, assignment)
-    nodes = [ctx._ZERO, *ctx._real_vars]
+    nodes = range(ctx._nreals + 1)
     dist = {x: (Fraction(0), 0) for x in nodes}
     _ref_relax(dist, edges, len(nodes))
     delta = Fraction(1)
@@ -333,9 +340,9 @@ def reference_real_values(ctx, assignment):
         slack_e = dist[u][1] + w[1] - dist[v][1]
         if slack_r > 0 and slack_e < 0:
             delta = min(delta, Fraction(slack_r, -slack_e))
-    base = dist[ctx._ZERO]
-    return {x: dist[x][0] - base[0] + delta / 2 * (dist[x][1] - base[1])
-            for x in ctx._real_vars}
+    base = dist[0]
+    return [dist[x][0] - base[0] + delta / 2 * (dist[x][1] - base[1])
+            for x in nodes]
 
 
 def _random_bound(rng):
@@ -347,15 +354,16 @@ def _random_bound(rng):
     ])
 
 
-def _random_atom(rng, xs):
+def _random_atom(rng, ctx, xs):
     kind = rng.randrange(4)
     c = _random_bound(rng)
     if kind == 0:
-        return S.var_le(rng.choice(xs), c)
+        return ctx.le(rng.choice(xs), 0, c)  # x <= c
     if kind == 1:
-        return S.var_ge(rng.choice(xs), c)
+        return ctx.le(0, rng.choice(xs), -c)  # x >= c
     a, b = rng.sample(xs, 2)
-    return S.diff_ge(a, b, c) if kind == 2 else S.lin([(1, a), (-1, b)], "<=", c)
+    # a - b >= c, or a - b <= c
+    return ctx.le(b, a, -c) if kind == 2 else ctx.le(a, b, c)
 
 
 def test_integer_theory_matches_fraction_reference():
@@ -363,11 +371,10 @@ def test_integer_theory_matches_fraction_reference():
     outcomes = {"conflict": 0, "consistent": 0}
     for _ in range(60):
         ctx = S.Context()
-        xs = [ctx.new_real(f"x{i}") for i in range(rng.randint(2, 5))]
+        xs = [ctx.new_real() for _ in range(rng.randint(2, 5))]
         for _batch in range(2):  # new atoms must rebuild the integer graph
             for _ in range(rng.randint(2, 6)):
-                f = _random_atom(rng, xs)
-                ctx.assert_formula(S.or_(f, S.not_(f)))
+                _random_atom(rng, ctx, xs)
             for _ in range(5):
                 assignment = [None] + [rng.random() < 0.5
                                        for _ in range(ctx._sat.nvars)]
@@ -384,13 +391,13 @@ def test_integer_theory_matches_fraction_reference():
 
 def test_model_values_are_exact_fractions():
     ctx = S.Context()
-    a, b = ctx.new_real("a"), ctx.new_real("b")
-    ctx.assert_formula(S.diff_ge(b, a, Fraction(1, 3)))
-    ctx.assert_formula(S.var_le(b, Fraction(0.7)))
-    ctx.assert_formula(S.not_(S.var_le(a, Fraction(2, 7))))  # a > 2/7
+    a, b = ctx.new_real(), ctx.new_real()
+    ctx.assert_formula(ctx.le(a, b, -Fraction(1, 3)))  # b - a >= 1/3
+    ctx.assert_formula(ctx.le(b, 0, Fraction(0.7)))
+    ctx.assert_formula(-ctx.le(a, 0, Fraction(2, 7)))  # a > 2/7
     res = ctx.check()
     assert res.sat
-    va, vb = res.model.value(a), res.model.value(b)
+    va, vb = res.model.real(a), res.model.real(b)
     assert isinstance(va, Fraction) and isinstance(vb, Fraction)
     assert va > Fraction(2, 7) and vb - va >= Fraction(1, 3)
     assert vb <= Fraction(0.7)
@@ -405,14 +412,6 @@ def test_model_values_are_exact_fractions():
 # top level, theory conflicts on level 0, and unit clauses added between two
 # check() calls; breaking the handling of any of them fails this test.
 
-def _atom_formula(atom):
-    a, b, c = atom  # val(a) - val(b) <= c, either side may be the zero node
-    if b is None:
-        return S.var_le(a, c)
-    if a is None:
-        return S.var_ge(b, -c)
-    return S.lin([(1, a), (-1, b)], "<=", c)
-
 
 def _atoms_consistent(xs, atoms, truth):
     zero = "zero"
@@ -424,20 +423,24 @@ def _atoms_consistent(xs, atoms, truth):
     return _ref_relax(dist, edges, len(dist)) is None
 
 
-def _holds(lit, bools, atoms, value):
+def _holds(lit, bools, atoms, m):
     kind, i, pos = lit
     if kind == "b":
-        return value(bools[i]) is pos
+        return m.value(bools[i]) is pos
     a, b, c = atoms[i]
-    va = value(a) if a is not None else 0
-    vb = value(b) if b is not None else 0
+    va = m.real(a) if a is not None else 0
+    vb = m.real(b) if b is not None else 0
     return (va - vb <= c) is pos
 
 
-def _lit_formula(lit, bools, atoms):
+def _solver_lit(ctx, lit, bools, atoms):
     kind, i, pos = lit
-    f = S.bvar(bools[i]) if kind == "b" else _atom_formula(atoms[i])
-    return f if pos else S.not_(f)
+    if kind == "b":
+        x = bools[i]
+    else:
+        a, b, c = atoms[i]  # val(a) - val(b) <= c, None is the zero node
+        x = ctx.le(a or 0, b or 0, c)
+    return x if pos else -x
 
 
 def _brute_force_projections(bools, xs, atoms, clauses):
@@ -454,10 +457,9 @@ def _brute_force_projections(bools, xs, atoms, clauses):
 
 
 def _check_model(res, bools, atoms, clauses):
-    value = res.model.value
     for cl in clauses:
-        assert any(_holds(lit, bools, atoms, value) for lit in cl), cl
-    return tuple(value(v) for v in bools)
+        assert any(_holds(lit, bools, atoms, res.model) for lit in cl), cl
+    return tuple(res.model.value(v) for v in bools)
 
 
 def _random_lit(rng, nb, na):
@@ -470,8 +472,8 @@ def test_cdcl_t_core_matches_brute_force():
     rng = random.Random(11)
     for _ in range(40):
         ctx = S.Context()
-        bools = [ctx.new_bool(f"b{i}") for i in range(rng.randint(2, 4))]
-        xs = [ctx.new_real(f"x{i}") for i in range(rng.randint(2, 3))]
+        bools = [ctx.new_bool() for _ in range(rng.randint(2, 4))]
+        xs = [ctx.new_real() for _ in range(rng.randint(2, 3))]
         atoms = []
         for _ in range(rng.randint(3, 5)):
             a, b = rng.sample([None, *xs], 2)
@@ -481,7 +483,7 @@ def test_cdcl_t_core_matches_brute_force():
                    for _ in range(rng.randint(3, 7))]
 
         def assert_clause(cl):
-            ctx.assert_formula(S.or_(*[_lit_formula(l, bools, atoms) for l in cl]))
+            ctx.assert_formula(*[_solver_lit(ctx, l, bools, atoms) for l in cl])
 
         for cl in clauses:
             assert_clause(cl)
@@ -489,8 +491,7 @@ def test_cdcl_t_core_matches_brute_force():
             expected = _brute_force_projections(bools, xs, atoms, clauses)
             # every projection, one check(assumptions=...) call each
             for bits in itertools.product([False, True], repeat=len(bools)):
-                lits = [ctx._bool_lit[v] if t else -ctx._bool_lit[v]
-                        for v, t in zip(bools, bits)]
+                lits = [v if t else -v for v, t in zip(bools, bits)]
                 res = ctx.check(assumptions=lits)
                 assert res.sat == (bits in expected), (round_, bits)
                 if res.sat:
