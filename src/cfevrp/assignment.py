@@ -21,17 +21,17 @@ AlphaLits = frozenset[tuple[str, int]]
 
 @dataclass(frozen=True)
 class RouteAttributes:
-    length: float
-    cum_service: float
-    latest_start: float
+    length: Fraction
+    cum_service: Fraction
+    latest_start: Fraction
     eligible: frozenset[str]
 
 
 @dataclass(frozen=True)
 class Assignment:
     vehicle_of: tuple[str, ...]  # indexed like the route set
-    starts: tuple[float, ...]
-    ends: tuple[float, ...]
+    starts: tuple[Fraction, ...]
+    ends: tuple[Fraction, ...]
     alpha_lits: AlphaLits
 
     def routes_of(self, vehicle: str) -> list[int]:
@@ -42,23 +42,28 @@ def compute_route_attributes(
     cr: RouteSet, inst: Instance
 ) -> list[RouteAttributes]:
     """Length, cumulative service, latest start, and eligible vehicles per
-    route, from the legs the routes currently carry."""
+    route, from the legs the routes currently carry.
+
+    The latest start keeps every task's window and brings the vehicle back
+    by the horizon T.  Both bounds ignore waiting, which is never negative,
+    and path changes only lengthen legs, so they hold for every timing of
+    the route.
+    """
+    speed = inst.fleet.speed
     out = []
     for r in cr.routes:
         cum_service = sum(inst.tasks[t].service_time for t in r.tasks)
         eligible = set(inst.vehicles_at(r.depot))
         for t in r.tasks:
             eligible &= inst.job_of(t).eligible_vehicles
-        late = inst.fleet.horizon
-        travel = 0.0
-        service_before = 0.0
+        late = inst.fleet.horizon - r.length / speed - cum_service
+        travel = 0
+        service_before = 0
         for i, t in enumerate(r.tasks):
             travel += r.legs[i].length
             late = min(
                 late,
-                inst.tasks[t].window.upper
-                - travel / inst.fleet.speed
-                - service_before,
+                inst.tasks[t].window.upper - travel / speed - service_before,
             )
             service_before += inst.tasks[t].service_time
         out.append(RouteAttributes(
@@ -85,13 +90,13 @@ def solve_assignment(
     }
     s_var = [ctx.new_real() for _ in range(n)]
     e_var = [ctx.new_real() for _ in range(n)]
-    speed = Fraction(inst.fleet.speed)
-    C = Fraction(inst.fleet.charge_coeff)
+    speed = inst.fleet.speed
+    C = inst.fleet.charge_coeff
 
     for r in range(n):
         ctx.exactly([alpha[(v, r)] for v in vehicles], 1)
         ctx.assert_formula(*[alpha[(v, r)] for v in sorted(attrs[r].eligible)])
-        dur = Fraction(attrs[r].length) / speed + Fraction(attrs[r].cum_service)
+        dur = attrs[r].length / speed + attrs[r].cum_service
         ctx.assert_formula(ctx.le(e_var[r], s_var[r], dur))
         ctx.assert_formula(ctx.le(s_var[r], e_var[r], -dur))
         ctx.assert_formula(ctx.le(s_var[r], 0, attrs[r].latest_start))
@@ -101,8 +106,8 @@ def solve_assignment(
             for r2 in range(r1 + 1, n):
                 # on one vehicle, r1 starts after r2 has ended and r1's
                 # charging gap has passed, or the other way round
-                gap1 = C * Fraction(attrs[r1].length)
-                gap2 = C * Fraction(attrs[r2].length)
+                gap1 = C * attrs[r1].length
+                gap2 = C * attrs[r2].length
                 ctx.assert_formula(-alpha[(v, r1)], -alpha[(v, r2)],
                                    ctx.le(e_var[r2], s_var[r1], -gap1),
                                    ctx.le(e_var[r1], s_var[r2], -gap2))
@@ -135,8 +140,8 @@ def _canonical_times(cr, attrs, inst, vehicle_of, m, s_var):
     asserted deadline still holds.
     """
     n = len(cr.routes)
-    starts = [0.0] * n
-    ends = [0.0] * n
+    starts = [Fraction(0)] * n
+    ends = [Fraction(0)] * n
     speed = inst.fleet.speed
     C = inst.fleet.charge_coeff
     by_vehicle: dict[str, list[int]] = {}
@@ -148,7 +153,7 @@ def _canonical_times(cr, attrs, inst, vehicle_of, m, s_var):
         for r in rs:
             dur = attrs[r].length / speed + attrs[r].cum_service
             gap = C * attrs[r].length
-            start = 0.0 if prev_end is None else prev_end + gap
+            start = Fraction(0) if prev_end is None else prev_end + gap
             starts[r] = start
             ends[r] = start + dur
             prev_end = ends[r]

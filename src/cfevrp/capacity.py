@@ -23,9 +23,9 @@ from .routing import RouteSet
 @dataclass(frozen=True)
 class VisitPosition:
     node: NodeId
-    lower: float
-    upper: float
-    service: float
+    lower: Fraction
+    upper: Fraction
+    service: Fraction
     tasks: tuple[str, ...]  # tasks served at this stop, () for intersections
 
 
@@ -35,22 +35,24 @@ class VisitList:
     route_tasks: tuple[str, ...]
     positions: tuple[VisitPosition, ...]
     edges: tuple[tuple[NodeId, NodeId], ...]  # len(positions) - 1
-    route_length: float
+    route_length: Fraction
 
 
 @dataclass(frozen=True)
 class RouteSchedule:
+    # Times and lengths are exact as the solver computes them; a schedule
+    # read back with fileio.parse_schedule carries floats.
     vehicle: str
     depot: NodeId
     tasks: tuple[str, ...]
     nodes: tuple[NodeId, ...]
-    node_in: tuple[float, ...]
-    node_out: tuple[float, ...]
+    node_in: tuple[Fraction, ...]
+    node_out: tuple[Fraction, ...]
     position_tasks: tuple[tuple[str, ...], ...]
     edges: tuple[tuple[NodeId, NodeId], ...]
-    edge_in: tuple[float, ...]
-    length: float
-    start: float
+    edge_in: tuple[Fraction, ...]
+    length: Fraction
+    start: Fraction
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class Schedule:
     routes: tuple[RouteSchedule, ...]
 
     @property
-    def total_distance(self) -> float:
+    def total_distance(self) -> Fraction:
         return sum(r.length for r in self.routes)
 
 
@@ -79,9 +81,10 @@ def build_visit_lists(cr: RouteSet, inst: Instance) -> list[VisitList]:
     intersection and whose service time is the sum.
     """
     T = inst.fleet.horizon
+    zero = Fraction(0)
     out = []
     for r in cr.routes:
-        positions = [VisitPosition(r.depot, 0.0, T, 0.0, ())]
+        positions = [VisitPosition(r.depot, zero, T, zero, ())]
         edges: list[tuple[NodeId, NodeId]] = []
         for i, leg in enumerate(r.legs):
             if leg.src != positions[-1].node:
@@ -89,7 +92,7 @@ def build_visit_lists(cr: RouteSet, inst: Instance) -> list[VisitList]:
                     f"leg {i} starts at {leg.src}, expected {positions[-1].node}")
             for a, b in leg.edge_keys:
                 edges.append((a, b))
-                positions.append(VisitPosition(b, 0.0, T, 0.0, ()))
+                positions.append(VisitPosition(b, zero, T, zero, ()))
             if i < len(r.tasks):
                 t = inst.tasks[r.tasks[i]]
                 if t.location != positions[-1].node:
@@ -127,16 +130,16 @@ def verify_capacity(
         x.append([ctx.new_real() for _ in vl.positions])
         y.append([ctx.new_real() for _ in vl.edges])
         # x >= c is the atom 0 - x <= -c; node 0 is zero
-        ctx.assert_formula(ctx.le(0, x[r][0], -Fraction(ca.starts[r])))
+        ctx.assert_formula(ctx.le(0, x[r][0], -ca.starts[r]))
         for q, ekey in enumerate(vl.edges):
             # enter the edge after the service, reach its end d later
             ctx.assert_formula(ctx.le(
-                x[r][q], y[r][q], -Fraction(vl.positions[q].service)))
-            d = Fraction(g.edges[ekey].length) / Fraction(inst.fleet.speed)
+                x[r][q], y[r][q], -vl.positions[q].service))
+            d = g.edges[ekey].length / inst.fleet.speed
             ctx.assert_formula(ctx.le(x[r][q + 1], y[r][q], d))
             ctx.assert_formula(ctx.le(y[r][q], x[r][q + 1], -d))
         for p, pos in enumerate(vl.positions):
-            ctx.assert_formula(ctx.le(0, x[r][p], -Fraction(pos.lower)))
+            ctx.assert_formula(ctx.le(0, x[r][p], -pos.lower))
             ctx.assert_formula(ctx.le(x[r][p], 0, pos.upper))
 
     # shared non-hub nodes: one vehicle at a time, no swapping
@@ -177,22 +180,22 @@ def verify_capacity(
                         if g.edges[e1].capacity != 1:
                             stats.capacity2_exempt_pairs += 1
                             continue
-                        d1 = Fraction(g.edges[e1].length) / Fraction(inst.fleet.speed)
-                        d2 = Fraction(g.edges[e2].length) / Fraction(inst.fleet.speed)
+                        d1 = g.edges[e1].length / inst.fleet.speed
+                        d2 = g.edges[e2].length / inst.fleet.speed
                         ctx.assert_formula(ctx.le(y[r2][q2], y[r1][q1], -d2),
                                            ctx.le(y[r1][q1], y[r2][q2], -d1))
                         stats.edge_opposite_constraints += 1
 
     # same-vehicle routes keep their charging gaps under the actual times
-    C = Fraction(inst.fleet.charge_coeff)
+    C = inst.fleet.charge_coeff
     for r1 in range(n_routes):
         for r2 in range(r1 + 1, n_routes):
             if ca.vehicle_of[r1] != ca.vehicle_of[r2]:
                 continue
-            end1 = (x[r1][-1], Fraction(visit_lists[r1].positions[-1].service))
-            end2 = (x[r2][-1], Fraction(visit_lists[r2].positions[-1].service))
-            gap1 = C * Fraction(visit_lists[r1].route_length)
-            gap2 = C * Fraction(visit_lists[r2].route_length)
+            end1 = (x[r1][-1], visit_lists[r1].positions[-1].service)
+            end2 = (x[r2][-1], visit_lists[r2].positions[-1].service)
+            gap1 = C * visit_lists[r1].route_length
+            gap2 = C * visit_lists[r2].route_length
             ctx.assert_formula(ctx.le(end2[0], x[r1][0], -(end2[1] + gap1)),
                                ctx.le(end1[0], x[r2][0], -(end1[1] + gap2)))
 
@@ -202,8 +205,8 @@ def verify_capacity(
     m = res.model
     routes = []
     for r, vl in enumerate(visit_lists):
-        node_in = tuple(float(m.real(var)) for var in x[r])
-        edge_in = tuple(float(m.real(var)) for var in y[r])
+        node_in = tuple(m.real(var) for var in x[r])
+        edge_in = tuple(m.real(var) for var in y[r])
         node_out = tuple(
             edge_in[p] if p < len(edge_in)
             else node_in[p] + vl.positions[p].service

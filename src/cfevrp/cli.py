@@ -128,7 +128,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 outcome_tag, dist = ABORTED, ""
             else:
                 outcome_tag = out.status
-                dist = (out.schedule.total_distance
+                dist = (float(out.schedule.total_distance)
                         if out.schedule is not None else "")
         counts = {p: sum(1 for e in events if e.phase == p)
                   for p in ("router", "assign", "capacity", "paths",

@@ -69,9 +69,9 @@ def routes_from_task_orders(
 ) -> RouteSet:
     """Build a route set from explicit (depot, task order) pairs.
 
-    Used to pin the first iteration's routes in experiments on tie-break
-    sensitivity; the travel links are recorded so the set can be excluded
-    later just like a solver-produced one.
+    This lets a caller run the later stages on routes of its choosing; the
+    travel links are recorded so the set can be excluded later just like a
+    solver-produced one.
     """
     routes = []
     lits: set[tuple[str, str]] = set()
@@ -102,28 +102,18 @@ class _Clock:
         return result
 
 
-def comsat_solve(
-    inst: Instance,
-    limits: Limits = Limits(),
-    force_first_routes: list[tuple[int, list[str]]] | None = None,
-) -> SolveOutcome:
+def comsat_solve(inst: Instance, limits: Limits = Limits()) -> SolveOutcome:
     """Full solve: routes, assignment, conflict-free schedule."""
     sp = shortest_path_map(inst)
     events: list[Event] = []
     clock = _Clock(events)
     pr = []  # excluded route sets
     route_sets = 0
-    forced = force_first_routes
 
     while True:
         if limits.max_route_sets is not None and route_sets >= limits.max_route_sets:
             return SolveOutcome(ABORTED, None, events, "route set limit reached")
-        if forced is not None:
-            cr = routes_from_task_orders(inst, sp, forced)
-            forced = None
-            events.append(Event("router", True, 0.0, "forced routes"))
-        else:
-            cr = clock.run("router", lambda: solve_routing(inst, sp, pr))
+        cr = clock.run("router", lambda: solve_routing(inst, sp, pr))
         if cr is None:
             reason = "no route set serves all tasks"
             if route_sets:
@@ -131,25 +121,31 @@ def comsat_solve(
                           "of assignments and path changes")
             return SolveOutcome(INFEASIBLE, None, events, reason)
         route_sets += 1
+        outcome = _route_set_phase(inst, cr, limits, clock)
+        if outcome is not None:
+            return outcome
+        pr.append(cr.theta_lits)  # back to the router
 
-        pa = []  # excluded assignments for this route set
-        assignments = 0
-        while True:
-            if limits.max_assignments is not None and assignments >= limits.max_assignments:
-                return SolveOutcome(ABORTED, None, events, "assignment limit reached")
-            attrs = compute_route_attributes(cr, inst)
-            ca = clock.run(
-                "assign",
-                lambda: solve_assignment(cr, attrs, inst, pa))
-            if ca is None:
-                pr.append(cr.theta_lits)
-                break  # back to the router
-            assignments += 1
 
-            outcome = _capacity_phase(inst, cr, ca, limits, clock)
-            if outcome is not None:
-                return outcome
-            pa.append(ca.alpha_lits)  # all path sets for ca are exhausted
+def _route_set_phase(inst, cr, limits, clock):
+    """The assignments of one route set, each with its capacity phase.
+
+    Returns a final SolveOutcome, or None to signal 'try a new route set'.
+    """
+    pa = []  # excluded assignments for this route set
+    assignments = 0
+    while True:
+        if limits.max_assignments is not None and assignments >= limits.max_assignments:
+            return SolveOutcome(ABORTED, None, clock.events, "assignment limit reached")
+        attrs = compute_route_attributes(cr, inst)
+        ca = clock.run("assign", lambda: solve_assignment(cr, attrs, inst, pa))
+        if ca is None:
+            return None
+        assignments += 1
+        outcome = _capacity_phase(inst, cr, ca, limits, clock)
+        if outcome is not None:
+            return outcome
+        pa.append(ca.alpha_lits)  # all path sets for ca are exhausted
 
 
 def _capacity_phase(inst, cr, ca, limits, clock):
@@ -209,23 +205,31 @@ def c_comsat_solve(inst: Instance, limits: Limits = Limits()) -> SolveOutcome:
 
 
 def _timed_schedule(inst: Instance, cr: RouteSet, ca: Assignment) -> Schedule:
-    """Forward-time each route along its legs, waiting only for windows."""
+    """Forward-time each route along its legs, waiting only for windows.
+
+    A vehicle waits at a node, never on an edge: it enters the next edge
+    at the later of the moment it is ready and the moment that makes it
+    arrive at the next window's opening.
+    """
     vls = build_visit_lists(cr, inst)
     routes = []
     for r, vl in enumerate(vls):
         node_in = []
         node_out = []
         edge_in = []
-        t = ca.starts[r]
+        t = max(ca.starts[r], vl.positions[0].lower)
         for p, pos in enumerate(vl.positions):
-            t = max(t, pos.lower)
             node_in.append(t)
             t += pos.service
-            node_out.append(t)
             if p < len(vl.edges):
-                edge_in.append(t)
                 ekey = vl.edges[p]
-                t += inst.graph.edges[ekey].length / inst.fleet.speed
+                transit = inst.graph.edges[ekey].length / inst.fleet.speed
+                t = max(t, vl.positions[p + 1].lower - transit)
+                edge_in.append(t)
+                node_out.append(t)
+                t += transit
+            else:
+                node_out.append(t)
         routes.append(RouteSchedule(
             vehicle=ca.vehicle_of[r],
             depot=vl.depot,

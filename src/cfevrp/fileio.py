@@ -1,7 +1,9 @@
 """JSON file formats for instances, schedules, and validation reports.
 
 Serialization is canonical (sorted keys, fixed separators, trailing
-newline), so identical data always produces identical bytes.
+newline), so identical data always produces identical bytes.  Numbers are
+exact Fractions inside the package; `dumps_canonical` is the one place
+that writes them as floats.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .instance import (
 
 def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
+                      separators=(",", ": "), default=float) + "\n"
 
 
 def _need(obj: dict, key: str, where: str):
@@ -43,7 +45,7 @@ def instance_to_json(inst: Instance) -> dict:
                 {
                     "from": a,
                     "to": b,
-                    "length": float(g.edges[(a, b)].length),
+                    "length": g.edges[(a, b)].length,
                     "capacity": g.edges[(a, b)].capacity,
                 }
                 for a, b in undirected
@@ -51,12 +53,12 @@ def instance_to_json(inst: Instance) -> dict:
         },
         "depots": sorted(inst.depots),
         "fleet": {
-            "OR": float(inst.fleet.operating_range),
-            "C": float(inst.fleet.charge_coeff),
-            "D": float(inst.fleet.discharge_coeff),
-            "rho": float(inst.fleet.charge_to_range),
-            "v": float(inst.fleet.speed),
-            "T": float(inst.fleet.horizon),
+            "OR": inst.fleet.operating_range,
+            "C": inst.fleet.charge_coeff,
+            "D": inst.fleet.discharge_coeff,
+            "rho": inst.fleet.charge_to_range,
+            "v": inst.fleet.speed,
+            "T": inst.fleet.horizon,
         },
         "vehicles": [
             {"id": v.id, "depot": v.depot}
@@ -70,9 +72,9 @@ def instance_to_json(inst: Instance) -> dict:
                     {
                         "id": t.id,
                         "location": inst.tasks[t.id].location,
-                        "window": [float(inst.tasks[t.id].window.lower),
-                                   float(inst.tasks[t.id].window.upper)],
-                        "service": float(inst.tasks[t.id].service_time),
+                        "window": [inst.tasks[t.id].window.lower,
+                                   inst.tasks[t.id].window.upper],
+                        "service": inst.tasks[t.id].service_time,
                         "predecessors": sorted(inst.tasks[t.id].predecessors),
                     }
                     for t in (inst.tasks[tid] for tid in j.tasks)

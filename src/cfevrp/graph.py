@@ -8,18 +8,34 @@ capacity is 1 or 2 and hub nodes may host any number of vehicles.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import BadCapacity, DanglingEdgeEndpoint, NonPositiveLength, NotStronglyConnected
 
 NodeId = int
 
 
+def exact(x: int | float | Fraction) -> Fraction:
+    """The exact value of an instance number.
+
+    A float is read from its shortest decimal text, so 0.7 is 7/10 whether
+    it came from JSON, the generator or a literal; ints and Fractions are
+    taken as they are.  Raises ValueError for inf and nan.
+    """
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"{x} is not a finite number")
+        return Fraction(repr(x))
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class Edge:
     src: NodeId
     dst: NodeId
-    length: float
+    length: Fraction
     capacity: int
 
     @property
@@ -35,7 +51,7 @@ class Path:
     """
 
     nodes: tuple[NodeId, ...]
-    length: float
+    length: Fraction
 
     def __post_init__(self) -> None:
         assert len(self.nodes) >= 1
@@ -52,10 +68,6 @@ class Path:
     @property
     def edge_keys(self) -> tuple[tuple[NodeId, NodeId], ...]:
         return tuple(zip(self.nodes, self.nodes[1:]))
-
-
-def path_length(p: Path) -> float:
-    return p.length
 
 
 @dataclass(frozen=True)
@@ -89,9 +101,7 @@ class PlantGraph:
 
     def path_between(self, nodes: tuple[NodeId, ...]) -> Path:
         """Build a Path from an explicit node sequence, summing edge lengths."""
-        if len(nodes) == 1:
-            return Path(nodes, 0.0)
-        total = 0.0
+        total = Fraction(0)
         for a, b in zip(nodes, nodes[1:]):
             if (a, b) not in self.edges:
                 raise DanglingEdgeEndpoint(f"no edge {a}->{b}")
@@ -107,9 +117,10 @@ def validate_graph(
     """Build a PlantGraph from an undirected segment list.
 
     Each segment (a, b, length, capacity) yields the directed edges a->b and
-    b->a with equal length and capacity.  Raises if capacities fall outside
-    {1, 2}, lengths are not positive, endpoints are unknown, or the resulting
-    digraph is not strongly connected.
+    b->a with equal length and capacity; the length is stored `exact`.
+    Raises if capacities fall outside {1, 2}, lengths are not positive and
+    finite, endpoints are unknown, or the resulting digraph is not strongly
+    connected.
     """
     node_set = frozenset(nodes)
     hub_set = frozenset(hubs)
@@ -121,12 +132,16 @@ def validate_graph(
             raise DanglingEdgeEndpoint(f"segment ({a},{b}) references an unknown node")
         if a == b:
             raise DanglingEdgeEndpoint(f"segment ({a},{b}) is a self-loop")
-        if length <= 0:
+        try:
+            exact_length = exact(length)
+        except ValueError as exc:
+            raise NonPositiveLength(f"segment ({a},{b}) has length {length}") from exc
+        if exact_length <= 0:
             raise NonPositiveLength(f"segment ({a},{b}) has length {length}")
         if capacity not in (1, 2):
             raise BadCapacity(f"segment ({a},{b}) has capacity {capacity}")
-        edges[(a, b)] = Edge(a, b, float(length), capacity)
-        edges[(b, a)] = Edge(b, a, float(length), capacity)
+        edges[(a, b)] = Edge(a, b, exact_length, capacity)
+        edges[(b, a)] = Edge(b, a, exact_length, capacity)
     g = PlantGraph(node_set, hub_set, edges)
     _check_strongly_connected(g)
     return g
@@ -162,14 +177,14 @@ def shortest_path(g: PlantGraph, src: NodeId, dst: NodeId) -> Path:
     smallest node sequence, so results are reproducible across runs.
     """
     if src == dst:
-        return Path((src,), 0.0)
+        return Path((src,), Fraction(0))
     return single_source_paths(g, src)[dst]
 
 
 def single_source_paths(g: PlantGraph, src: NodeId) -> dict[NodeId, Path]:
     """Dijkstra labels keyed by (distance, node sequence) for determinism."""
-    best: dict[NodeId, tuple[float, tuple[NodeId, ...]]] = {src: (0.0, (src,))}
-    heap: list[tuple[float, tuple[NodeId, ...]]] = [(0.0, (src,))]
+    best: dict[NodeId, tuple[Fraction, tuple[NodeId, ...]]] = {src: (Fraction(0), (src,))}
+    heap: list[tuple[Fraction, tuple[NodeId, ...]]] = [best[src]]
     done: set[NodeId] = set()
     while heap:
         dist, seq = heapq.heappop(heap)
@@ -195,6 +210,6 @@ def all_pairs_task_paths(
     for src in sorted(locations):
         labels = single_source_paths(g, src)
         for dst in sorted(locations):
-            out[(src, dst)] = labels[dst] if src != dst else Path((src,), 0.0)
+            out[(src, dst)] = labels[dst] if src != dst else Path((src,), Fraction(0))
     return out
 

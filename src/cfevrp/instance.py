@@ -3,22 +3,40 @@
 An Instance bundles the plant graph with the transport requests and the
 fleet description.  Each depot contributes a synthetic start task and end
 task (service 0, window [0, T]) so the routing model can anchor routes.
+
+Every number of an instance is an exact Fraction: the constructors below
+pass their numbers through `graph.exact` once, so all later arithmetic is
+exact and needs no tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import InvariantViolation
-from .graph import NodeId, PlantGraph
+from .graph import NodeId, PlantGraph, exact
+
+
+def _make_exact(obj: object, *names: str) -> None:
+    """Replace the named fields of a frozen dataclass by their exact values."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, exact(value))
+        except (TypeError, ValueError) as exc:
+            raise InvariantViolation(
+                f"{type(obj).__name__}.{name} is not a finite number: {value!r}"
+            ) from exc
 
 
 @dataclass(frozen=True)
 class TimeWindow:
-    lower: float
-    upper: float
+    lower: Fraction
+    upper: Fraction
 
     def __post_init__(self) -> None:
+        _make_exact(self, "lower", "upper")
         if not (0 <= self.lower <= self.upper):
             raise InvariantViolation(
                 f"bad time window [{self.lower}, {self.upper}]"
@@ -31,8 +49,11 @@ class Task:
     job: str
     location: NodeId
     window: TimeWindow
-    service_time: float
+    service_time: Fraction
     predecessors: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        _make_exact(self, "service_time")
 
 
 @dataclass(frozen=True)
@@ -50,18 +71,18 @@ class Vehicle:
 
 @dataclass(frozen=True)
 class FleetParams:
-    operating_range: float   # max distance on a full charge
-    charge_coeff: float      # charging time per unit of route length
-    discharge_coeff: float   # charge consumed per unit distance
-    charge_to_range: float   # converts stored charge to achievable distance
-    speed: float
-    horizon: float
+    operating_range: Fraction   # max distance on a full charge
+    charge_coeff: Fraction      # charging time per unit of route length
+    discharge_coeff: Fraction   # charge consumed per unit distance
+    charge_to_range: Fraction   # converts stored charge to achievable distance
+    speed: Fraction
+    horizon: Fraction
 
     def __post_init__(self) -> None:
-        for name in (
-            "operating_range", "charge_coeff", "discharge_coeff",
-            "charge_to_range", "speed", "horizon",
-        ):
+        names = ("operating_range", "charge_coeff", "discharge_coeff",
+                 "charge_to_range", "speed", "horizon")
+        _make_exact(self, *names)
+        for name in names:
             if getattr(self, name) <= 0:
                 raise InvariantViolation(f"fleet parameter {name} must be > 0")
 
@@ -167,11 +188,11 @@ def build_instance(
             raise InvariantViolation(f"task {t.id} has predecessors outside its job")
 
     start_tasks = {
-        o: Task(_start_id(o), "__depot", o, TimeWindow(0.0, T), 0.0)
+        o: Task(_start_id(o), "__depot", o, TimeWindow(0, T), 0)
         for o in depots
     }
     end_tasks = {
-        o: Task(_end_id(o), "__depot", o, TimeWindow(0.0, T), 0.0)
+        o: Task(_end_id(o), "__depot", o, TimeWindow(0, T), 0)
         for o in depots
     }
     return Instance(

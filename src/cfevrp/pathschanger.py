@@ -16,6 +16,7 @@ assumption "at most that many nodes".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import solver as S
 from .errors import DecodingCycle
@@ -53,7 +54,7 @@ class PathChanger:
                 if xi == pi:
                     # the empty path is the only simple path from a node to
                     # itself
-                    self._degenerate[(r, i)] = Path((xi,), 0.0)
+                    self._degenerate[(r, i)] = Path((xi,), Fraction(0))
                 else:
                     self._legs.append((r, i, xi, pi))
         self._ctx: S.Context | None = None  # built on the first call

@@ -25,7 +25,7 @@ class Route:
     legs: tuple[Path, ...]  # len(tasks) + 1: depot->t1->...->tn->depot
 
     @property
-    def length(self) -> float:
+    def length(self) -> Fraction:
         return sum(leg.length for leg in self.legs)
 
     def locations(self, inst: Instance) -> tuple[NodeId, ...]:
@@ -72,10 +72,10 @@ class RoutingModel:
                 return o
         raise KeyError(tid)
 
-    def _service(self, tid: str) -> float:
-        return self.inst.tasks[tid].service_time if tid in self.inst.tasks else 0.0
+    def _service(self, tid: str) -> Fraction:
+        return self.inst.tasks[tid].service_time if tid in self.inst.tasks else 0
 
-    def _dist(self, a: str, b: str) -> float:
+    def _dist(self, a: str, b: str) -> Fraction:
         return self.cp[(self._loc(a), self._loc(b))].length
 
     def _build(self, pr: list[ThetaLits]) -> None:
@@ -84,7 +84,7 @@ class RoutingModel:
         starts = [inst.start_tasks[o].id for o in inst.depots]
         ends = [inst.end_tasks[o].id for o in inst.depots]
         fleet = inst.fleet
-        full = Fraction(fleet.operating_range) / Fraction(fleet.charge_to_range)
+        full = fleet.operating_range / fleet.charge_to_range
         T = fleet.horizon
         mex = mutually_exclusive_jobs(inst)
 
@@ -109,7 +109,7 @@ class RoutingModel:
             ctx.assert_formula(ctx.le(eps, 0, full))
             if tid in inst.tasks:
                 w = inst.tasks[tid].window
-                ctx.assert_formula(ctx.le(0, gamma, -Fraction(w.lower)))
+                ctx.assert_formula(ctx.le(0, gamma, -w.lower))
                 ctx.assert_formula(ctx.le(gamma, 0, w.upper))
             else:
                 ctx.assert_formula(ctx.le(gamma, 0, T))
@@ -119,12 +119,12 @@ class RoutingModel:
 
         # travel propagates time forward and charge downward
         for (a, b), var in self.theta.items():
-            d = Fraction(self._dist(a, b))
-            v = Fraction(fleet.speed)
+            d = self._dist(a, b)
+            v = fleet.speed
             ctx.assert_formula(-var, ctx.le(
-                self.gamma[a], self.gamma[b], -(Fraction(self._service(a)) + d / v)))
+                self.gamma[a], self.gamma[b], -(self._service(a) + d / v)))
             ctx.assert_formula(-var, ctx.le(
-                self.eps[b], self.eps[a], -Fraction(fleet.discharge_coeff) * d / v))
+                self.eps[b], self.eps[a], -fleet.discharge_coeff * d / v))
 
         # no direct travel between mutually exclusive jobs
         for k1 in real:
@@ -241,13 +241,13 @@ def extract_routes(m: S.Model, model: RoutingModel) -> RouteSet:
     budget = (fleet.operating_range / fleet.charge_to_range) * fleet.speed \
         / fleet.discharge_coeff
     for r in routes:
-        if r.length > budget + 1e-9:
+        if r.length > budget:
             raise MalformedChain(
                 f"route at depot {r.depot} exceeds the charge budget")
     return RouteSet(tuple(routes), frozenset(true_lits))
 
 
-def _model_distance(m: S.Model, model: RoutingModel) -> float:
+def _model_distance(m: S.Model, model: RoutingModel) -> Fraction:
     return sum(model._dist(a, b)
                for (a, b), var in model.theta.items()
                if m.value(var))
@@ -281,7 +281,7 @@ def solve_routing(
             if not nxt.sat:
                 break
             d = _model_distance(nxt.model, model)
-            if d < best_d - 1e-9:
+            if d < best_d:
                 best_m, best_d = nxt.model, d
             model.ctx.block_model(theta_vars, nxt.model)
     return extract_routes(best_m, model)

@@ -30,7 +30,7 @@ check() is one SAT search.  The theory check runs Bellman-Ford on
 integers: the bounds are scaled by the LCM of their denominators, and each
 infinitesimal count is packed into the same int, so the integer
 comparisons decide exactly as the rational ones would.  Real values in
-models are exact Fractions.
+models are exact Fractions, computed when a model's reals are first read.
 """
 
 from __future__ import annotations
@@ -49,16 +49,24 @@ Number = Union[int, float, Fraction]
 # ---------------------------------------------------------------------------
 
 class Model:
-    """A satisfying assignment: literal values and real values by node."""
+    """A satisfying assignment: literal values and real values by node.
 
-    def __init__(self, lits: Sequence[bool], reals: Sequence[Fraction]):
+    The real values are computed on the first `real` call, since most
+    models (the router's, the path changer's) are only read for literals.
+    """
+
+    def __init__(self, lits: Sequence[bool],
+                 reals: Callable[[], Sequence[Fraction]]):
         self._lits = lits
-        self._reals = reals
+        self._compute_reals = reals
+        self._reals: Sequence[Fraction] | None = None
 
     def value(self, lit: int) -> bool:
         return self._lits[lit]
 
     def real(self, x: int) -> Fraction:
+        if self._reals is None:
+            self._reals = self._compute_reals()
         return self._reals[x]
 
     def true_vars(self, lits: Iterable[int]) -> frozenset[int]:
@@ -431,8 +439,10 @@ class Context:
         assignment = self._sat.solve(assumptions, self._theory_conflict)
         if assignment is None:
             return SolveResult(False, None)
+        # atoms added after this check must not change this model's reals
+        g = self._diff_graph()
         return SolveResult(
-            True, Model(assignment, self._real_values(assignment)))
+            True, Model(assignment, lambda: _real_values(g, assignment)))
 
     def minimize(self, indicators: Sequence[int],
                  lower: int = 0) -> SolveResult:
@@ -555,30 +565,34 @@ class Context:
 
     def _real_values(self, assignment: Sequence[bool | None]) -> list[Fraction]:
         """The value of every node, indexed by node (0 for the zero node)."""
-        g = self._diff_graph()
-        edges = g.edges(assignment)
-        dist = [0] * g.n
-        for _ in range(g.n):
-            changed = False
-            for u, v, w, _lit in edges:
-                cand = dist[u] + w
-                if cand < dist[v]:
-                    dist[v] = cand
-                    changed = True
-            if not changed:
-                break
-        r, e = zip(*map(g.unpack, dist))
-        # realize the infinitesimal: pick delta keeping every edge satisfied
-        delta = Fraction(1)
+        return _real_values(self._diff_graph(), assignment)
+
+
+def _real_values(g: _DiffGraph, assignment: Sequence[bool | None]) -> list[Fraction]:
+    """The value of every node of g under a theory-consistent assignment."""
+    edges = g.edges(assignment)
+    dist = [0] * g.n
+    for _ in range(g.n):
+        changed = False
         for u, v, w, _lit in edges:
-            wr, we = g.unpack(w)
-            slack_r = r[u] + wr - r[v]
-            slack_e = e[u] + we - e[v]
-            if slack_r > 0 and slack_e < 0:
-                delta = min(delta, Fraction(slack_r, -slack_e * g.scale))
-        delta = delta / 2
-        return [Fraction(r[x] - r[0], g.scale) + delta * (e[x] - e[0])
-                for x in range(g.n)]
+            cand = dist[u] + w
+            if cand < dist[v]:
+                dist[v] = cand
+                changed = True
+        if not changed:
+            break
+    r, e = zip(*map(g.unpack, dist))
+    # realize the infinitesimal: pick delta keeping every edge satisfied
+    delta = Fraction(1)
+    for u, v, w, _lit in edges:
+        wr, we = g.unpack(w)
+        slack_r = r[u] + wr - r[v]
+        slack_e = e[u] + we - e[v]
+        if slack_r > 0 and slack_e < 0:
+            delta = min(delta, Fraction(slack_r, -slack_e * g.scale))
+    delta = delta / 2
+    return [Fraction(r[x] - r[0], g.scale) + delta * (e[x] - e[0])
+            for x in range(g.n)]
 
 
 class _DiffGraph:

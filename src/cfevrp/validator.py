@@ -6,10 +6,11 @@ route partitions, vehicle maps, and simple-path combinations on tiny
 instances, deciding timing feasibility exactly by case-splitting the
 conflict disjunctions over a difference-constraint system.  That system
 works in integer ticks: every bound of a candidate is scaled by the LCM of
-the denominators of its exact Fraction value, so nothing is rounded.  One
-potential (a solution of the constraints so far) lives across the whole
-disjunction search; each chosen disjunct adds one edge, repaired
-incrementally, and backtracking restores the potential from a trail.
+the denominators of its exact Fraction value, so nothing is rounded, and
+route lengths are summed in integer ticks the same way.  One potential (a
+solution of the constraints so far) lives across the whole disjunction
+search; each chosen disjunct adds one edge, repaired incrementally, and
+backtracking restores the potential from a trail.
 
 Nothing here shares code with the constraint-solving pipeline; this module
 is the ground truth the pipeline is tested against.  It takes only the
@@ -28,6 +29,9 @@ from .errors import MalformedSchedule, TooLarge
 from .graph import NodeId, PlantGraph
 from .instance import Instance
 
+# validate_schedule compares with this slack: a schedule file carries its
+# times as float text, and a time such as 1/3 does not survive the round
+# trip exactly.  The oracle below decides on exact numbers and uses none.
 _TOL = 1e-6
 
 NODE_CAPACITY = "NodeCapacity"
@@ -39,10 +43,12 @@ OPERATING_RANGE = "OperatingRange"
 ELIGIBILITY = "Eligibility"
 CHARGING_GAP = "ChargingGap"
 JOB_CONTIGUITY = "JobContiguity"
+HORIZON = "Horizon"
 
 ALL_KINDS = (
     NODE_CAPACITY, EDGE_CAPACITY_DIRECT, EDGE_CAPACITY_OPPOSITE, TIME_WINDOW,
     PRECEDENCE, OPERATING_RANGE, ELIGIBILITY, CHARGING_GAP, JOB_CONTIGUITY,
+    HORIZON,
 )
 
 
@@ -108,7 +114,8 @@ def validate_schedule(cvs: Schedule, inst: Instance) -> ValidationReport:
                 if arr < w.lower - _TOL or arr > w.upper + _TOL:
                     bad.append(Violation(
                         TIME_WINDOW, ri, arr,
-                        f"task {t} served at {arr}, window [{w.lower},{w.upper}]"))
+                        f"task {t} served at {float(arr)}, "
+                        f"window [{float(w.lower)},{float(w.upper)}]"))
 
         # jobs must run contiguously inside one route
         job_seq = [inst.tasks[t].job for t in rs.tasks]
@@ -125,7 +132,14 @@ def validate_schedule(cvs: Schedule, inst: Instance) -> ValidationReport:
         if spent > budget + _TOL:
             bad.append(Violation(
                 OPERATING_RANGE, ri, None,
-                f"route {ri} needs charge {spent}, budget {budget}"))
+                f"route {ri} needs charge {float(spent)}, budget {float(budget)}"))
+
+        # back at the depot by the horizon
+        end, T = rs.node_out[-1], inst.fleet.horizon
+        if end > T + _TOL:
+            bad.append(Violation(
+                HORIZON, ri, end,
+                f"route {ri} is back at {float(end)}, past T={float(T)}"))
 
     # jobs split across routes also break contiguity
     for jid in sorted(inst.jobs):
@@ -145,7 +159,8 @@ def validate_schedule(cvs: Schedule, inst: Instance) -> ValidationReport:
             if ti < pi - _TOL:
                 bad.append(Violation(
                     PRECEDENCE, where[t.id][0], ti,
-                    f"task {t.id} at {ti} precedes its predecessor {pred} at {pi}"))
+                    f"task {t.id} at {float(ti)} precedes its predecessor "
+                    f"{pred} at {float(pi)}"))
 
     bad.extend(_capacity_violations(cvs, g, inst.fleet.speed))
     bad.extend(_charging_violations(cvs, inst))
@@ -170,7 +185,7 @@ def _check_structure(cvs: Schedule, inst: Instance) -> None:
             d = g.edges[e].length / inst.fleet.speed
             if abs(rs.node_in[q + 1] - (rs.edge_in[q] + d)) > _TOL:
                 raise MalformedSchedule(
-                    f"route {ri}: transit time over {e} is not {d}")
+                    f"route {ri}: transit time over {e} is not {float(d)}")
             if rs.edge_in[q] < rs.node_in[q] - _TOL:
                 raise MalformedSchedule(
                     f"route {ri}: leaves node {rs.nodes[q]} before arriving")
@@ -211,7 +226,7 @@ def _capacity_violations(
                             bad.append(Violation(
                                 EDGE_CAPACITY_DIRECT, r1, max(t1, t2),
                                 f"routes {r1} and {r2} enter edge {e1} "
-                                f"at {t1} and {t2}"))
+                                f"at {float(t1)} and {float(t2)}"))
                     elif e1 == (e2[1], e2[0]):
                         d1 = g.edges[e1].length / speed
                         d2 = g.edges[e2].length / speed
@@ -237,8 +252,8 @@ def _charging_violations(cvs: Schedule, inst: Instance) -> list[Violation]:
             if start < prev_end + need - _TOL:
                 bad.append(Violation(
                     CHARGING_GAP, cur, start,
-                    f"{v} starts route {cur} at {start}, needs charge "
-                    f"until {prev_end + need}"))
+                    f"{v} starts route {cur} at {float(start)}, needs charge "
+                    f"until {float(prev_end + need)}"))
     return bad
 
 
@@ -255,7 +270,7 @@ class OracleStats:
 @dataclass(frozen=True)
 class OracleVerdict:
     feasible: bool
-    best_total_distance: float | None
+    best_total_distance: Fraction | None
     stats: OracleStats = field(default_factory=OracleStats, compare=False)
 
 
@@ -345,14 +360,11 @@ class _Clock:
 
 def _clock(inst: Instance) -> _Clock:
     fleet = inst.fleet
-    speed = Fraction(fleet.speed)
-    horizon = Fraction(fleet.horizon)
-    charge_coeff = Fraction(fleet.charge_coeff)
-    transit = {e: Fraction(edge.length) / speed
-               for e, edge in inst.graph.edges.items()}
-    lower = {t.id: Fraction(t.window.lower) for t in inst.tasks.values()}
-    upper = {t.id: Fraction(t.window.upper) for t in inst.tasks.values()}
-    service = {t.id: Fraction(t.service_time) for t in inst.tasks.values()}
+    speed, horizon, charge_coeff = fleet.speed, fleet.horizon, fleet.charge_coeff
+    transit = {e: edge.length / speed for e, edge in inst.graph.edges.items()}
+    lower = {t.id: t.window.lower for t in inst.tasks.values()}
+    upper = {t.id: t.window.upper for t in inst.tasks.values()}
+    service = {t.id: t.service_time for t in inst.tasks.values()}
     scale = lcm(horizon.denominator, charge_coeff.denominator, *(
         f.denominator for table in (transit, lower, upper, service)
         for f in table.values()))
@@ -362,6 +374,29 @@ def _clock(inst: Instance) -> _Clock:
 
     return _Clock(scale, _ticks(horizon, scale), ticks(transit), ticks(lower),
                   ticks(upper), ticks(service), charge_coeff)
+
+
+@dataclass(frozen=True)
+class _Ruler:
+    """An instance's lengths in integer ticks of 1/scale length units.
+
+    `scale` is the LCM of the edge lengths' denominators.  `per_charge` is
+    the longest route a full charge allows, D*len/v <= OR/rho, rounded
+    down to whole ticks; route lengths are whole, so nothing is lost.
+    """
+    scale: int
+    edge: dict[tuple[NodeId, NodeId], int]
+    per_charge: int
+
+
+def _ruler(inst: Instance) -> _Ruler:
+    fleet = inst.fleet
+    edges = inst.graph.edges
+    scale = lcm(*(edge.length.denominator for edge in edges.values()))
+    per_charge = (fleet.operating_range * fleet.speed
+                  / (fleet.charge_to_range * fleet.discharge_coeff))
+    return _Ruler(scale, {e: _ticks(edge.length, scale) for e, edge in edges.items()},
+                  per_charge.numerator * scale // per_charge.denominator)
 
 
 def _simple_paths(
@@ -419,19 +454,22 @@ def brute_force_feasible(inst: Instance, max_candidates: int = 2_000_000) -> Ora
         raise TooLarge("oracle guard: at most 4 tasks, 3 vehicles, 8 nodes")
     stats = OracleStats()
     g = inst.graph
-    fleet = inst.fleet
     clock = _clock(inst)
+    ruler = _ruler(inst)
     succ: dict[NodeId, list[NodeId]] = {n: [] for n in g.nodes}
     for s, d in sorted(g.edges):  # sorted: paths come out in lexicographic order
         succ[s].append(d)
     tasks = inst.real_task_ids()
-    best: float | None = None
+    best: int | None = None  # in ruler ticks
 
     path_cache: dict[tuple[NodeId, NodeId], list[tuple[NodeId, ...]]] = {}
+    leg_len: dict[tuple[NodeId, ...], int] = {}  # each cached path, in ticks
 
     def paths(a: NodeId, b: NodeId):
         if (a, b) not in path_cache:
-            path_cache[(a, b)] = _simple_paths(succ, a, b)
+            found = path_cache[(a, b)] = _simple_paths(succ, a, b)
+            for leg in found:
+                leg_len[leg] = sum(ruler.edge[e] for e in zip(leg, leg[1:]))
         return path_cache[(a, b)]
 
     for part in _ordered_partitions(tasks):
@@ -463,16 +501,22 @@ def brute_force_feasible(inst: Instance, max_candidates: int = 2_000_000) -> Ora
                     stats.candidates += 1
                     if stats.candidates > max_candidates:
                         raise TooLarge("oracle candidate budget exhausted")
-                    total = _candidate_distance(g, combo)
+                    total = sum([leg_len[leg] for leg in combo])
                     if best is not None and total >= best:
                         continue  # cannot improve the witness
                     legs_per_route = _regroup(combo, leg_options)
-                    if not _range_ok(g, legs_per_route, fleet):
-                        continue
+                    route_len = [sum([leg_len[leg] for leg in legs])
+                                 for legs in legs_per_route]
+                    if any(n > ruler.per_charge for n in route_len):
+                        continue  # out of range
                     if _timing_ok(inst, clock, part, depots, vehicles,
-                                  legs_per_route, stats):
+                                  legs_per_route,
+                                  [Fraction(n, ruler.scale) for n in route_len],
+                                  stats):
                         best = total
-    return OracleVerdict(best is not None, best, stats)
+    if best is None:
+        return OracleVerdict(False, None, stats)
+    return OracleVerdict(True, Fraction(best, ruler.scale), stats)
 
 
 def _jobs_ok(part: list[list[str]], inst: Instance) -> bool:
@@ -506,37 +550,15 @@ def _regroup(combo, leg_options):
     return out
 
 
-def _candidate_distance(g: PlantGraph, combo) -> float:
-    total = 0.0
-    for seq in combo:
-        for a, b in zip(seq, seq[1:]):
-            total += g.edges[(a, b)].length
-    return total
-
-
-def _route_len(g: PlantGraph, legs) -> float:
-    return sum(
-        g.edges[(a, b)].length
-        for leg in legs for a, b in zip(leg, leg[1:])
-    )
-
-
-def _range_ok(g, legs_per_route, fleet) -> bool:
-    budget = fleet.operating_range / fleet.charge_to_range
-    for legs in legs_per_route:
-        if fleet.discharge_coeff * _route_len(g, legs) / fleet.speed > budget + _TOL:
-            return False
-    return True
-
-
-def _timing_ok(inst, clock, part, depots, vehicles, legs_per_route, stats) -> bool:
-    """Exact timing feasibility for one fully decided candidate."""
+def _timing_ok(inst, clock, part, depots, vehicles, legs_per_route,
+               route_len, stats) -> bool:
+    """Exact timing feasibility for one fully decided candidate, whose
+    routes have the lengths route_len."""
     g = inst.graph
 
     # charging gaps C*len in ticks, for routes whose vehicle runs another
     # route too; where one is not whole, every tick is split k ways
-    charge = {r: clock.charge_coeff * clock.scale
-              * Fraction(_route_len(g, legs_per_route[r]))
+    charge = {r: clock.charge_coeff * clock.scale * route_len[r]
               for r in range(len(part)) if vehicles.count(vehicles[r]) > 1}
     k = lcm(*(c.denominator for c in charge.values()))
     T = clock.horizon * k

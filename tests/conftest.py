@@ -77,11 +77,43 @@ def swap_deadlock():
     return swap_deadlock_instance()
 
 
-def random_tiny_instance(seed: int) -> Instance:
-    """Random small instance with integer data for oracle comparison.
+def decimal_line_instance() -> Instance:
+    """The line 1-2-3-4-5-6 with decimal segment lengths 1.0/0.7/0.9/0.8/0.6.
 
-    At most 7 nodes, 3 single-task jobs, 2 vehicles; unit edge lengths;
-    distinct task locations away from the hubs.
+    One vehicle at hub 1 serves node 2 exactly at t=1 and node 6 exactly
+    at t=4, so it needs the leg 2->6 to take exactly 3 = 0.7+0.9+0.8+0.6
+    time units; the round trip is 8 long.  In binary floating point that
+    sum is 3.0000000000000004, one ulp late.
+    """
+    g = validate_graph([1, 2, 3, 4, 5, 6], [1], [
+        (1, 2, 1.0, 1), (2, 3, 0.7, 1), (3, 4, 0.9, 1), (4, 5, 0.8, 1),
+        (5, 6, 0.6, 1)])
+    fleet = FleetParams(operating_range=20, charge_coeff=1, discharge_coeff=1,
+                        charge_to_range=1, speed=1, horizon=20)
+    tasks = [
+        Task("a1", "a", 2, TimeWindow(1.0, 1.0), 0.0),
+        Task("b1", "b", 6, TimeWindow(4.0, 4.0), 0.0),
+    ]
+    jobs = [
+        Job("a", ("a1",), frozenset({"v1"})),
+        Job("b", ("b1",), frozenset({"v1"})),
+    ]
+    return build_instance(g, [1], fleet, [Vehicle("v1", 1)], jobs, tasks)
+
+
+@pytest.fixture
+def decimal_line():
+    return decimal_line_instance()
+
+
+def random_tiny_instance(seed: int, unit: bool = True) -> Instance:
+    """Random small instance for oracle comparison.
+
+    At most 7 nodes, 3 single-task jobs, 2 vehicles; distinct task
+    locations away from the hubs.  With `unit`, the data are integers: unit
+    edge lengths, speed and coefficients 1, whole service times.  Without
+    it, edge lengths, the charging coefficient C, the speed and the service
+    times are drawn from short lists of decimals, in the same draw order.
     """
     rng = random.Random(seed)
     n = rng.randint(5, 7)
@@ -98,14 +130,19 @@ def random_tiny_instance(seed: int) -> Instance:
     depots = [1] if n_vehicles == 1 else [1, n]
     hubs = depots
     segments = [
-        (a, b, 1.0, rng.choice([1, 1, 1, 2])) for a, b in sorted(segs)
+        (a, b, 1.0 if unit else rng.choice([0.3, 0.5, 1.0, 1.5, 2.0]),
+         rng.choice([1, 1, 1, 2]))
+        for a, b in sorted(segs)
     ]
     g = validate_graph(nodes, hubs, segments)
 
     T = rng.randint(8, 14)
-    fleet = FleetParams(operating_range=rng.randint(8, 16), charge_coeff=1,
-                        discharge_coeff=1, charge_to_range=1, speed=1,
-                        horizon=T)
+    fleet = FleetParams(
+        operating_range=rng.randint(8, 16),
+        charge_coeff=1 if unit else rng.choice([0.7, 1, 1.5]),
+        discharge_coeff=1, charge_to_range=1,
+        speed=1 if unit else rng.choice([0.5, 1, 2, 3]),
+        horizon=T)
     vehicles = [Vehicle(f"v{i + 1}", depots[i % len(depots)])
                 for i in range(n_vehicles)]
     non_hub = [x for x in nodes if x not in g.hubs]
@@ -116,9 +153,10 @@ def random_tiny_instance(seed: int) -> Instance:
         jid = f"j{j + 1}"
         lower = rng.randint(0, T - 3)
         upper = rng.randint(lower, T - 1)
+        service = (float(rng.randint(0, 2)) if unit
+                   else rng.choice([0, 0.5, 1, 1.5]))
         tasks.append(Task(f"{jid}t", jid, locations[j],
-                          TimeWindow(float(lower), float(upper)),
-                          float(rng.randint(0, 2))))
+                          TimeWindow(float(lower), float(upper)), service))
         eligible = frozenset(rng.sample([v.id for v in vehicles],
                                         rng.randint(1, n_vehicles)))
         jobs.append(Job(jid, (f"{jid}t",), eligible))

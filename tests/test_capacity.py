@@ -116,7 +116,7 @@ def test_opposite_edge_crossing_is_serialized():
         for e2, t2 in zip(cvs.routes[1].edges, cvs.routes[1].edge_in):
             if e1 == (e2[1], e2[0]):
                 d = inst.graph.edges[e1].length
-                assert t1 >= t2 + d - 1e-9 or t2 >= t1 + d - 1e-9
+                assert t1 >= t2 + d or t2 >= t1 + d
 
 
 def test_pinned_windows_make_crossing_infeasible():
@@ -167,4 +167,4 @@ def test_same_vehicle_routes_respect_charging_gap():
     a, b = cvs.routes
     first, second = (a, b) if a.node_in[0] <= b.node_in[0] else (b, a)
     gap = inst.fleet.charge_coeff * second.length
-    assert second.node_in[0] >= first.node_out[-1] + gap - 1e-9
+    assert second.node_in[0] >= first.node_out[-1] + gap

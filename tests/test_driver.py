@@ -1,15 +1,25 @@
 """End-to-end solve loop: outcomes, backtracking, event log, relaxed mode."""
 
+from pathlib import Path
+
+from cfevrp.assignment import Assignment
 from cfevrp.driver import (
-    ABORTED, FEASIBLE, INFEASIBLE, Limits, c_comsat_solve, comsat_solve,
-    total_distance,
+    ABORTED, FEASIBLE, INFEASIBLE, Limits, _Clock, _route_set_phase,
+    _timed_schedule, c_comsat_solve, comsat_solve, routes_from_task_orders,
+    shortest_path_map, total_distance,
 )
+from cfevrp.fileio import parse_instance
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
-from cfevrp.validator import validate_schedule
+from cfevrp.validator import (
+    CHARGING_GAP, EDGE_CAPACITY_DIRECT, EDGE_CAPACITY_OPPOSITE, HORIZON,
+    NODE_CAPACITY, brute_force_feasible, validate_schedule,
+)
 from conftest import random_tiny_instance
+
+BENCH_INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances"
 
 
 def test_corridor_solves_and_validates(corridor):
@@ -20,9 +30,17 @@ def test_corridor_solves_and_validates(corridor):
     assert validate_schedule(out.schedule, corridor).ok
 
 
+def solve_from_route_orders(inst, orders):
+    """The strict solve loop on one route set of (depot, task order) pairs,
+    given instead of the router's: its assignments, capacity checks and
+    path changes."""
+    cr = routes_from_task_orders(inst, shortest_path_map(inst), orders)
+    return _route_set_phase(inst, cr, Limits(), _Clock([]))
+
+
 def test_forced_route_order_reproduces_detour(corridor):
-    out = comsat_solve(
-        corridor, force_first_routes=[(1, ["j11"]), (6, ["j21", "j31"])])
+    out = solve_from_route_orders(
+        corridor, [(1, ["j11"]), (6, ["j21", "j31"])])
     assert out.status == FEASIBLE
     assert out.paths_changer_calls > 0
     v2 = next(r for r in out.schedule.routes if r.vehicle == "v2")
@@ -118,11 +136,67 @@ def _star_instance():
 def test_exhausted_route_sets_have_their_own_reason():
     out = comsat_solve(_star_instance())
     assert out.status == INFEASIBLE
-    assert [e.phase for e in out.events] == [
-        "router", "assign", "capacity", "paths", "routes_check",
-        "capacity", "paths", "assign", "router"]
+    # the assignment stage refuses the route set at once: the two routes'
+    # latest starts already count the return to the depot by T
+    assert [e.phase for e in out.events] == ["router", "assign", "router"]
     assert out.reason == (
         "1 route set(s) tried; each ran out of assignments and path changes")
+
+
+def _one_vehicle_schedule(inst, orders, starts):
+    """The relaxed-mode timing of the given routes, all run by v1 from the
+    given start times."""
+    cr = routes_from_task_orders(inst, shortest_path_map(inst), orders)
+    ends = tuple(
+        s + r.length / inst.fleet.speed
+        + sum(inst.tasks[t].service_time for t in r.tasks)
+        for s, r in zip(starts, cr.routes))
+    ca = Assignment(("v1",) * len(starts), tuple(starts), ends, frozenset())
+    return _timed_schedule(inst, cr, ca)
+
+
+def test_star_instance_cannot_finish_by_the_horizon():
+    """Both modes once scheduled the second route back at 7.0 with T=6."""
+    inst = _star_instance()
+    assert c_comsat_solve(inst).status == INFEASIBLE
+    assert comsat_solve(inst).status == INFEASIBLE
+    assert not brute_force_feasible(inst).feasible
+    late = _one_vehicle_schedule(inst, [(1, ["t2"]), (1, ["t3"])], (0, 5))
+    assert late.routes[1].node_out[-1] == 7
+    report = validate_schedule(late, inst)
+    assert [v.kind for v in report.violations] == [HORIZON]
+
+
+def test_congested_tiny046_cannot_finish_by_the_horizon():
+    """The relaxed mode once returned a route back at 13.0 with T=12."""
+    inst = parse_instance(
+        (BENCH_INSTANCES / "congested" / "tiny046.json").read_text())
+    assert c_comsat_solve(inst).status == INFEASIBLE
+    assert comsat_solve(inst).status == INFEASIBLE
+    late = _one_vehicle_schedule(
+        inst, [(1, ["j1t"]), (1, ["j3t", "j2t"])], (8, 0))
+    assert late.routes[0].node_out[-1] == 13
+    report = validate_schedule(late, inst)
+    assert HORIZON in {v.kind for v in report.violations}
+
+
+def test_relaxed_schedules_are_well_formed_and_keep_windows():
+    # Relaxed mode ignores occupancy, so the capacity kinds may appear.
+    # ChargingGap may too: an assignment sequences a vehicle's routes by
+    # their durations without waiting, and a route that waits for a window
+    # ends later than that.
+    allowed = {NODE_CAPACITY, EDGE_CAPACITY_DIRECT, EDGE_CAPACITY_OPPOSITE,
+               CHARGING_GAP}
+    feasible = 0
+    for seed in range(300):
+        inst = random_tiny_instance(seed)
+        out = c_comsat_solve(inst)
+        if out.status != FEASIBLE:
+            continue
+        feasible += 1
+        kinds = {v.kind for v in validate_schedule(out.schedule, inst).violations}
+        assert kinds <= allowed, (seed, kinds)
+    assert feasible == 224
 
 
 # Pinned event sequences and schedules: a change to any search step of the

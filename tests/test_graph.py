@@ -7,9 +7,7 @@ import pytest
 from cfevrp.errors import (
     BadCapacity, DanglingEdgeEndpoint, NonPositiveLength, NotStronglyConnected,
 )
-from cfevrp.graph import (
-    all_pairs_task_paths, path_length, shortest_path, validate_graph,
-)
+from cfevrp.graph import all_pairs_task_paths, shortest_path, validate_graph
 from conftest import corridor_graph
 
 
@@ -79,14 +77,14 @@ def test_non_positive_length_rejected():
 def test_identity_path_is_empty():
     g = corridor_graph()
     p = shortest_path(g, 3, 3)
-    assert p.nodes == (3,) and path_length(p) == 0.0
+    assert p.nodes == (3,) and p.length == 0.0
 
 
 def test_corridor_shortest_paths():
     g = corridor_graph()
     assert shortest_path(g, 6, 2).nodes == (6, 5, 2)
     assert shortest_path(g, 6, 4).nodes == (6, 7, 4)
-    assert path_length(shortest_path(g, 1, 5)) == 2.0
+    assert shortest_path(g, 1, 5).length == 2.0
     assert shortest_path(g, 1, 5).nodes == (1, 2, 5)
 
 
@@ -106,7 +104,7 @@ def test_dijkstra_matches_floyd_warshall_on_100_graphs():
         for a in sorted(g.nodes):
             for b in sorted(g.nodes):
                 p = shortest_path(g, a, b)
-                assert path_length(p) == oracle[(a, b)], (a, b)
+                assert p.length == oracle[(a, b)], (a, b)
                 assert len(set(p.nodes)) == len(p.nodes)  # simple
 
 
@@ -116,10 +114,10 @@ def test_triangle_inequality_sampled():
     nodes = sorted(g.nodes)
     for _ in range(200):
         a, b, c = rng.choice(nodes), rng.choice(nodes), rng.choice(nodes)
-        ab = path_length(shortest_path(g, a, b))
-        bc = path_length(shortest_path(g, b, c))
-        ac = path_length(shortest_path(g, a, c))
-        assert ac <= ab + bc + 1e-12
+        ab = shortest_path(g, a, b).length
+        bc = shortest_path(g, b, c).length
+        ac = shortest_path(g, a, c).length
+        assert ac <= ab + bc
 
 
 def test_determinism():

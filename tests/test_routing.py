@@ -1,6 +1,6 @@
 """Route construction: minimality, blocking-based enumeration, edge cases."""
 
-from cfevrp.graph import path_length, shortest_path, validate_graph
+from cfevrp.graph import shortest_path, validate_graph
 from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
     mutually_exclusive_jobs,
@@ -25,7 +25,7 @@ def enumerate_route_partitions(inst):
         / fleet.discharge_coeff
 
     def dist(a, b):
-        return path_length(shortest_path(g, a, b))
+        return shortest_path(g, a, b).length
 
     def route_ok(depot, seq):
         t = 0.0
