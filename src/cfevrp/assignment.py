@@ -5,18 +5,20 @@ eligible vehicles are the intersection of the route's jobs' fleets (further
 restricted to vehicles stationed at the route's depot), and two routes on
 one vehicle must be separated by the charging time of the route about to
 start.
+
+`assignments` yields the feasible assignments of one route set from one
+model, blocking each vehicle map in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import solver as S
 from .instance import Instance
 from .routing import RouteSet
-
-AlphaLits = frozenset[tuple[str, int]]
 
 
 @dataclass(frozen=True)
@@ -32,10 +34,6 @@ class Assignment:
     vehicle_of: tuple[str, ...]  # indexed like the route set
     starts: tuple[Fraction, ...]
     ends: tuple[Fraction, ...]
-    alpha_lits: AlphaLits
-
-    def routes_of(self, vehicle: str) -> list[int]:
-        return [i for i, v in enumerate(self.vehicle_of) if v == vehicle]
 
 
 def compute_route_attributes(
@@ -75,13 +73,13 @@ def compute_route_attributes(
     return out
 
 
-def solve_assignment(
-    cr: RouteSet,
-    attrs: list[RouteAttributes],
-    inst: Instance,
-    pa: list[AlphaLits],
-) -> Assignment | None:
-    """One feasible assignment not in pa, with canonical earliest starts."""
+def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
+    """Every feasible vehicle map of `cr`, with canonical earliest starts.
+
+    Each map is blocked as it is yielded, together with every model that
+    puts the same routes on the same vehicles.
+    """
+    attrs = compute_route_attributes(cr, inst)
     n = len(cr.routes)
     vehicles = sorted(inst.vehicles)
     ctx = S.Context()
@@ -112,23 +110,18 @@ def solve_assignment(
                                    ctx.le(e_var[r2], s_var[r1], -gap1),
                                    ctx.le(e_var[r1], s_var[r2], -gap2))
 
-    for lits in pa:
-        ctx.assert_formula(*[-alpha[p] for p in sorted(lits)])
+    alpha_vars = list(alpha.values())
+    while (res := ctx.check()).sat:
+        m = res.model
+        vehicle_of = []
+        for r in range(n):
+            chosen = [v for v in vehicles if m.value(alpha[(v, r)])]
+            assert len(chosen) == 1
+            vehicle_of.append(chosen[0])
+        starts, ends = _canonical_times(cr, attrs, inst, vehicle_of, m, s_var)
+        ctx.block_true_subset(alpha_vars, m)
+        yield Assignment(tuple(vehicle_of), starts, ends)
 
-    res = ctx.check()
-    if not res.sat:
-        return None
-    m = res.model
-    vehicle_of = []
-    for r in range(n):
-        chosen = [v for v in vehicles if m.value(alpha[(v, r)])]
-        assert len(chosen) == 1
-        vehicle_of.append(chosen[0])
-    lits = frozenset(
-        (v, r) for (v, r), var in alpha.items() if m.value(var)
-    )
-    starts, ends = _canonical_times(cr, attrs, inst, vehicle_of, m, s_var)
-    return Assignment(tuple(vehicle_of), starts, ends, lits)
 
 
 def _canonical_times(cr, attrs, inst, vehicle_of, m, s_var):

@@ -3,22 +3,26 @@
 The full algorithm iterates: build routes, assign vehicles, schedule
 against capacities; when scheduling fails, try alternative leg paths and
 re-check the routes, backtracking through assignments and route sets as
-the inner problems run dry.  A relaxed mode skips capacity verification
-entirely and only closes the route/assignment loop.
+the inner problems run dry.  Each searching stage is a generator over one
+fixed input (route sets per solve, assignments per route set, path
+combinations per assignment) that keeps one model and blocks what it
+yields in place.  A relaxed mode skips capacity verification entirely and
+only closes the route/assignment loop.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .assignment import Assignment, compute_route_attributes, solve_assignment
+from .assignment import Assignment, assignments
 from .capacity import Schedule, RouteSchedule, build_visit_lists, verify_capacity
 from .graph import all_pairs_task_paths
 from .instance import Instance
-from .pathschanger import PathChanger, solve_paths_changing
+from .pathschanger import PathAssignment, path_sets
 from .routesverify import verify_routes
-from .routing import PathMap, Route, RouteSet, solve_routing
+from .routing import PathMap, Route, RouteSet, route_sets
 from .errors import InvariantViolation
 
 FEASIBLE = "feasible"
@@ -30,7 +34,6 @@ ABORTED = "aborted"
 class Limits:
     max_path_sets: int = 50          # alternative path combinations per assignment
     max_route_sets: int | None = None
-    max_assignments: int | None = None
 
 
 @dataclass(frozen=True)
@@ -69,12 +72,9 @@ def routes_from_task_orders(
 ) -> RouteSet:
     """Build a route set from explicit (depot, task order) pairs.
 
-    This lets a caller run the later stages on routes of its choosing; the
-    travel links are recorded so the set can be excluded later just like a
-    solver-produced one.
+    This lets a caller run the later stages on routes of its choosing.
     """
     routes = []
-    lits: set[tuple[str, str]] = set()
     served: set[str] = set()
     for depot, tasks in orders:
         if depot not in inst.depots:
@@ -82,12 +82,28 @@ def routes_from_task_orders(
         locs = [depot] + [inst.tasks[t].location for t in tasks] + [depot]
         legs = tuple(sp[(a, b)] for a, b in zip(locs, locs[1:]))
         routes.append(Route(depot, tuple(tasks), legs))
-        chain = [inst.start_tasks[depot].id] + list(tasks) + [inst.end_tasks[depot].id]
-        lits.update(zip(chain, chain[1:]))
         served.update(tasks)
     if served != set(inst.real_task_ids()):
         raise InvariantViolation("forced routes must cover every task exactly once")
-    return RouteSet(tuple(routes), frozenset(lits))
+    return RouteSet(tuple(routes))
+
+
+# The searching stages as the loop calls them, once per event: each takes
+# the stage's next candidate, or None when it has run dry.  These are the
+# names the per-layer tracer (bench/tracing.py) wraps.
+
+def solve_routing(routes: Iterator[RouteSet]) -> RouteSet | None:
+    return next(routes, None)
+
+
+def solve_assignment(found: Iterator[Assignment]) -> Assignment | None:
+    return next(found, None)
+
+
+def solve_paths_changing(
+    paths: Iterator[PathAssignment],
+) -> PathAssignment | None:
+    return next(paths, None)
 
 
 class _Clock:
@@ -104,48 +120,53 @@ class _Clock:
 
 def comsat_solve(inst: Instance, limits: Limits = Limits()) -> SolveOutcome:
     """Full solve: routes, assignment, conflict-free schedule."""
-    sp = shortest_path_map(inst)
-    events: list[Event] = []
-    clock = _Clock(events)
-    pr = []  # excluded route sets
-    route_sets = 0
+    return _solve(inst, limits, _capacity_phase)
 
+
+def c_comsat_solve(inst: Instance, limits: Limits = Limits()) -> SolveOutcome:
+    """Relaxed solve: ignore node/edge capacities entirely."""
+    return _solve(inst, limits, lambda inst, cr, ca, limits, clock: SolveOutcome(
+        FEASIBLE, _timed_schedule(inst, cr, ca), clock.events))
+
+
+def _solve(inst, limits, schedule_phase):
+    """The route sets of one solve, each with its assignments.
+
+    `schedule_phase(inst, cr, ca, limits, clock)` turns one assignment into
+    a final SolveOutcome, or returns None to signal 'try a new assignment'.
+    """
+    routes = route_sets(inst, shortest_path_map(inst))
+    clock = _Clock([])
+    tried = 0
     while True:
-        if limits.max_route_sets is not None and route_sets >= limits.max_route_sets:
-            return SolveOutcome(ABORTED, None, events, "route set limit reached")
-        cr = clock.run("router", lambda: solve_routing(inst, sp, pr))
+        if limits.max_route_sets is not None and tried >= limits.max_route_sets:
+            return SolveOutcome(ABORTED, None, clock.events, "route set limit reached")
+        cr = clock.run("router", lambda: solve_routing(routes))
         if cr is None:
             reason = "no route set serves all tasks"
-            if route_sets:
-                reason = (f"{route_sets} route set(s) tried; each ran out "
+            if tried:
+                reason = (f"{tried} route set(s) tried; each ran out "
                           "of assignments and path changes")
-            return SolveOutcome(INFEASIBLE, None, events, reason)
-        route_sets += 1
-        outcome = _route_set_phase(inst, cr, limits, clock)
+            return SolveOutcome(INFEASIBLE, None, clock.events, reason)
+        tried += 1
+        outcome = _route_set_phase(inst, cr, limits, clock, schedule_phase)
         if outcome is not None:
             return outcome
-        pr.append(cr.theta_lits)  # back to the router
 
 
-def _route_set_phase(inst, cr, limits, clock):
-    """The assignments of one route set, each with its capacity phase.
+def _route_set_phase(inst, cr, limits, clock, schedule_phase):
+    """The assignments of one route set, each with its schedule phase.
 
     Returns a final SolveOutcome, or None to signal 'try a new route set'.
     """
-    pa = []  # excluded assignments for this route set
-    assignments = 0
+    found = assignments(cr, inst)
     while True:
-        if limits.max_assignments is not None and assignments >= limits.max_assignments:
-            return SolveOutcome(ABORTED, None, clock.events, "assignment limit reached")
-        attrs = compute_route_attributes(cr, inst)
-        ca = clock.run("assign", lambda: solve_assignment(cr, attrs, inst, pa))
+        ca = clock.run("assign", lambda: solve_assignment(found))
         if ca is None:
             return None
-        assignments += 1
-        outcome = _capacity_phase(inst, cr, ca, limits, clock)
+        outcome = schedule_phase(inst, cr, ca, limits, clock)
         if outcome is not None:
             return outcome
-        pa.append(ca.alpha_lits)  # all path sets for ca are exhausted
 
 
 def _capacity_phase(inst, cr, ca, limits, clock):
@@ -154,8 +175,8 @@ def _capacity_phase(inst, cr, ca, limits, clock):
     Returns a final SolveOutcome, or None to signal 'try a new assignment'.
     """
     current = cr  # carries the current leg paths
-    changer = PathChanger(cr, inst)  # blocks each combination it returns
-    path_sets = 0
+    paths = path_sets(cr, inst)
+    tried = 0
     while True:
         vls = build_visit_lists(current, inst)
         cvs, _stats = clock.run(
@@ -165,11 +186,11 @@ def _capacity_phase(inst, cr, ca, limits, clock):
         if cvs is not None:
             return SolveOutcome(FEASIBLE, cvs, clock.events)
         while True:
-            if path_sets >= limits.max_path_sets:
+            if tried >= limits.max_path_sets:
                 return SolveOutcome(
                     ABORTED, None, clock.events, "path set limit reached")
-            np = clock.run("paths", lambda: solve_paths_changing(changer))
-            path_sets += 1
+            np = clock.run("paths", lambda: solve_paths_changing(paths))
+            tried += 1
             if np is None:
                 return None  # every path combination failed: new assignment
             candidate = np.apply(cr)
@@ -180,28 +201,6 @@ def _capacity_phase(inst, cr, ca, limits, clock):
             if rvf:
                 current = candidate
                 break  # re-run capacity verification with the new paths
-
-
-def c_comsat_solve(inst: Instance, limits: Limits = Limits()) -> SolveOutcome:
-    """Relaxed solve: ignore node/edge capacities entirely."""
-    sp = shortest_path_map(inst)
-    events: list[Event] = []
-    clock = _Clock(events)
-    pr = []
-    route_sets = 0
-    while True:
-        if limits.max_route_sets is not None and route_sets >= limits.max_route_sets:
-            return SolveOutcome(ABORTED, None, events, "route set limit reached")
-        cr = clock.run("router", lambda: solve_routing(inst, sp, pr))
-        if cr is None:
-            return SolveOutcome(INFEASIBLE, None, events, "no route set serves all tasks")
-        route_sets += 1
-        attrs = compute_route_attributes(cr, inst)
-        ca = clock.run("assign", lambda: solve_assignment(cr, attrs, inst, []))
-        if ca is None:
-            pr.append(cr.theta_lits)
-            continue
-        return SolveOutcome(FEASIBLE, _timed_schedule(inst, cr, ca), events)
 
 
 def _timed_schedule(inst: Instance, cr: RouteSet, ca: Assignment) -> Schedule:

@@ -2,8 +2,9 @@
 
 Builds a task-successor model: Boolean travel indicators between task
 locations, arrival-time and remaining-charge reals per task, depot dummy
-tasks anchoring each route.  The route count is minimized and previously
-returned route sets are excluded by blocking clauses.
+tasks anchoring each route.  One model serves a whole solve: `route_sets`
+yields its route sets by route count, then by total distance, and blocks
+each one in place, so none is returned twice.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import Iterator
 
 from . import solver as S
 from .errors import MalformedChain
@@ -38,13 +40,9 @@ class Route:
         return Route(self.depot, self.tasks, legs)
 
 
-ThetaLits = frozenset[tuple[str, str]]
-
-
 @dataclass(frozen=True)
 class RouteSet:
     routes: tuple[Route, ...]
-    theta_lits: ThetaLits
 
 
 PathMap = dict[tuple[NodeId, NodeId], Path]
@@ -53,7 +51,7 @@ PathMap = dict[tuple[NodeId, NodeId], Path]
 class RoutingModel:
     """Model plus the variable maps needed for extraction."""
 
-    def __init__(self, inst: Instance, cp: PathMap, pr: list[ThetaLits]):
+    def __init__(self, inst: Instance, cp: PathMap):
         self.inst = inst
         self.cp = cp
         self.ctx = S.Context()
@@ -61,7 +59,7 @@ class RoutingModel:
         self.gamma: dict[str, int] = {}  # arrival time
         self.eps: dict[str, int] = {}  # remaining charge
         self.start_indicators: list[int] = []
-        self._build(pr)
+        self._build()
 
     def _loc(self, tid: str) -> NodeId:
         inst = self.inst
@@ -78,7 +76,7 @@ class RoutingModel:
     def _dist(self, a: str, b: str) -> Fraction:
         return self.cp[(self._loc(a), self._loc(b))].length
 
-    def _build(self, pr: list[ThetaLits]) -> None:
+    def _build(self) -> None:
         inst, ctx = self.inst, self.ctx
         real = inst.real_task_ids()
         starts = [inst.start_tasks[o].id for o in inst.depots]
@@ -189,10 +187,6 @@ class RoutingModel:
             for k_prev in sorted(inst.tasks[k].predecessors):
                 ctx.assert_formula(ctx.le(self.gamma[k_prev], self.gamma[k], 0))
 
-        # rule out previously returned route sets
-        for lits in pr:
-            ctx.assert_formula(*[-self.theta[p] for p in sorted(lits)])
-
         self.start_indicators = [
             self.theta[(s, k)] for s in starts for k in real
         ]
@@ -244,7 +238,7 @@ def extract_routes(m: S.Model, model: RoutingModel) -> RouteSet:
         if r.length > budget:
             raise MalformedChain(
                 f"route at depot {r.depot} exceeds the charge budget")
-    return RouteSet(tuple(routes), frozenset(true_lits))
+    return RouteSet(tuple(routes))
 
 
 def _model_distance(m: S.Model, model: RoutingModel) -> Fraction:
@@ -253,35 +247,29 @@ def _model_distance(m: S.Model, model: RoutingModel) -> Fraction:
                if m.value(var))
 
 
-def solve_routing(
-    inst: Instance, cp: PathMap, pr: list[ThetaLits]
-) -> RouteSet | None:
-    """Minimal-route-count route set not previously returned, or None.
+def route_sets(inst: Instance, cp: PathMap) -> Iterator[RouteSet]:
+    """Every route set of the instance, fewest routes first, then shortest.
 
-    Among the route sets attaining the minimal count, the one with the
-    smallest total travel distance is returned; this keeps the first
-    accepted solution optimal whenever no path change is needed later.
+    At each route count, the route sets of that count are enumerated once
+    under a guarded cap and blocked as they are found, then yielded by
+    total distance, ties in the order found.  Blocking only removes route
+    sets, so the next count is searched from one above the last.
     """
-    model = RoutingModel(inst, cp, pr)
+    model = RoutingModel(inst, cp)
+    ctx = model.ctx
     starts = model.start_indicators
-    res = model.ctx.minimize(starts)
-    if not res.sat:
-        return None
-    k = len(res.model.true_vars(starts))
-    if k < len(starts):
-        model.ctx.at_most(starts, k)
-    best_m, best_d = res.model, _model_distance(res.model, model)
     theta_vars = [model.theta[p] for p in sorted(model.theta)]
-    if theta_vars:
-        # the route count is capped at its optimum, so this walks exactly
-        # the route sets at the optimum
-        model.ctx.block_model(theta_vars, best_m)
-        while True:
-            nxt = model.ctx.check()
-            if not nxt.sat:
-                break
-            d = _model_distance(nxt.model, model)
-            if d < best_d:
-                best_m, best_d = nxt.model, d
-            model.ctx.block_model(theta_vars, nxt.model)
-    return extract_routes(best_m, model)
+    lower = 0
+    while (res := ctx.minimize(starts, lower=lower)).sat:
+        k = len(res.model.true_vars(starts))
+        cap = ctx.new_bool()
+        ctx.at_most(starts, k, cap)
+        found = []
+        while res.sat:
+            found.append((_model_distance(res.model, model), res.model))
+            ctx.block_model(theta_vars, res.model)
+            res = ctx.check([cap])
+        found.sort(key=lambda dm: dm[0])  # stable: ties stay in found order
+        for _, m in found:
+            yield extract_routes(m, model)
+        lower = k + 1

@@ -563,10 +563,6 @@ class Context:
                 break
         return cycle_lits or None
 
-    def _real_values(self, assignment: Sequence[bool | None]) -> list[Fraction]:
-        """The value of every node, indexed by node (0 for the zero node)."""
-        return _real_values(self._diff_graph(), assignment)
-
 
 def _real_values(g: _DiffGraph, assignment: Sequence[bool | None]) -> list[Fraction]:
     """The value of every node of g under a theory-consistent assignment."""

@@ -586,6 +586,7 @@ def _timing_ok(inst, clock, part, depots, vehicles, legs_per_route,
                 lo[-1] = max(lo[-1], clock.lower[t] * k)
                 up[-1] = min(up[-1], clock.upper[t] * k)
                 sv[-1] += clock.service[t] * k
+        up[-1] = min(up[-1], T - sv[-1])  # its last service ends by T
         route_nodes.append(nodes)
         route_lower.append(lo)
         route_upper.append(up)

@@ -7,12 +7,12 @@ Each criterion is a separate test so a failure pinpoints what broke.
 import time
 from functools import lru_cache
 
-from cfevrp.assignment import compute_route_attributes, solve_assignment
+from cfevrp.assignment import assignments, compute_route_attributes
 from cfevrp.driver import (
     FEASIBLE, INFEASIBLE, Limits, c_comsat_solve, comsat_solve,
     routes_from_task_orders, shortest_path_map, total_distance,
 )
-from cfevrp.routing import solve_routing
+from cfevrp.routing import route_sets
 from cfevrp.validator import brute_force_feasible, validate_schedule
 
 from conftest import corridor_instance, random_tiny_instance, \
@@ -86,9 +86,8 @@ def test_criterion_4_exhaustive_enumeration():
     inst_r = three_task_instance()
     expected_r = enumerate_route_partitions(inst_r)
     sp = shortest_path_map(inst_r)
-    blocked, seen_r = [], 0
-    while (cr := solve_routing(inst_r, sp, blocked)) is not None:
-        blocked.append(cr.theta_lits)
+    seen_r = 0
+    for _cr in route_sets(inst_r, sp):
         seen_r += 1
         assert seen_r <= expected_r
     # vehicle maps: same, against the permutation oracle
@@ -97,10 +96,9 @@ def test_criterion_4_exhaustive_enumeration():
                                    [(1, ["t1"]), (1, ["t2"])])
     attrs = compute_route_attributes(cr_a, inst_a)
     expected_a = set(brute_force_vehicle_maps(cr_a, attrs, inst_a))
-    blocked_a, seen_a = [], set()
-    while (ca := solve_assignment(cr_a, attrs, inst_a, blocked_a)) is not None:
+    seen_a = set()
+    for ca in assignments(cr_a, inst_a):
         seen_a.add(ca.vehicle_of)
-        blocked_a.append(ca.alpha_lits)
     # path combinations: product of simple-path counts per leg
     inst_p = corridor_instance()
     g = inst_p.graph

@@ -2,7 +2,7 @@
 
 from itertools import permutations, product
 
-from cfevrp.assignment import compute_route_attributes, solve_assignment
+from cfevrp.assignment import assignments, compute_route_attributes
 from cfevrp.driver import routes_from_task_orders, shortest_path_map
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
@@ -31,7 +31,7 @@ def test_eligibility_restricted_to_route_depot():
     cr = routes_from_task_orders(inst, sp, [(1, ["j21", "j31", "j11"])])
     attrs = compute_route_attributes(cr, inst)
     assert attrs[0].eligible == frozenset()
-    assert solve_assignment(cr, attrs, inst, []) is None
+    assert next(assignments(cr, inst), None) is None
 
 
 def test_corridor_assignment_picks_the_only_eligible_vehicles():
@@ -39,7 +39,7 @@ def test_corridor_assignment_picks_the_only_eligible_vehicles():
     sp = shortest_path_map(inst)
     cr = routes_from_task_orders(inst, sp, [(1, ["j11"]), (6, ["j31", "j21"])])
     attrs = compute_route_attributes(cr, inst)
-    ca = solve_assignment(cr, attrs, inst, [])
+    ca = next(assignments(cr, inst), None)
     assert ca is not None
     assert ca.vehicle_of == ("v1", "v2")
     for r in range(2):
@@ -50,8 +50,8 @@ def test_corridor_assignment_picks_the_only_eligible_vehicles():
 
 def test_zero_routes_is_trivially_sat():
     inst = corridor_instance()
-    cr = RouteSet((), frozenset())
-    ca = solve_assignment(cr, [], inst, [])
+    cr = RouteSet(())
+    ca = next(assignments(cr, inst), None)
     assert ca is not None and ca.vehicle_of == ()
 
 
@@ -115,16 +115,11 @@ def test_blocking_enumerates_all_vehicle_maps_then_infeasible():
     attrs = compute_route_attributes(cr, inst)
     expected = set(brute_force_vehicle_maps(cr, attrs, inst))
     assert expected  # fixture admits at least one assignment
-    pa = []
     seen = set()
-    while True:
-        ca = solve_assignment(cr, attrs, inst, pa)
-        if ca is None:
-            break
+    for ca in assignments(cr, inst):
         assert ca.vehicle_of in expected
         assert ca.vehicle_of not in seen
         seen.add(ca.vehicle_of)
-        pa.append(ca.alpha_lits)
         assert len(seen) <= len(expected)
     assert seen == expected
 
@@ -134,14 +129,10 @@ def test_charging_gap_separates_same_vehicle_routes():
     sp = shortest_path_map(inst)
     cr = routes_from_task_orders(inst, sp, [(1, ["t1"]), (1, ["t2"])])
     attrs = compute_route_attributes(cr, inst)
-    pa = []
-    while True:
-        ca = solve_assignment(cr, attrs, inst, pa)
-        if ca is None:
-            break
-        pa.append(ca.alpha_lits)
+    for ca in assignments(cr, inst):
         for v in set(ca.vehicle_of):
-            rs = sorted(ca.routes_of(v), key=lambda r: ca.starts[r])
+            rs = sorted((r for r, u in enumerate(ca.vehicle_of) if u == v),
+                        key=lambda r: ca.starts[r])
             for r_prev, r_next in zip(rs, rs[1:]):
                 gap = inst.fleet.charge_coeff * attrs[r_next].length
                 assert ca.starts[r_next] >= ca.ends[r_prev] + gap

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cfevrp.assignment import compute_route_attributes, solve_assignment
+from cfevrp.assignment import assignments
 from cfevrp.capacity import build_visit_lists, verify_capacity
 from cfevrp.driver import routes_from_task_orders, shortest_path_map
 from cfevrp.errors import BrokenChain
@@ -23,7 +23,7 @@ def partial_routes(inst, orders):
         locs = [depot] + [inst.tasks[t].location for t in tasks] + [depot]
         legs = tuple(sp[(a, b)] for a, b in zip(locs, locs[1:]))
         routes.append(Route(depot, tuple(tasks), legs))
-    return RouteSet(tuple(routes), frozenset())
+    return RouteSet(tuple(routes))
 
 
 def test_visit_list_concatenates_legs(corridor):
@@ -40,7 +40,7 @@ def test_visit_list_concatenates_legs(corridor):
 
 
 def test_empty_route_set_gives_empty_lists(corridor):
-    assert build_visit_lists(RouteSet((), frozenset()), corridor) == []
+    assert build_visit_lists(RouteSet(()), corridor) == []
 
 
 def test_task_at_depot_collapses_to_single_position():
@@ -64,12 +64,11 @@ def test_broken_chain_detected(corridor):
         corridor.graph.path_between((2, 1)),  # starts at the wrong node
     ))
     with pytest.raises(BrokenChain):
-        build_visit_lists(RouteSet((r,), frozenset()), corridor)
+        build_visit_lists(RouteSet((r,)), corridor)
 
 
 def _assign(inst, cr):
-    attrs = compute_route_attributes(cr, inst)
-    ca = solve_assignment(cr, attrs, inst, [])
+    ca = next(assignments(cr, inst), None)
     assert ca is not None
     return ca
 

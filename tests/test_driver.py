@@ -4,8 +4,8 @@ from pathlib import Path
 
 from cfevrp.assignment import Assignment
 from cfevrp.driver import (
-    ABORTED, FEASIBLE, INFEASIBLE, Limits, _Clock, _route_set_phase,
-    _timed_schedule, c_comsat_solve, comsat_solve, routes_from_task_orders,
+    ABORTED, FEASIBLE, INFEASIBLE, Limits, _Clock, _capacity_phase,
+    _route_set_phase, _timed_schedule, c_comsat_solve, comsat_solve, routes_from_task_orders,
     shortest_path_map, total_distance,
 )
 from cfevrp.fileio import parse_instance
@@ -35,7 +35,7 @@ def solve_from_route_orders(inst, orders):
     given instead of the router's: its assignments, capacity checks and
     path changes."""
     cr = routes_from_task_orders(inst, shortest_path_map(inst), orders)
-    return _route_set_phase(inst, cr, Limits(), _Clock([]))
+    return _route_set_phase(inst, cr, Limits(), _Clock([]), _capacity_phase)
 
 
 def test_forced_route_order_reproduces_detour(corridor):
@@ -141,6 +141,21 @@ def test_exhausted_route_sets_have_their_own_reason():
     assert [e.phase for e in out.events] == ["router", "assign", "router"]
     assert out.reason == (
         "1 route set(s) tried; each ran out of assignments and path changes")
+    # relaxed mode shares the loop, and with it the reason
+    assert c_comsat_solve(_star_instance()).reason == out.reason
+
+
+def test_task_served_at_the_depot_must_end_its_service_by_the_horizon():
+    """The oracle once bounded only the arrival at a route's last position
+    by T, and called this feasible at distance 0."""
+    g = validate_graph([1, 2], [1], [(1, 2, 1.0, 1)])
+    inst = build_instance(
+        g, [1], FleetParams(10, 1, 1, 1, 1, 7), [Vehicle("v1", 1)],
+        [Job("j1", ("t1",), frozenset({"v1"}))],
+        [Task("t1", "j1", 1, TimeWindow(6, 6), 2.0)])  # done at 8 > T=7
+    assert comsat_solve(inst).status == INFEASIBLE
+    assert c_comsat_solve(inst).status == INFEASIBLE
+    assert not brute_force_feasible(inst).feasible
 
 
 def _one_vehicle_schedule(inst, orders, starts):
@@ -151,7 +166,7 @@ def _one_vehicle_schedule(inst, orders, starts):
         s + r.length / inst.fleet.speed
         + sum(inst.tasks[t].service_time for t in r.tasks)
         for s, r in zip(starts, cr.routes))
-    ca = Assignment(("v1",) * len(starts), tuple(starts), ends, frozenset())
+    ca = Assignment(("v1",) * len(starts), tuple(starts), ends)
     return _timed_schedule(inst, cr, ca)
 
 

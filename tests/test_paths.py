@@ -7,12 +7,12 @@ import sys
 import weakref
 
 from cfevrp import solver as S
-from cfevrp.driver import comsat_solve, shortest_path_map
+from cfevrp.driver import comsat_solve, shortest_path_map, solve_paths_changing
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
-from cfevrp.pathschanger import PathChanger, solve_paths_changing
+from cfevrp.pathschanger import path_sets
 from cfevrp.routing import Route, RouteSet
 from conftest import corridor_instance, random_tiny_instance
 from test_graph import random_connected_graph
@@ -42,7 +42,7 @@ def route_set(inst, depot, tasks):
     sp = shortest_path_map(inst)
     locs = [depot] + [inst.tasks[t].location for t in tasks] + [depot]
     legs = tuple(sp[(a, b)] for a, b in zip(locs, locs[1:]))
-    return RouteSet((Route(depot, tuple(tasks), legs),), frozenset())
+    return RouteSet((Route(depot, tuple(tasks), legs),))
 
 
 def test_two_node_graph_single_leg():
@@ -53,7 +53,7 @@ def test_two_node_graph_single_leg():
         [Job("j1", ("t1",), frozenset({"v1"}))],
         [Task("t1", "j1", 2, TimeWindow(0, 10), 0.0)])
     cr = route_set(inst, 1, ["t1"])
-    np = solve_paths_changing(PathChanger(cr, inst))
+    np = solve_paths_changing(path_sets(cr, inst))
     assert np is not None
     assert np.legs[(0, 0)].nodes == (1, 2)
     assert np.legs[(0, 1)].nodes == (2, 1)
@@ -62,7 +62,7 @@ def test_two_node_graph_single_leg():
 def test_first_solution_uses_shortest_paths():
     inst = corridor_instance()
     cr = route_set(inst, 1, ["j11"])
-    np = solve_paths_changing(PathChanger(cr, inst))
+    np = solve_paths_changing(path_sets(cr, inst))
     assert np is not None
     # minimal used-node count: both legs on the two-edge corridor paths
     assert np.legs[(0, 0)].length == 2.0
@@ -72,7 +72,7 @@ def test_first_solution_uses_shortest_paths():
 def test_blocked_shortest_leg_takes_the_detour():
     inst = corridor_instance()
     cr = route_set(inst, 6, ["j21"])  # leg 6 -> 2 and back
-    changer = PathChanger(cr, inst)
+    changer = path_sets(cr, inst)
     seen_detour = False
     while True:
         np = solve_paths_changing(changer)
@@ -85,7 +85,7 @@ def test_blocked_shortest_leg_takes_the_detour():
 
 def enumerate_combinations(inst, cr):
     count = 0
-    changer = PathChanger(cr, inst)
+    changer = path_sets(cr, inst)
     seen = set()
     while True:
         np = solve_paths_changing(changer)
@@ -129,7 +129,7 @@ def test_enumeration_count_multi_route():
     sp = shortest_path_map(inst)
     r1 = Route(1, ("j11",), (sp[(1, 5)], sp[(5, 1)]))
     r2 = Route(6, ("j31",), (sp[(6, 4)], sp[(4, 6)]))
-    cr = RouteSet((r1, r2), frozenset())
+    cr = RouteSet((r1, r2))
     expected = (
         len(dfs_simple_paths(g, 1, 5)) * len(dfs_simple_paths(g, 5, 1))
         * len(dfs_simple_paths(g, 6, 4)) * len(dfs_simple_paths(g, 4, 6))
@@ -145,7 +145,7 @@ def test_degenerate_leg_has_exactly_one_combination():
         [Job("j1", ("t1",), frozenset({"v1"}))],
         [Task("t1", "j1", 1, TimeWindow(0, 10), 0.0)])  # task at the depot
     cr = route_set(inst, 1, ["t1"])
-    changer = PathChanger(cr, inst)
+    changer = path_sets(cr, inst)
     np = solve_paths_changing(changer)
     assert np is not None
     assert np.legs[(0, 0)].nodes == (1,)
@@ -156,7 +156,7 @@ def test_degenerate_leg_has_exactly_one_combination():
 def test_every_decoded_path_is_simple_and_connects():
     inst = corridor_instance()
     cr = route_set(inst, 6, ["j21", "j31"])
-    changer = PathChanger(cr, inst)
+    changer = path_sets(cr, inst)
     while True:
         np = solve_paths_changing(changer)
         if np is None:
@@ -182,7 +182,7 @@ def _random_plant(seed, n_routes, max_nodes):
     sp = shortest_path_map(inst)
     routes = tuple(Route(1, (f"t{k}",), (sp[(1, x)], sp[(x, 1)]))
                    for k, x in enumerate(locs))
-    return inst, RouteSet(routes, frozenset())
+    return inst, RouteSet(routes)
 
 
 def test_changer_lists_every_combination_in_node_count_order():
@@ -197,7 +197,7 @@ def test_changer_lists_every_combination_in_node_count_order():
                                 route.locations(inst)[1:])
             ]
             expected = list(itertools.product(*per_leg))
-            changer = PathChanger(cr, inst)
+            changer = path_sets(cr, inst)
             got = []
             while (np := solve_paths_changing(changer)) is not None:
                 got.append(tuple(np.legs[(r, i)].nodes
@@ -213,24 +213,48 @@ def test_changer_lists_every_combination_in_node_count_order():
     assert nontrivial >= 12
 
 
-def test_changer_builds_one_model_per_capacity_phase_and_frees_it(monkeypatch):
-    # random_tiny_instance(250) makes 17 path changer calls in one capacity
-    # phase (see the trajectory pin in test_driver.py).
-    made = []
+def _count_contexts(monkeypatch):
+    """Weak references to every solver Context made from now on, by the
+    module that made it."""
+    made = {}
 
     class Counted(S.Context):
         def __init__(self):
             super().__init__()
-            if sys._getframe(1).f_globals["__name__"] == "cfevrp.pathschanger":
-                made.append(weakref.ref(self))
+            module = sys._getframe(1).f_globals["__name__"]
+            made.setdefault(module, []).append(weakref.ref(self))
 
     monkeypatch.setattr(S, "Context", Counted)
+    return made
+
+
+def test_changer_builds_one_model_per_capacity_phase_and_frees_it(monkeypatch):
+    # random_tiny_instance(250) makes 17 path changer calls in one capacity
+    # phase (see the trajectory pin in test_driver.py).
+    made = _count_contexts(monkeypatch)
     inst = random_tiny_instance(250)
     gc.disable()
     try:
         out = comsat_solve(inst)
         assert out.paths_changer_calls == 17
-        assert len(made) == 1
-        assert made[0]() is None
+        assert len(made["cfevrp.pathschanger"]) == 1
+        assert made["cfevrp.pathschanger"][0]() is None
+    finally:
+        gc.enable()
+
+
+def test_router_and_assignment_keep_one_model_per_input_and_free_them(
+        monkeypatch):
+    # random_tiny_instance(250) tries 4 route sets in one solve (see the
+    # trajectory pin in test_driver.py).
+    made = _count_contexts(monkeypatch)
+    inst = random_tiny_instance(250)
+    gc.disable()
+    try:
+        out = comsat_solve(inst)
+        assert sum(e.phase == "router" for e in out.events) == 4
+        assert len(made["cfevrp.routing"]) == 1
+        assert len(made["cfevrp.assignment"]) == 4
+        assert all(ref() is None for refs in made.values() for ref in refs)
     finally:
         gc.enable()

@@ -3,7 +3,7 @@
 from cfevrp.driver import shortest_path_map
 from cfevrp.graph import Path
 from cfevrp.routesverify import verify_routes
-from cfevrp.routing import Route, RouteSet, solve_routing
+from cfevrp.routing import Route, RouteSet, route_sets
 
 
 def detour_route_set(inst):
@@ -14,12 +14,12 @@ def detour_route_set(inst):
         g.path_between((2, 3, 4)),
         g.path_between((4, 7, 6)),
     )
-    return RouteSet((Route(6, ("j21", "j31"), legs),), frozenset())
+    return RouteSet((Route(6, ("j21", "j31"), legs),))
 
 
 def test_shortest_paths_after_routing_verify(corridor):
     sp = shortest_path_map(corridor)
-    cr = solve_routing(corridor, sp, [])
+    cr = next(route_sets(corridor, sp), None)
     assert verify_routes(cr, corridor)
 
 
@@ -37,7 +37,7 @@ def test_late_arrival_fails(corridor):
         Path((2, 3, 4), 6.0),  # inflated middle leg: j31 missed
         g.path_between((4, 7, 6)),
     )
-    cr = RouteSet((Route(6, ("j21", "j31"), legs),), frozenset())
+    cr = RouteSet((Route(6, ("j21", "j31"), legs),))
     assert not verify_routes(cr, corridor)
 
 
@@ -48,7 +48,7 @@ def test_charge_budget_exceeded_fails(corridor):
         Path((2, 3, 4), 2.0),
         Path((4, 7, 6), 5.0),  # total 11 > operating range 10
     )
-    cr = RouteSet((Route(6, ("j21", "j31"), legs),), frozenset())
+    cr = RouteSet((Route(6, ("j21", "j31"), legs),))
     assert not verify_routes(cr, corridor)
 
 
@@ -57,7 +57,7 @@ def test_waiting_for_a_window_is_allowed(corridor):
     # v1 reaches node 5 at t=2 after a distance-2 leg; with a distance-1
     # stand-in it would arrive at 1 and must wait until the window opens
     legs = (Path((1, 5), 1.0), Path((5, 1), 1.0))
-    cr = RouteSet((Route(1, ("j11",), legs),), frozenset())
+    cr = RouteSet((Route(1, ("j11",), legs),))
     assert verify_routes(cr, corridor)
 
 
@@ -69,5 +69,5 @@ def test_monotone_in_leg_lengths(corridor):
         legs = list(base.routes[0].legs)
         old = legs[i]
         legs[i] = Path(old.nodes, old.length / 2)
-        cr = RouteSet((Route(6, ("j21", "j31"), tuple(legs)),), frozenset())
+        cr = RouteSet((Route(6, ("j21", "j31"), tuple(legs)),))
         assert verify_routes(cr, corridor)

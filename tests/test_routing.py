@@ -6,7 +6,7 @@ from cfevrp.instance import (
     mutually_exclusive_jobs,
 )
 from cfevrp.driver import shortest_path_map
-from cfevrp.routing import solve_routing
+from cfevrp.routing import route_sets
 from conftest import corridor_graph
 
 
@@ -91,7 +91,7 @@ def three_task_instance():
 
 def test_corridor_first_solution_has_two_routes(corridor):
     sp = shortest_path_map(corridor)
-    cr = solve_routing(corridor, sp, [])
+    cr = next(route_sets(corridor, sp), None)
     assert cr is not None
     assert len(cr.routes) == 2
     # mutual exclusion keeps j1 apart from j2/j3, so the minimal split is
@@ -102,7 +102,7 @@ def test_corridor_first_solution_has_two_routes(corridor):
 
 def test_every_route_starts_and_ends_at_its_depot(corridor):
     sp = shortest_path_map(corridor)
-    cr = solve_routing(corridor, sp, [])
+    cr = next(route_sets(corridor, sp), None)
     for r in cr.routes:
         locs = r.locations(corridor)
         assert locs[0] == r.depot and locs[-1] == r.depot
@@ -117,7 +117,7 @@ def test_window_impossible_task_is_infeasible():
         g, [1], fleet, [Vehicle("v1", 1)],
         [Job("j1", ("t1",), frozenset({"v1"}))],
         [Task("t1", "j1", 3, TimeWindow(0, 1), 0.0)])  # distance 2 > upper 1
-    assert solve_routing(inst, shortest_path_map(inst), []) is None
+    assert next(route_sets(inst, shortest_path_map(inst)), None) is None
 
 
 def test_blocking_enumerates_all_partitions_then_infeasible():
@@ -125,15 +125,11 @@ def test_blocking_enumerates_all_partitions_then_infeasible():
     expected = enumerate_route_partitions(inst)
     assert expected > 0
     sp = shortest_path_map(inst)
-    pr = []
     seen = set()
-    while True:
-        cr = solve_routing(inst, sp, pr)
-        if cr is None:
-            break
-        assert cr.theta_lits not in seen
-        seen.add(cr.theta_lits)
-        pr.append(cr.theta_lits)
+    for cr in route_sets(inst, sp):
+        key = frozenset((r.depot, r.tasks) for r in cr.routes)
+        assert key not in seen
+        seen.add(key)
         assert len(seen) <= expected
     assert len(seen) == expected
 
@@ -141,15 +137,14 @@ def test_blocking_enumerates_all_partitions_then_infeasible():
 def test_route_counts_never_decrease_during_enumeration():
     inst = three_task_instance()
     sp = shortest_path_map(inst)
-    pr = []
     counts = []
-    while True:
-        cr = solve_routing(inst, sp, pr)
-        if cr is None:
-            break
+    keys = []
+    for cr in route_sets(inst, sp):
         counts.append(len(cr.routes))
-        pr.append(cr.theta_lits)
+        keys.append((len(cr.routes), sum(r.length for r in cr.routes)))
     assert counts == sorted(counts)
+    # within a count, the shortest route sets come first
+    assert keys == sorted(keys)
 
 
 def test_multi_task_job_runs_contiguously():
@@ -163,7 +158,7 @@ def test_multi_task_job_runs_contiguously():
     shared = frozenset({"v1"})
     jobs = [Job("a", ("a1", "a2"), shared), Job("b", ("b1",), shared)]
     inst = build_instance(g, [1], fleet, [Vehicle("v1", 1)], jobs, tasks)
-    cr = solve_routing(inst, shortest_path_map(inst), [])
+    cr = next(route_sets(inst, shortest_path_map(inst)), None)
     assert cr is not None
     for r in cr.routes:
         idx = [i for i, t in enumerate(r.tasks) if t in ("a1", "a2")]
@@ -175,5 +170,5 @@ def test_zero_job_instance_yields_empty_route_set():
     g = validate_graph([1, 2], [1], [(1, 2, 1.0, 1)])
     inst = build_instance(g, [1], FleetParams(10, 1, 1, 1, 1, 10),
                           [Vehicle("v1", 1)], [], [])
-    cr = solve_routing(inst, shortest_path_map(inst), [])
+    cr = next(route_sets(inst, shortest_path_map(inst)), None)
     assert cr is not None and cr.routes == ()

@@ -382,7 +382,7 @@ def test_integer_theory_matches_fraction_reference():
                 assert got == reference_theory_conflict(ctx, assignment)
                 if got is None:
                     outcomes["consistent"] += 1
-                    assert (ctx._real_values(assignment)
+                    assert (S._real_values(ctx._diff_graph(), assignment)
                             == reference_real_values(ctx, assignment))
                 else:
                     outcomes["conflict"] += 1

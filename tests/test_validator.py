@@ -12,7 +12,7 @@ from math import lcm
 
 import pytest
 
-from cfevrp.assignment import compute_route_attributes, solve_assignment
+from cfevrp.assignment import assignments
 from cfevrp.capacity import Schedule, build_visit_lists, verify_capacity
 from cfevrp.driver import comsat_solve, shortest_path_map
 from cfevrp.errors import MalformedSchedule, TooLarge
@@ -38,8 +38,8 @@ def _manual_schedule(inst, orders):
         locs = [depot] + [inst.tasks[t].location for t in tasks] + [depot]
         legs = tuple(sp[(a, b)] for a, b in zip(locs, locs[1:]))
         routes.append(Route(depot, tuple(tasks), legs))
-    cr = RouteSet(tuple(routes), frozenset())
-    ca = solve_assignment(cr, compute_route_attributes(cr, inst), inst, [])
+    cr = RouteSet(tuple(routes))
+    ca = next(assignments(cr, inst), None)
     assert ca is not None
     cvs, _ = verify_capacity(ca, build_visit_lists(cr, inst), inst)
     assert cvs is not None
