@@ -93,7 +93,8 @@ def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
 
     for r in range(n):
         ctx.exactly([alpha[(v, r)] for v in vehicles], 1)
-        ctx.assert_formula(*[alpha[(v, r)] for v in sorted(attrs[r].eligible)])
+        if len(attrs[r].eligible) < len(vehicles):  # else exactly covers it
+            ctx.assert_formula(*[alpha[(v, r)] for v in sorted(attrs[r].eligible)])
         dur = attrs[r].length / speed + attrs[r].cum_service
         ctx.assert_formula(ctx.le(e_var[r], s_var[r], dur))
         ctx.assert_formula(ctx.le(s_var[r], e_var[r], -dur))

@@ -129,8 +129,6 @@ def verify_capacity(
     for r, vl in enumerate(visit_lists):
         x.append([ctx.new_real() for _ in vl.positions])
         y.append([ctx.new_real() for _ in vl.edges])
-        # x >= c is the atom 0 - x <= -c; node 0 is zero
-        ctx.assert_formula(ctx.le(0, x[r][0], -ca.starts[r]))
         for q, ekey in enumerate(vl.edges):
             # enter the edge after the service, reach its end d later
             ctx.assert_formula(ctx.le(
@@ -139,7 +137,11 @@ def verify_capacity(
             ctx.assert_formula(ctx.le(x[r][q + 1], y[r][q], d))
             ctx.assert_formula(ctx.le(y[r][q], x[r][q + 1], -d))
         for p, pos in enumerate(vl.positions):
-            ctx.assert_formula(ctx.le(0, x[r][p], -pos.lower))
+            # x >= c is the atom 0 - x <= -c (node 0 is zero); every real is
+            # already >= 0, and the route starts no earlier than its start
+            lower = max(pos.lower, ca.starts[r]) if p == 0 else pos.lower
+            if lower > 0:
+                ctx.assert_formula(ctx.le(0, x[r][p], -lower))
             ctx.assert_formula(ctx.le(x[r][p], 0, pos.upper))
 
     # shared non-hub nodes: one vehicle at a time, no swapping

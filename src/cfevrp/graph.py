@@ -82,6 +82,11 @@ class PlantGraph:
     # and the oracle reads g.edges in its inner loops.
     _out: dict[NodeId, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
     _in: dict[NodeId, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
+    # Dijkstra's view: the LCM of the length denominators, and per node its
+    # out-edges as (dst, length * scale), an int, in the order of _out.
+    _scale: int = field(init=False, repr=False, compare=False)
+    _steps: dict[NodeId, tuple[tuple[NodeId, int], ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         outs: dict[NodeId, list[Edge]] = {}
@@ -92,6 +97,11 @@ class PlantGraph:
             ins.setdefault(e.dst, []).append(e)
         object.__setattr__(self, "_out", {n: tuple(es) for n, es in outs.items()})
         object.__setattr__(self, "_in", {n: tuple(es) for n, es in ins.items()})
+        scale = math.lcm(*(e.length.denominator for e in self.edges.values()))
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_steps", {
+            n: tuple((e.dst, int(e.length * scale)) for e in es)
+            for n, es in self._out.items()})
 
     def out_edges(self, n: NodeId) -> tuple[Edge, ...]:
         return self._out.get(n, ())
@@ -182,24 +192,30 @@ def shortest_path(g: PlantGraph, src: NodeId, dst: NodeId) -> Path:
 
 
 def single_source_paths(g: PlantGraph, src: NodeId) -> dict[NodeId, Path]:
-    """Dijkstra labels keyed by (distance, node sequence) for determinism."""
-    best: dict[NodeId, tuple[Fraction, tuple[NodeId, ...]]] = {src: (Fraction(0), (src,))}
-    heap: list[tuple[Fraction, tuple[NodeId, ...]]] = [best[src]]
+    """Dijkstra labels keyed by (distance, node sequence) for determinism.
+
+    Distances are ints, the lengths scaled by `g._scale`, so they compare
+    exactly as the Fraction lengths do; each Path gets its Fraction back.
+    """
+    best: dict[NodeId, tuple[int, tuple[NodeId, ...]]] = {src: (0, (src,))}
+    heap: list[tuple[int, tuple[NodeId, ...]]] = [best[src]]
     done: set[NodeId] = set()
+    steps = g._steps
     while heap:
         dist, seq = heapq.heappop(heap)
         node = seq[-1]
         if node in done or (dist, seq) != best[node]:
             continue
         done.add(node)
-        for e in g.out_edges(node):
-            if e.dst in seq:
+        for dst, length in steps.get(node, ()):
+            if dst in seq:
                 continue  # keep paths simple
-            cand = (dist + e.length, seq + (e.dst,))
-            if e.dst not in best or cand < best[e.dst]:
-                best[e.dst] = cand
+            cand = (dist + length, seq + (dst,))
+            if dst not in best or cand < best[dst]:
+                best[dst] = cand
                 heapq.heappush(heap, cand)
-    return {n: Path(seq, dist) for n, (dist, seq) in best.items()}
+    scale = g._scale
+    return {n: Path(seq, Fraction(dist, scale)) for n, (dist, seq) in best.items()}
 
 
 def all_pairs_task_paths(

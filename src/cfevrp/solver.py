@@ -24,13 +24,19 @@ starting over.
 
 The SAT core propagates with two watched literals, keeps its trail in
 lists indexed by variable and picks each decision from a heap ordered by
-(activity, index).  It calls the theory on every complete assignment and
-learns each negative cycle as a clause inside the same search, so one
-check() is one SAT search.  The theory check runs Bellman-Ford on
-integers: the bounds are scaled by the LCM of their denominators, and each
-infinitesimal count is packed into the same int, so the integer
-comparisons decide exactly as the rational ones would.  Real values in
-models are exact Fractions, computed when a model's reals are first read.
+(activity, index).  It consults the theory at every propagation fixpoint
+and learns each negative cycle as a clause inside the same search, so one
+check() is one SAT search.  The theory adds one edge at a time against a
+potential kept for the whole check, and looks for a negative cycle with a
+Dijkstra over reduced costs from the new edge's head (Cotton and Maler,
+2006); backjumps drop edges and keep the potential.  A false atom is an
+edge only when some clause or assumption negates it: every other atom
+occurs only positively, so its false value constrains nothing.  The
+theory works on integers: the bounds are scaled by the LCM of their
+denominators, and each infinitesimal count is packed into the same int,
+so the integer comparisons decide exactly as the rational ones would.
+Real values in models are exact Fractions, computed when a model's reals
+are first read.
 """
 
 from __future__ import annotations
@@ -53,6 +59,9 @@ class Model:
 
     The real values are computed on the first `real` call, since most
     models (the router's, the path changer's) are only read for literals.
+    They satisfy every true atom and the negation of every false atom that
+    some clause or assumption negates.  An atom that nothing negates may
+    read false while the real values satisfy it.
     """
 
     def __init__(self, lits: Sequence[bool],
@@ -92,12 +101,16 @@ class _SatCore:
     apart and put on level 0 when a search starts.  Conflicts are analysed
     to the first UIP, learned, and undone by backjumping.
 
-    The theory callback sees every complete assignment and returns the
-    distinct literals of an inconsistent subset, or None.  The negation of
-    that subset is learned on the spot: with one literal on its top level
-    it is asserted after a backjump, with several it is analysed like a
-    conflict, and on level 0 it ends the search unsat.  This is DPLL(T)
-    with the theory checked on complete assignments only.
+    The theory is consulted at every propagation fixpoint, before any
+    assumption or decision: `theory(trail, checked)` first drops what it
+    took from trail[checked:] earlier (those entries were undone or never
+    accepted), then takes in the literals of trail[checked:].  It returns
+    the distinct literals of an inconsistent subset of the trail, or None,
+    after which the whole trail counts as accepted.  The negation of that
+    subset is learned on the spot: with one literal on its top level it is
+    asserted after a backjump, with several it is analysed like a
+    conflict, and on level 0 it ends the search unsat.  A complete
+    assignment reached this way is theory-consistent, so it is the answer.
 
     Assumptions are handled as forced decisions on their own levels, so
     every learned clause is a consequence of the clause database and the
@@ -148,13 +161,13 @@ class _SatCore:
     # -- main search ------------------------------------------------------
 
     def solve(self, assumptions: Sequence[int],
-              theory: Callable[[Sequence[bool | None]], list[int] | None],
+              theory: Callable[[Sequence[int], int], list[int] | None],
               ) -> list[bool | None] | None:
         """Return a satisfying assignment indexed by literal, or None.
 
         Entry lit of the list is the value of lit: True or False for every
-        literal (entry 0 is unused).  `theory` is called on each complete
-        assignment as described above.
+        literal (entry 0 is unused).  `theory` is called at each
+        propagation fixpoint as described above.
         """
         if self.empty_clause:
             return None
@@ -189,7 +202,8 @@ class _SatCore:
             reason[v] = why
             trail.append(lit)
 
-        head = 0
+        head = 0     # trail entries propagated
+        checked = 0  # trail entries the theory has accepted
 
         def propagate() -> int | None:
             """Unit propagation; returns a conflicting clause index or None.
@@ -276,7 +290,7 @@ class _SatCore:
                 lits = clauses[why][1:]  # a reason clause implies its first literal
 
         def backtrack(to_level: int) -> None:
-            nonlocal head
+            nonlocal head, checked
             if len(lim) > to_level:
                 mark = lim[to_level]
                 del lim[to_level:]
@@ -288,6 +302,7 @@ class _SatCore:
                         queued[v] = True
                 del trail[mark:]
             head = min(head, len(trail))
+            checked = min(checked, len(trail))
 
         def learn(clause: list[int]) -> None:
             """Store a clause whose literals are all false and whose only
@@ -314,6 +329,21 @@ class _SatCore:
                     return None
                 learn(analyze(ci))
                 continue
+            conflict = theory(trail, checked)
+            if conflict is not None:
+                lemma = [-l for l in conflict]
+                top = max(level[abs(l)] for l in lemma)
+                if top == 0:
+                    self._store(lemma)
+                    return None
+                lemma.sort(key=lambda l: level[abs(l)] != top)
+                if len(lemma) > 1 and level[abs(lemma[1])] == top:
+                    backtrack(top)
+                    learn(analyze(self._store(lemma)))
+                else:
+                    learn(lemma)
+                continue
+            checked = len(trail)
             # place any pending assumption on its own decision level
             failed = False
             placed = False
@@ -338,21 +368,7 @@ class _SatCore:
                     if val[pick] is None:
                         break
             else:
-                conflict = theory(val)
-                if conflict is None:
-                    return val
-                lemma = [-l for l in conflict]
-                top = max(level[abs(l)] for l in lemma)
-                if top == 0:
-                    self._store(lemma)
-                    return None
-                lemma.sort(key=lambda l: level[abs(l)] != top)
-                if len(lemma) > 1 and level[abs(lemma[1])] == top:
-                    backtrack(top)
-                    learn(analyze(self._store(lemma)))
-                else:
-                    learn(lemma)
-                continue
+                return val
             lim.append(len(trail))
             enqueue(-pick, None)
 
@@ -373,6 +389,10 @@ class Context:
         # difference atoms: key (x, y, c) meaning  val(x) - val(y) <= c
         self._atom_lit: dict[tuple[int, int, Fraction], int] = {}
         self._atom_by_lit: dict[int, tuple[int, int, Fraction]] = {}
+        # atoms that some clause or assumption negates: only these give the
+        # theory an edge when false (see _DiffGraph).  Learned clauses hold
+        # in every model of the theory, so what they negate needs no record.
+        self._negated: set[int] = set()
         self._totalizer_cache: dict[tuple[int, ...], list[int]] = {}
         self._graph: _DiffGraph | None = None
 
@@ -403,6 +423,7 @@ class Context:
         a stage's `encode_s`, sees them.  Only the totalizer's own clauses
         and the blocking clauses are added below it.
         """
+        self._note_negated(lits)
         self._sat.add_clause(lits)
 
     def exactly(self, lits: Sequence[int], n: int, *guards: int) -> None:
@@ -424,23 +445,36 @@ class Context:
 
     def block_model(self, lits: Sequence[int], m: Model) -> None:
         """Forbid the projection of model m onto the given literals."""
-        self._sat.add_clause([-l if m.value(l) else l for l in lits])
+        clause = [-l if m.value(l) else l for l in lits]
+        self._note_negated(clause)
+        self._sat.add_clause(clause)
 
     def block_true_subset(self, lits: Sequence[int], m: Model) -> None:
         """Forbid every model where all lits true in m are true again.
 
         Stronger than block_model: also rules out supersets.
         """
-        self._sat.add_clause([-l for l in lits if m.value(l)])
+        clause = [-l for l in lits if m.value(l)]
+        self._note_negated(clause)
+        self._sat.add_clause(clause)
+
+    def _note_negated(self, lits: Iterable[int]) -> None:
+        """Record the atoms that occur negated among lits."""
+        atoms = self._atom_by_lit
+        for l in lits:
+            if l < 0 and -l in atoms:
+                self._negated.add(-l)
 
     # -- solving ----------------------------------------------------------
 
     def check(self, assumptions: Sequence[int] = ()) -> SolveResult:
+        self._note_negated(assumptions)
+        # atoms added after this check must not change this model's reals
+        g = self._diff_graph()
+        g.reset()  # the potential is kept for one check
         assignment = self._sat.solve(assumptions, self._theory_conflict)
         if assignment is None:
             return SolveResult(False, None)
-        # atoms added after this check must not change this model's reals
-        g = self._diff_graph()
         return SolveResult(
             True, Model(assignment, lambda: _real_values(g, assignment)))
 
@@ -484,6 +518,8 @@ class Context:
         """
         key = tuple(lits)
         if key not in self._totalizer_cache:
+            # the clauses below hold every input under both polarities
+            self._note_negated([-abs(l) for l in lits])
             self._totalizer_cache[key] = self._totalizer_node(list(lits))
         return self._totalizer_cache[key]
 
@@ -519,68 +555,50 @@ class Context:
     # -- theory -----------------------------------------------------------
 
     def _diff_graph(self) -> _DiffGraph:
-        """The atoms in integer form, rebuilt only after atoms or reals are added."""
-        key = (len(self._atom_by_lit), self._nreals)
+        """The atoms in integer form, rebuilt only after atoms or reals are
+        added or an atom is first negated."""
+        key = (len(self._atom_by_lit), self._nreals, len(self._negated))
         if self._graph is None or self._graph.key != key:
-            self._graph = _DiffGraph(key, self._atom_by_lit, self._nreals)
+            self._graph = _DiffGraph(key, self._atom_by_lit, self._negated,
+                                     self._nreals)
         return self._graph
 
-    def _theory_conflict(self, assignment: Sequence[bool | None]) -> list[int] | None:
-        """Check the difference constraints implied by `assignment`.
+    def _theory_conflict(self, trail: Sequence[int], start: int) -> list[int] | None:
+        """Take in the difference constraints of trail[start:].
 
-        Returns the literals of an inconsistent subset (a negative cycle),
-        or None when consistent.
+        Edges taken from trail[start:] by earlier calls are dropped first.
+        Returns the literals of an inconsistent subset of the trail (a
+        negative cycle), or None when the trail is consistent.
         """
-        g = self._diff_graph()
-        edges = g.edges(assignment)
-        n = g.n
-        dist = [0] * n
-        pred = [0] * n
-        pred_lit = [0] * n
-        changed = -1
-        for _ in range(n):
-            changed = -1
-            for u, v, w, lit in edges:
-                cand = dist[u] + w
-                if cand < dist[v]:
-                    dist[v] = cand
-                    pred[v] = u
-                    pred_lit[v] = lit
-                    changed = v
-            if changed < 0:
-                return None
-        # negative cycle: walk back n steps from the last relaxed node
-        node = changed
-        for _ in range(n):
-            node = pred[node]
-        cycle_lits: list[int] = []
-        cur = node
-        while True:
-            if pred_lit[cur]:
-                cycle_lits.append(pred_lit[cur])
-            cur = pred[cur]
-            if cur == node:
-                break
-        return cycle_lits or None
+        return self._graph.assert_trail(trail, start)
 
 
-def _real_values(g: _DiffGraph, assignment: Sequence[bool | None]) -> list[Fraction]:
-    """The value of every node of g under a theory-consistent assignment."""
-    edges = g.edges(assignment)
-    dist = [0] * g.n
-    for _ in range(g.n):
+def _shortest_paths(n: int, edges: Sequence[tuple[int, int, int]]) -> list[int]:
+    """Bellman-Ford from a virtual source with a 0 edge to each of n nodes.
+
+    The edges (u, v, weight) must form no negative cycle: the result is then
+    the shortest distance to each node, a potential that every edge keeps.
+    """
+    dist = [0] * n
+    for _ in range(n):
         changed = False
-        for u, v, w, _lit in edges:
+        for u, v, w in edges:
             cand = dist[u] + w
             if cand < dist[v]:
                 dist[v] = cand
                 changed = True
         if not changed:
             break
-    r, e = zip(*map(g.unpack, dist))
+    return dist
+
+
+def _real_values(g: _DiffGraph, assignment: Sequence[bool | None]) -> list[Fraction]:
+    """The value of every node of g under a theory-consistent assignment."""
+    edges = g.edges(assignment)
+    r, e = zip(*map(g.unpack, _shortest_paths(g.n, edges)))
     # realize the infinitesimal: pick delta keeping every edge satisfied
     delta = Fraction(1)
-    for u, v, w, _lit in edges:
+    for u, v, w in edges:
         wr, we = g.unpack(w)
         slack_r = r[u] + wr - r[v]
         slack_e = e[u] + we - e[v]
@@ -592,44 +610,59 @@ def _real_values(g: _DiffGraph, assignment: Sequence[bool | None]) -> list[Fract
 
 
 class _DiffGraph:
-    """The difference atoms of a context as an integer constraint graph.
+    """The difference atoms of a context as an integer constraint graph,
+    and the incremental negative-cycle check of one check() over it.
 
-    Node x is the context's real x, and node 0 the zero node.  Bounds are
-    multiplied by `scale`, the LCM of their denominators, and a bound
-    value + eps * delta (eps counts the strict edges on a walk) is packed
-    into the int value * M + eps.  An edge u -> v with weight w encodes
-    val(v) - val(u) <= w.  A relaxation
-    extends a walk by one edge of eps 0 or -1, and a check makes at most n
-    passes over the edges, so every eps lies strictly inside (-M/2, M/2)
-    and packed ints compare exactly as (value, eps) pairs do.
+    Node x is the context's real x, and node 0 the zero node.  An edge
+    u -> v with weight w encodes val(v) - val(u) <= w.  A true atom
+    u - v <= c is the edge v -> u of weight c.  A false atom gives an edge
+    only if some clause or assumption negates it: the strict v - u < -c,
+    the edge u -> v of weight -c - eps.  An atom that nothing negates
+    occurs only positively, so flipping it to true satisfies every clause
+    that contains it; its false value needs no edge.  Every real is
+    nonnegative: an edge x -> 0 of weight 0.
+
+    Bounds are multiplied by `scale`, the LCM of their denominators, and a
+    bound value + eps * delta is packed into the int value * M + eps.
+    Packed ints compare exactly as (value, eps) pairs do while the eps
+    parts compared differ by less than M/2.  With K = n * (atoms + reals
+    + 1) and M = 8K, that holds:
+    - Bellman-Ford from zero (`_shortest_paths`, over at most
+      atoms + reals edges) makes at most n passes, and each relaxation
+      extends a walk by one edge of eps 0 or -1, so every eps lies in
+      [-K, 0]; its result is a shortest simple path, eps in [-(n-1), 0].
+    - The potential kept through a check starts at 0, and its eps never
+      rises above 0.  Each lowering takes a node to the potential of the
+      new edge's tail plus that edge plus a simple path, so it lowers the
+      least eps by at most n.  Whenever an eps falls below -K, the
+      potential is recomputed from the active edges by Bellman-Ford, so
+      before each new edge every eps lies in [-K, 0], and the sums that
+      Dijkstra compares have eps within 2K + n < M/2 of each other.
+    Without the recomputation, adding and undoing two opposite strict
+    edges in turn would lower the potential's eps without bound.
     """
 
-    def __init__(self, key: tuple[int, int],
+    def __init__(self, key: tuple[int, int, int],
                  atoms: dict[int, tuple[int, int, Fraction]],
-                 nreals: int) -> None:
+                 negated: set[int], nreals: int) -> None:
         self.key = key
         self.n = nreals + 1
         self.scale = math.lcm(*(c.denominator for _, _, c in atoms.values()))
-        self.M = 2 * (self.n * (len(atoms) + nreals) + 1) + 1
-        M = self.M
-        # (lit, u, v, weight of edge v -> u when true, of u -> v when false)
-        self.atoms = []
+        self.eps_floor = self.n * (len(atoms) + nreals + 1)  # K above
+        self.M = M = 8 * self.eps_floor
+        # edge[lit] = (u, v, weight) of the edge that lit gives when true
+        self.edge: dict[int, tuple[int, int, int]] = {}
         for lit, (u, v, c) in atoms.items():
             w = c.numerator * (self.scale // c.denominator) * M
-            self.atoms.append((lit, u, v, w, -w - 1))
-        # nonnegative reals: zero - x <= 0, an edge x -> zero of weight 0
-        self.nonneg_edges = [(x, 0, 0, 0) for x in range(1, self.n)]
+            self.edge[lit] = (v, u, w)
+            if lit in negated:
+                self.edge[-lit] = (u, v, -w - 1)
+        self.reset()
 
-    def edges(self, assignment: Sequence[bool | None]) -> list[tuple[int, ...]]:
-        """(u, v, weight, literal) per edge; the nonnegativity edges carry
-        literal 0.
-
-        A true atom u - v <= c is the edge v -> u; a false one is the
-        strict negation v - u < -c, the edge u -> v.
-        """
-        out = [(v, u, wt, lit) if assignment[lit] else (u, v, wf, -lit)
-               for lit, u, v, wt, wf in self.atoms]
-        out += self.nonneg_edges
+    def edges(self, assignment: Sequence[bool | None]) -> list[tuple[int, int, int]]:
+        """(u, v, weight) of every edge under a complete assignment."""
+        out = [e for lit, e in self.edge.items() if assignment[lit]]
+        out += [(x, 0, 0) for x in range(1, self.n)]
         return out
 
     def unpack(self, x: int) -> tuple[int, int]:
@@ -637,3 +670,87 @@ class _DiffGraph:
         h = self.M // 2
         r, e = divmod(x + h, self.M)
         return r, e - h
+
+    # -- the incremental check of one check() -----------------------------
+
+    def reset(self) -> None:
+        """No edge but nonnegativity, and the potential 0 everywhere."""
+        self.pot = [0] * self.n
+        # out[u]: (v, weight, literal) per active edge u -> v, oldest first;
+        # the nonnegativity edges carry literal 0
+        self.out: list[list[tuple[int, int, int]]] = [[]]
+        self.out += [[(0, 0, 0)] for _ in range(1, self.n)]
+        # (trail index, tail) per edge taken from the trail, oldest first
+        self.taken: list[tuple[int, int]] = []
+
+    def assert_trail(self, trail: Sequence[int], start: int) -> list[int] | None:
+        """Drop the edges of trail[start:], then add those of its literals.
+
+        Returns the literals of a negative cycle through the first edge
+        that closes one, or None.  The potential pot keeps every active
+        edge: pot[v] <= pot[u] + w.
+        """
+        out, pot, taken = self.out, self.pot, self.taken
+        while taken and taken[-1][0] >= start:
+            out[taken.pop()[1]].pop()
+        edge = self.edge
+        for i in range(start, len(trail)):
+            lit = trail[i]
+            e = edge.get(lit)
+            if e is None:
+                continue
+            u, v, w = e
+            if pot[u] + w < pot[v]:
+                cycle = self._lower(u, v, w)
+                if cycle is not None:
+                    cycle.append(lit)
+                    return cycle
+            out[u].append((v, w, lit))
+            taken.append((i, u))
+        return None
+
+    def _lower(self, u: int, v: int, w: int) -> list[int] | None:
+        """Lower the potential so that it keeps the new edge u -> v, or
+        return the literals of the other edges of a negative cycle.
+
+        Dijkstra from v over the reduced costs pot[s] + weight - pot[t],
+        which are nonnegative on the active edges.  key[t] is how far t's
+        potential must drop; only nodes with a negative key are expanded,
+        and a negative key at u closes a negative cycle through the new
+        edge.  The potential changes only when no cycle is found.
+        """
+        if u == v:
+            return []
+        pot, out = self.pot, self.out
+        key = {v: pot[u] + w - pot[v]}
+        pred: dict[int, tuple[int, int]] = {}
+        heap = [(key[v], v)]
+        done = []
+        while heap:
+            k, s = heappop(heap)
+            if k != key[s]:
+                continue  # stale entry
+            done.append(s)
+            base = k + pot[s]
+            for t, wt, lit in out[s]:
+                nk = base + wt - pot[t]
+                if nk < 0 and nk < key.get(t, 0):
+                    pred[t] = (s, lit)
+                    if t == u:
+                        lits = []
+                        while t != v:
+                            t, lit = pred[t]
+                            if lit:
+                                lits.append(lit)
+                        return lits
+                    key[t] = nk
+                    heappush(heap, (nk, t))
+        low = 0
+        for s in done:
+            pot[s] += key[s]
+            low = min(low, self.unpack(pot[s])[1])
+        if low < -self.eps_floor:
+            active = [(a, b, wt) for a, es in enumerate(out) for b, wt, _ in es]
+            active.append((u, v, w))
+            pot[:] = _shortest_paths(self.n, active)
+        return None

@@ -274,63 +274,56 @@ def test_minimize_from_last_optimum_lists_models_by_cost():
 
 # --- difference theory against a Fraction reference -------------------------
 #
-# The theory check works on integers: bounds scaled by the LCM of their
-# denominators, a strict-edge count packed into each weight.  These
-# references run the same Bellman-Ford on (Fraction, eps) pairs, so the
-# integer check must return the same cycle and the same model.
+# The theory works on integers: bounds scaled by the LCM of their
+# denominators, a strict-edge count packed into each weight, and a potential
+# kept while literals come and go.  These references run a from-scratch
+# Bellman-Ford on (Fraction, eps) pairs over the same edges: a true atom
+# gives its edge, and a false one only when the test negated it in a clause.
 
-def _ref_edges(ctx, assignment):
-    edges = []
-    for lit, (u, v, c) in ctx._atom_by_lit.items():
-        if assignment[lit]:
-            edges.append((v, u, (c, 0), lit))
-        else:
-            edges.append((u, v, (-c, -1), -lit))
+def _ref_edge(ctx, lit, negated):
+    """(u, v, weight) of the edge lit gives, or None."""
+    atom = ctx._atom_by_lit.get(abs(lit))
+    if atom is None:
+        return None
+    u, v, c = atom
+    if lit > 0:
+        return (v, u, (c, 0))
+    if -lit in negated:
+        return (u, v, (-c, -1))
+    return None
+
+
+def _ref_edges(ctx, lits, negated):
+    edges = [(*e, lit) for lit in lits
+             if (e := _ref_edge(ctx, lit, negated)) is not None]
     for x in range(1, ctx._nreals + 1):  # node 0 is zero
         edges.append((x, 0, (Fraction(0), 0), 0))
     return edges
 
 
-def _ref_relax(dist, edges, passes, pred=None):
+def _ref_relax(dist, edges, passes):
     """In-place Bellman-Ford passes; returns the last node relaxed."""
     changed = None
     for _ in range(passes):
         changed = None
-        for u, v, w, lit in edges:
+        for u, v, w, _lit in edges:
             cand = (dist[u][0] + w[0], dist[u][1] + w[1])
             if cand < dist[v]:
                 dist[v] = cand
-                if pred is not None:
-                    pred[v] = (u, lit)
                 changed = v
         if changed is None:
             break
     return changed
 
 
-def reference_theory_conflict(ctx, assignment):
-    edges = _ref_edges(ctx, assignment)
-    nodes = set(range(ctx._nreals + 1))
-    for u, v, _, _ in edges:
-        nodes.update((u, v))
+def reference_has_negative_cycle(ctx, lits, negated):
+    nodes = range(ctx._nreals + 1)
     dist = {x: (Fraction(0), 0) for x in nodes}
-    pred = {}
-    node = _ref_relax(dist, edges, len(nodes), pred)
-    if node is None:
-        return None
-    for _ in range(len(nodes)):
-        node = pred[node][0]
-    lits, cur = [], node
-    while True:
-        cur, lit = pred[cur]
-        if lit:
-            lits.append(lit)
-        if cur == node:
-            return lits or None
+    return _ref_relax(dist, _ref_edges(ctx, lits, negated), len(nodes)) is not None
 
 
-def reference_real_values(ctx, assignment):
-    edges = _ref_edges(ctx, assignment)
+def reference_real_values(ctx, lits, negated):
+    edges = _ref_edges(ctx, lits, negated)
     nodes = range(ctx._nreals + 1)
     dist = {x: (Fraction(0), 0) for x in nodes}
     _ref_relax(dist, edges, len(nodes))
@@ -367,26 +360,106 @@ def _random_atom(rng, ctx, xs):
 
 
 def test_integer_theory_matches_fraction_reference():
+    # Literals reach the theory one at a time, as the core hands them over
+    # at its fixpoints, and random undo points drop the newest ones, as a
+    # backjump does.  Every verdict must equal the reference's, and every
+    # cycle must be negative and made of literals on the trail.
     rng = random.Random(7)
     outcomes = {"conflict": 0, "consistent": 0}
     for _ in range(60):
         ctx = S.Context()
         xs = [ctx.new_real() for _ in range(rng.randint(2, 5))]
+        negated = set()
         for _batch in range(2):  # new atoms must rebuild the integer graph
             for _ in range(rng.randint(2, 6)):
-                _random_atom(rng, ctx, xs)
+                atom = _random_atom(rng, ctx, xs)
+                if rng.random() < 0.5:
+                    ctx.assert_formula(-atom, ctx.new_bool())
+                    negated.add(atom)
+            atoms = sorted(ctx._atom_by_lit)
             for _ in range(5):
-                assignment = [None] + [rng.random() < 0.5
-                                       for _ in range(ctx._sat.nvars)]
-                got = ctx._theory_conflict(assignment)
-                assert got == reference_theory_conflict(ctx, assignment)
-                if got is None:
-                    outcomes["consistent"] += 1
-                    assert (S._real_values(ctx._diff_graph(), assignment)
-                            == reference_real_values(ctx, assignment))
-                else:
+                g = ctx._diff_graph()
+                g.reset()
+                trail, checked = [], 0
+                for atom in rng.sample(atoms, len(atoms)):
+                    if trail and rng.random() < 0.25:
+                        del trail[rng.randrange(len(trail)):]
+                        checked = min(checked, len(trail))
+                    trail.append(atom if rng.random() < 0.5 else -atom)
+                    cycle = ctx._theory_conflict(trail, checked)
+                    expected = reference_has_negative_cycle(ctx, trail, negated)
+                    assert (cycle is not None) == expected, trail
+                    if cycle is None:
+                        outcomes["consistent"] += 1
+                        checked = len(trail)
+                        continue
                     outcomes["conflict"] += 1
+                    assert len(set(cycle)) == len(cycle)
+                    assert set(cycle) <= set(trail)
+                    weights = [_ref_edge(ctx, lit, negated)[2] for lit in cycle]
+                    assert (sum(w[0] for w in weights),
+                            sum(w[1] for w in weights)) < (0, 0)
+                    assert reference_has_negative_cycle(ctx, cycle, negated)
+                    trail.pop()
+                    checked = min(checked, len(trail))
+                val = [None] * (2 * ctx._sat.nvars + 1)
+                for lit in trail:
+                    val[lit], val[-lit] = True, False
+                assert (S._real_values(g, val)
+                        == reference_real_values(ctx, trail, negated))
     assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_kept_potential_decides_exactly_after_long_drift():
+    # Adding and undoing two opposite strict edges in turn lowers the kept
+    # potential by one eps per step, with no cycle ever closed.  Far past M/2
+    # steps the packed ints must still compare exactly.
+    ctx = S.Context()
+    a, b = ctx.new_real(), ctx.new_real()
+    p, q = ctx.le(a, b, 0), ctx.le(b, a, 0)
+    r = ctx.le(b, a, Fraction(1, 1000))
+    ctx.assert_formula(-p, -q)  # false p or q gives a strict edge
+    g = ctx._diff_graph()
+    g.reset()
+    steps = 4000
+    assert steps > 20 * g.M
+    for step in range(steps):
+        assert ctx._theory_conflict([-p if step % 2 else -q], 0) is None
+        assert all(-g.M // 4 < g.unpack(x)[1] <= 0 for x in g.pot)
+        # the potential keeps every active edge
+        assert all(g.pot[v] <= g.pot[u] + w
+                   for u, es in enumerate(g.out) for v, w, _ in es)
+        if step % 101 == 0:
+            # cycles of weight -2 eps, 0 and 1/1000 - eps
+            assert sorted(ctx._theory_conflict([-p, -q], 0)) == sorted([-p, -q])
+            assert ctx._theory_conflict([p, q], 0) is None
+            assert ctx._theory_conflict([r, -q], 0) is None
+
+
+def test_atom_negated_later_becomes_strict():
+    # x >= 2, x <= y, y <= 2, and the atom p: x <= 2.  While nothing negates
+    # p, a model may read p false (no edge) with x = 2, which satisfies p.
+    # Once an assumption or a clause negates p, false p is the strict x > 2,
+    # which the other bounds refute.
+    for negate_by in ("assumption", "clause"):
+        ctx = S.Context()
+        x, y = ctx.new_real(), ctx.new_real()
+        ctx.assert_formula(ctx.le(0, x, -2))
+        ctx.assert_formula(ctx.le(x, y, 0))
+        ctx.assert_formula(ctx.le(y, 0, 2))
+        p = ctx.le(x, 0, 2)
+        res = ctx.check()
+        assert res.sat and res.model.value(p) is False
+        assert res.model.real(x) == 2
+        if negate_by == "assumption":
+            assert not ctx.check([-p]).sat
+        else:
+            b = ctx.new_bool()
+            ctx.assert_formula(-p, b)
+            assert not ctx.check([-b]).sat
+        res = ctx.check()
+        assert res.sat and res.model.value(p) is True
+        assert res.model.real(x) == 2
 
 
 def test_model_values_are_exact_fractions():
