@@ -33,7 +33,6 @@ class RouteAttributes:
 class Assignment:
     vehicle_of: tuple[str, ...]  # indexed like the route set
     starts: tuple[Fraction, ...]
-    ends: tuple[Fraction, ...]
 
 
 def compute_route_attributes(
@@ -100,16 +99,16 @@ def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
         ctx.assert_formula(ctx.le(s_var[r], e_var[r], -dur))
         ctx.assert_formula(ctx.le(s_var[r], 0, attrs[r].latest_start))
 
+    # on one vehicle, r1 starts after r2 has ended and r1's charging gap
+    # has passed, or the other way round
+    apart = {
+        (r1, r2): (ctx.le(e_var[r2], s_var[r1], -C * attrs[r1].length),
+                   ctx.le(e_var[r1], s_var[r2], -C * attrs[r2].length))
+        for r1 in range(n) for r2 in range(r1 + 1, n)
+    }
     for v in vehicles:
-        for r1 in range(n):
-            for r2 in range(r1 + 1, n):
-                # on one vehicle, r1 starts after r2 has ended and r1's
-                # charging gap has passed, or the other way round
-                gap1 = C * attrs[r1].length
-                gap2 = C * attrs[r2].length
-                ctx.assert_formula(-alpha[(v, r1)], -alpha[(v, r2)],
-                                   ctx.le(e_var[r2], s_var[r1], -gap1),
-                                   ctx.le(e_var[r1], s_var[r2], -gap2))
+        for (r1, r2), (after, before) in apart.items():
+            ctx.assert_formula(-alpha[(v, r1)], -alpha[(v, r2)], after, before)
 
     alpha_vars = list(alpha.values())
     while (res := ctx.check()).sat:
@@ -119,13 +118,12 @@ def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
             chosen = [v for v in vehicles if m.value(alpha[(v, r)])]
             assert len(chosen) == 1
             vehicle_of.append(chosen[0])
-        starts, ends = _canonical_times(cr, attrs, inst, vehicle_of, m, s_var)
+        starts = _canonical_starts(cr, attrs, inst, vehicle_of, m, s_var)
         ctx.block_true_subset(alpha_vars, m)
-        yield Assignment(tuple(vehicle_of), starts, ends)
+        yield Assignment(tuple(vehicle_of), starts)
 
 
-
-def _canonical_times(cr, attrs, inst, vehicle_of, m, s_var):
+def _canonical_starts(cr, attrs, inst, vehicle_of, m, s_var):
     """Shift each vehicle's routes to their earliest consistent starts.
 
     Keeping the model's relative order per vehicle, each route starts as
@@ -135,7 +133,6 @@ def _canonical_times(cr, attrs, inst, vehicle_of, m, s_var):
     """
     n = len(cr.routes)
     starts = [Fraction(0)] * n
-    ends = [Fraction(0)] * n
     speed = inst.fleet.speed
     C = inst.fleet.charge_coeff
     by_vehicle: dict[str, list[int]] = {}
@@ -147,8 +144,6 @@ def _canonical_times(cr, attrs, inst, vehicle_of, m, s_var):
         for r in rs:
             dur = attrs[r].length / speed + attrs[r].cum_service
             gap = C * attrs[r].length
-            start = Fraction(0) if prev_end is None else prev_end + gap
-            starts[r] = start
-            ends[r] = start + dur
-            prev_end = ends[r]
-    return tuple(starts), tuple(ends)
+            starts[r] = Fraction(0) if prev_end is None else prev_end + gap
+            prev_end = starts[r] + dur
+    return tuple(starts)

@@ -4,12 +4,13 @@ Every route is flattened into its visited node and edge sequences; entry
 times are then scheduled so that non-hub nodes hold at most one vehicle,
 unit-capacity edges are used one vehicle at a time (with a one-time-unit
 separation that also forbids position swapping), and opposite traversals
-of a unit-capacity segment never overlap.
+of a unit-capacity segment never overlap.  Without those three conflict
+families the same model times the routes of the relaxed mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import solver as S
@@ -78,7 +79,8 @@ def build_visit_lists(cr: RouteSet, inst: Instance) -> list[VisitList]:
 
     Consecutive co-located stops (a task at the depot, or two back-to-back
     tasks at one node) merge into a single position whose window is the
-    intersection and whose service time is the sum.
+    intersection and whose service time is the sum.  The service at the
+    last position ends by the horizon T.
     """
     T = inst.fleet.horizon
     zero = Fraction(0)
@@ -109,6 +111,8 @@ def build_visit_lists(cr: RouteSet, inst: Instance) -> list[VisitList]:
                 )
         if positions[-1].node != r.depot:
             raise BrokenChain(f"route does not return to depot {r.depot}")
+        last = positions[-1]
+        positions[-1] = replace(last, upper=min(last.upper, T - last.service))
         out.append(VisitList(
             r.depot, r.tasks, tuple(positions), tuple(edges), r.length))
     return out
@@ -118,8 +122,14 @@ def verify_capacity(
     ca: Assignment,
     visit_lists: list[VisitList],
     inst: Instance,
+    conflicts: bool = True,
 ) -> tuple[Schedule | None, CapacityStats]:
-    """Schedule all routes' node/edge entry times, or report infeasibility."""
+    """Schedule all routes' node/edge entry times, or report infeasibility.
+
+    With `conflicts` false, the shared-node, same-direction and opposite
+    edge clauses are left out: routes keep their windows, travel times,
+    horizon and charging gaps, but not the occupancy limits.
+    """
     g = inst.graph
     ctx = S.Context()
     stats = CapacityStats()
@@ -144,6 +154,56 @@ def verify_capacity(
                 ctx.assert_formula(ctx.le(0, x[r][p], -lower))
             ctx.assert_formula(ctx.le(x[r][p], 0, pos.upper))
 
+    if conflicts:
+        _assert_conflicts(ctx, visit_lists, x, y, inst, stats)
+
+    # same-vehicle routes keep their charging gaps under the actual times
+    C = inst.fleet.charge_coeff
+    for r1 in range(n_routes):
+        for r2 in range(r1 + 1, n_routes):
+            if ca.vehicle_of[r1] != ca.vehicle_of[r2]:
+                continue
+            end1 = (x[r1][-1], visit_lists[r1].positions[-1].service)
+            end2 = (x[r2][-1], visit_lists[r2].positions[-1].service)
+            gap1 = C * visit_lists[r1].route_length
+            gap2 = C * visit_lists[r2].route_length
+            ctx.assert_formula(ctx.le(end2[0], x[r1][0], -(end2[1] + gap1)),
+                               ctx.le(end1[0], x[r2][0], -(end1[1] + gap2)))
+
+    res = ctx.check()
+    if not res.sat:
+        return None, stats
+    m = res.model
+    routes = []
+    for r, vl in enumerate(visit_lists):
+        node_in = tuple(m.real(var) for var in x[r])
+        edge_in = tuple(m.real(var) for var in y[r])
+        node_out = tuple(
+            edge_in[p] if p < len(edge_in)
+            else node_in[p] + vl.positions[p].service
+            for p in range(len(vl.positions))
+        )
+        routes.append(RouteSchedule(
+            vehicle=ca.vehicle_of[r],
+            depot=vl.depot,
+            tasks=vl.route_tasks,
+            nodes=tuple(p.node for p in vl.positions),
+            node_in=node_in,
+            node_out=node_out,
+            position_tasks=tuple(p.tasks for p in vl.positions),
+            edges=vl.edges,
+            edge_in=edge_in,
+            length=vl.route_length,
+            start=ca.starts[r],
+        ))
+    return Schedule(tuple(routes)), stats
+
+
+def _assert_conflicts(ctx, visit_lists, x, y, inst, stats) -> None:
+    """The occupancy limits over position entry times x and edge entry
+    times y, counted into stats."""
+    g = inst.graph
+    n_routes = len(visit_lists)
     # shared non-hub nodes: one vehicle at a time, no swapping
     for r1 in range(n_routes):
         for r2 in range(r1 + 1, n_routes):
@@ -187,44 +247,3 @@ def verify_capacity(
                         ctx.assert_formula(ctx.le(y[r2][q2], y[r1][q1], -d2),
                                            ctx.le(y[r1][q1], y[r2][q2], -d1))
                         stats.edge_opposite_constraints += 1
-
-    # same-vehicle routes keep their charging gaps under the actual times
-    C = inst.fleet.charge_coeff
-    for r1 in range(n_routes):
-        for r2 in range(r1 + 1, n_routes):
-            if ca.vehicle_of[r1] != ca.vehicle_of[r2]:
-                continue
-            end1 = (x[r1][-1], visit_lists[r1].positions[-1].service)
-            end2 = (x[r2][-1], visit_lists[r2].positions[-1].service)
-            gap1 = C * visit_lists[r1].route_length
-            gap2 = C * visit_lists[r2].route_length
-            ctx.assert_formula(ctx.le(end2[0], x[r1][0], -(end2[1] + gap1)),
-                               ctx.le(end1[0], x[r2][0], -(end1[1] + gap2)))
-
-    res = ctx.check()
-    if not res.sat:
-        return None, stats
-    m = res.model
-    routes = []
-    for r, vl in enumerate(visit_lists):
-        node_in = tuple(m.real(var) for var in x[r])
-        edge_in = tuple(m.real(var) for var in y[r])
-        node_out = tuple(
-            edge_in[p] if p < len(edge_in)
-            else node_in[p] + vl.positions[p].service
-            for p in range(len(vl.positions))
-        )
-        routes.append(RouteSchedule(
-            vehicle=ca.vehicle_of[r],
-            depot=vl.depot,
-            tasks=vl.route_tasks,
-            nodes=tuple(p.node for p in vl.positions),
-            node_in=node_in,
-            node_out=node_out,
-            position_tasks=tuple(p.tasks for p in vl.positions),
-            edges=vl.edges,
-            edge_in=edge_in,
-            length=vl.route_length,
-            start=ca.starts[r],
-        ))
-    return Schedule(tuple(routes)), stats

@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="solve every instance in a directory")
     p.add_argument("dir")
     p.add_argument("--timeout", type=float, default=None,
-                   help="per-instance wall clock budget in seconds")
+                   help="label a solve aborted once it has run longer than "
+                        "this many seconds; the solve is not stopped")
     p.add_argument("--max-path-sets", type=int, default=50)
     p.add_argument("--csv", help="write the table to this file")
     p.set_defaults(fn=cmd_bench)

@@ -6,8 +6,8 @@ re-check the routes, backtracking through assignments and route sets as
 the inner problems run dry.  Each searching stage is a generator over one
 fixed input (route sets per solve, assignments per route set, path
 combinations per assignment) that keeps one model and blocks what it
-yields in place.  A relaxed mode skips capacity verification entirely and
-only closes the route/assignment loop.
+yields in place.  A relaxed mode schedules with the same capacity model
+without its occupancy limits, and so never needs the path changer.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .assignment import Assignment, assignments
-from .capacity import Schedule, RouteSchedule, build_visit_lists, verify_capacity
+from .capacity import Schedule, build_visit_lists, verify_capacity
 from .graph import all_pairs_task_paths
 from .instance import Instance
 from .pathschanger import PathAssignment, path_sets
@@ -41,7 +41,6 @@ class Event:
     phase: str       # router | assign | capacity | paths | routes_check
     sat: bool
     seconds: float
-    detail: str = ""
 
 
 @dataclass
@@ -83,7 +82,7 @@ def routes_from_task_orders(
         legs = tuple(sp[(a, b)] for a, b in zip(locs, locs[1:]))
         routes.append(Route(depot, tuple(tasks), legs))
         served.update(tasks)
-    if served != set(inst.real_task_ids()):
+    if served != set(inst.task_ids()):
         raise InvariantViolation("forced routes must cover every task exactly once")
     return RouteSet(tuple(routes))
 
@@ -110,30 +109,28 @@ class _Clock:
     def __init__(self, events: list[Event]):
         self.events = events
 
-    def run(self, phase: str, fn, ok=lambda r: r is not None, detail: str = ""):
+    def run(self, phase: str, fn, ok=lambda r: r is not None):
         t0 = time.perf_counter()
         result = fn()
         self.events.append(
-            Event(phase, bool(ok(result)), time.perf_counter() - t0, detail))
+            Event(phase, bool(ok(result)), time.perf_counter() - t0))
         return result
 
 
 def comsat_solve(inst: Instance, limits: Limits = Limits()) -> SolveOutcome:
     """Full solve: routes, assignment, conflict-free schedule."""
-    return _solve(inst, limits, _capacity_phase)
+    return _solve(inst, limits, conflicts=True)
 
 
 def c_comsat_solve(inst: Instance, limits: Limits = Limits()) -> SolveOutcome:
-    """Relaxed solve: ignore node/edge capacities entirely."""
-    return _solve(inst, limits, lambda inst, cr, ca, limits, clock: SolveOutcome(
-        FEASIBLE, _timed_schedule(inst, cr, ca), clock.events))
+    """Relaxed solve: schedule without the node/edge occupancy limits."""
+    return _solve(inst, limits, conflicts=False)
 
 
-def _solve(inst, limits, schedule_phase):
+def _solve(inst, limits, conflicts):
     """The route sets of one solve, each with its assignments.
 
-    `schedule_phase(inst, cr, ca, limits, clock)` turns one assignment into
-    a final SolveOutcome, or returns None to signal 'try a new assignment'.
+    `conflicts` says whether the capacity model keeps its occupancy limits.
     """
     routes = route_sets(inst, shortest_path_map(inst))
     clock = _Clock([])
@@ -149,13 +146,13 @@ def _solve(inst, limits, schedule_phase):
                           "of assignments and path changes")
             return SolveOutcome(INFEASIBLE, None, clock.events, reason)
         tried += 1
-        outcome = _route_set_phase(inst, cr, limits, clock, schedule_phase)
+        outcome = _route_set_phase(inst, cr, limits, clock, conflicts)
         if outcome is not None:
             return outcome
 
 
-def _route_set_phase(inst, cr, limits, clock, schedule_phase):
-    """The assignments of one route set, each with its schedule phase.
+def _route_set_phase(inst, cr, limits, clock, conflicts):
+    """The assignments of one route set, each with its capacity phase.
 
     Returns a final SolveOutcome, or None to signal 'try a new route set'.
     """
@@ -164,13 +161,17 @@ def _route_set_phase(inst, cr, limits, clock, schedule_phase):
         ca = clock.run("assign", lambda: solve_assignment(found))
         if ca is None:
             return None
-        outcome = schedule_phase(inst, cr, ca, limits, clock)
+        outcome = _capacity_phase(inst, cr, ca, limits, clock, conflicts)
         if outcome is not None:
             return outcome
 
 
-def _capacity_phase(inst, cr, ca, limits, clock):
+def _capacity_phase(inst, cr, ca, limits, clock, conflicts):
     """Capacity check with the path-changing inner loop.
+
+    Without `conflicts` an unsat check moves on to the next assignment at
+    once: a longer leg only arrives later and charges longer, and waiting
+    is allowed, so no other path can turn an unsat timing into a sat one.
 
     Returns a final SolveOutcome, or None to signal 'try a new assignment'.
     """
@@ -181,10 +182,12 @@ def _capacity_phase(inst, cr, ca, limits, clock):
         vls = build_visit_lists(current, inst)
         cvs, _stats = clock.run(
             "capacity",
-            lambda: verify_capacity(ca, vls, inst),
+            lambda: verify_capacity(ca, vls, inst, conflicts),
             ok=lambda pair: pair[0] is not None)
         if cvs is not None:
             return SolveOutcome(FEASIBLE, cvs, clock.events)
+        if not conflicts:
+            return None
         while True:
             if tried >= limits.max_path_sets:
                 return SolveOutcome(
@@ -202,44 +205,3 @@ def _capacity_phase(inst, cr, ca, limits, clock):
                 current = candidate
                 break  # re-run capacity verification with the new paths
 
-
-def _timed_schedule(inst: Instance, cr: RouteSet, ca: Assignment) -> Schedule:
-    """Forward-time each route along its legs, waiting only for windows.
-
-    A vehicle waits at a node, never on an edge: it enters the next edge
-    at the later of the moment it is ready and the moment that makes it
-    arrive at the next window's opening.
-    """
-    vls = build_visit_lists(cr, inst)
-    routes = []
-    for r, vl in enumerate(vls):
-        node_in = []
-        node_out = []
-        edge_in = []
-        t = max(ca.starts[r], vl.positions[0].lower)
-        for p, pos in enumerate(vl.positions):
-            node_in.append(t)
-            t += pos.service
-            if p < len(vl.edges):
-                ekey = vl.edges[p]
-                transit = inst.graph.edges[ekey].length / inst.fleet.speed
-                t = max(t, vl.positions[p + 1].lower - transit)
-                edge_in.append(t)
-                node_out.append(t)
-                t += transit
-            else:
-                node_out.append(t)
-        routes.append(RouteSchedule(
-            vehicle=ca.vehicle_of[r],
-            depot=vl.depot,
-            tasks=vl.route_tasks,
-            nodes=tuple(p.node for p in vl.positions),
-            node_in=tuple(node_in),
-            node_out=tuple(node_out),
-            position_tasks=tuple(p.tasks for p in vl.positions),
-            edges=vl.edges,
-            edge_in=tuple(edge_in),
-            length=vl.route_length,
-            start=ca.starts[r],
-        ))
-    return Schedule(tuple(routes))

@@ -81,7 +81,6 @@ def instance_to_json(inst: Instance) -> dict:
                 ],
             }
             for j in sorted(inst.jobs.values(), key=lambda j: j.id)
-            if not j.id.startswith("__")
         ],
     }
 
@@ -164,7 +163,6 @@ def outcome_to_json(out: SolveOutcome) -> dict:
                 "phase": e.phase,
                 "sat": e.sat,
                 "seconds": round(e.seconds, 6),
-                "detail": e.detail,
             }
             for e in out.events
         ],

@@ -1,8 +1,7 @@
 """Problem instance model: jobs, tasks, vehicles, fleet parameters.
 
 An Instance bundles the plant graph with the transport requests and the
-fleet description.  Each depot contributes a synthetic start task and end
-task (service 0, window [0, T]) so the routing model can anchor routes.
+fleet description.
 
 Every number of an instance is an exact Fraction: the constructors below
 pass their numbers through `graph.exact` once, so all later arithmetic is
@@ -87,14 +86,6 @@ class FleetParams:
                 raise InvariantViolation(f"fleet parameter {name} must be > 0")
 
 
-def _start_id(depot: NodeId) -> str:
-    return f"__start_{depot}"
-
-
-def _end_id(depot: NodeId) -> str:
-    return f"__end_{depot}"
-
-
 @dataclass(frozen=True)
 class Instance:
     graph: PlantGraph
@@ -102,11 +93,9 @@ class Instance:
     fleet: FleetParams
     vehicles: dict[str, Vehicle] = field(hash=False)
     jobs: dict[str, Job] = field(hash=False)
-    tasks: dict[str, Task] = field(hash=False)        # real tasks only
-    start_tasks: dict[NodeId, Task] = field(hash=False)
-    end_tasks: dict[NodeId, Task] = field(hash=False)
+    tasks: dict[str, Task] = field(hash=False)
 
-    def real_task_ids(self) -> list[str]:
+    def task_ids(self) -> list[str]:
         return sorted(self.tasks)
 
     def job_of(self, task_id: str) -> Job:
@@ -129,7 +118,7 @@ def build_instance(
     jobs: list[Job],
     tasks: list[Task],
 ) -> Instance:
-    """Assemble and validate an Instance, synthesizing depot dummy tasks."""
+    """Assemble and validate an Instance."""
     if not depots:
         raise InvariantViolation("depot set must be nonempty")
     depot_set = set(depots)
@@ -187,14 +176,6 @@ def build_instance(
         if not set(t.predecessors) <= same_job - {t.id}:
             raise InvariantViolation(f"task {t.id} has predecessors outside its job")
 
-    start_tasks = {
-        o: Task(_start_id(o), "__depot", o, TimeWindow(0, T), 0)
-        for o in depots
-    }
-    end_tasks = {
-        o: Task(_end_id(o), "__depot", o, TimeWindow(0, T), 0)
-        for o in depots
-    }
     return Instance(
         graph=graph,
         depots=tuple(sorted(depots)),
@@ -202,8 +183,6 @@ def build_instance(
         vehicles=vmap,
         jobs=jmap,
         tasks=tmap,
-        start_tasks=start_tasks,
-        end_tasks=end_tasks,
     )
 
 

@@ -1,10 +1,11 @@
 """Route construction: serve every task within its window, minimize routes.
 
 Builds a task-successor model: Boolean travel indicators between task
-locations, arrival-time and remaining-charge reals per task, depot dummy
-tasks anchoring each route.  One model serves a whole solve: `route_sets`
-yields its route sets by route count, then by total distance, and blocks
-each one in place, so none is returned twice.
+locations, arrival-time and remaining-charge reals per task, and a start
+and an end anchor per depot that every route leaves from and returns to.
+One model serves a whole solve: `route_sets` yields its route sets by
+route count, then by total distance, and blocks each one in place, so none
+is returned twice.
 """
 
 from __future__ import annotations
@@ -48,6 +49,20 @@ class RouteSet:
 PathMap = dict[tuple[NodeId, NodeId], Path]
 
 
+@dataclass(frozen=True)
+class Anchor:
+    """A depot as the routing model's start (or end) of routes: a key of
+    its own type, so that no task id can equal it."""
+    depot: NodeId
+    end: bool
+
+    def __str__(self) -> str:
+        return f"__{'end' if self.end else 'start'}_{self.depot}"
+
+
+Stop = str | Anchor  # a task id or an anchor
+
+
 class RoutingModel:
     """Model plus the variable maps needed for extraction."""
 
@@ -55,38 +70,36 @@ class RoutingModel:
         self.inst = inst
         self.cp = cp
         self.ctx = S.Context()
-        self.theta: dict[tuple[str, str], int] = {}  # travel a -> b
-        self.gamma: dict[str, int] = {}  # arrival time
-        self.eps: dict[str, int] = {}  # remaining charge
+        self.theta: dict[tuple[Stop, Stop], int] = {}  # travel a -> b
+        self.gamma: dict[Stop, int] = {}  # arrival time
+        self.eps: dict[Stop, int] = {}  # remaining charge
         self.start_indicators: list[int] = []
         self._build()
 
-    def _loc(self, tid: str) -> NodeId:
-        inst = self.inst
-        if tid in inst.tasks:
-            return inst.tasks[tid].location
-        for o in inst.depots:
-            if inst.start_tasks[o].id == tid or inst.end_tasks[o].id == tid:
-                return o
-        raise KeyError(tid)
+    def _loc(self, stop: Stop) -> NodeId:
+        if isinstance(stop, Anchor):
+            return stop.depot
+        return self.inst.tasks[stop].location
 
-    def _service(self, tid: str) -> Fraction:
-        return self.inst.tasks[tid].service_time if tid in self.inst.tasks else 0
+    def _service(self, stop: Stop) -> Fraction:
+        if isinstance(stop, Anchor):
+            return 0
+        return self.inst.tasks[stop].service_time
 
-    def _dist(self, a: str, b: str) -> Fraction:
+    def _dist(self, a: Stop, b: Stop) -> Fraction:
         return self.cp[(self._loc(a), self._loc(b))].length
 
     def _build(self) -> None:
         inst, ctx = self.inst, self.ctx
-        real = inst.real_task_ids()
-        starts = [inst.start_tasks[o].id for o in inst.depots]
-        ends = [inst.end_tasks[o].id for o in inst.depots]
+        real = inst.task_ids()
+        starts = [Anchor(o, end=False) for o in inst.depots]
+        ends = [Anchor(o, end=True) for o in inst.depots]
         fleet = inst.fleet
         full = fleet.operating_range / fleet.charge_to_range
         T = fleet.horizon
         mex = mutually_exclusive_jobs(inst)
 
-        pairs: list[tuple[str, str]] = []
+        pairs: list[tuple[Stop, Stop]] = []
         for s in starts:
             for k in real:
                 pairs.append((s, k))
@@ -100,17 +113,17 @@ class RoutingModel:
         for p in pairs:
             self.theta[p] = ctx.new_bool()
 
-        for tid in real + starts + ends:
-            gamma = self.gamma[tid] = ctx.new_real()
-            eps = self.eps[tid] = ctx.new_real()
+        for stop in real + starts + ends:
+            gamma = self.gamma[stop] = ctx.new_real()
+            eps = self.eps[stop] = ctx.new_real()
             # x <= c is the atom x - 0 <= c, and x >= c is 0 - x <= -c
             ctx.assert_formula(ctx.le(eps, 0, full))
-            if tid in inst.tasks:
-                w = inst.tasks[tid].window
+            if isinstance(stop, Anchor):
+                ctx.assert_formula(ctx.le(gamma, 0, T))
+            else:
+                w = inst.tasks[stop].window
                 ctx.assert_formula(ctx.le(0, gamma, -w.lower))
                 ctx.assert_formula(ctx.le(gamma, 0, w.upper))
-            else:
-                ctx.assert_formula(ctx.le(gamma, 0, T))
         for s in starts:
             # vehicles leave the depot at full charge (at most full: above)
             ctx.assert_formula(ctx.le(0, self.eps[s], -full))
@@ -142,7 +155,7 @@ class RoutingModel:
             ctx.exactly(incoming, 1)
 
         # depot coherence: every chain stays anchored to one depot, which
-        # also forces each start dummy's chain to close at its own end dummy
+        # also forces each start anchor's chain to close at its own end
         if len(inst.depots) > 1:
             delta: dict[tuple[str, NodeId], int] = {}
             for k in real:
@@ -150,7 +163,7 @@ class RoutingModel:
                     delta[(k, o)] = ctx.new_bool()
                 ctx.exactly([delta[(k, o)] for o in inst.depots], 1)
             for o in inst.depots:
-                s, f = inst.start_tasks[o].id, inst.end_tasks[o].id
+                s, f = Anchor(o, end=False), Anchor(o, end=True)
                 for k in real:
                     ctx.assert_formula(-self.theta[(s, k)], delta[(k, o)])
                     ctx.assert_formula(-self.theta[(k, f)], delta[(k, o)])
@@ -193,23 +206,23 @@ class RoutingModel:
 
 
 def extract_routes(m: S.Model, model: RoutingModel) -> RouteSet:
-    """Reconstruct routes by chasing successor links from each start dummy."""
+    """Reconstruct routes by chasing successor links from each start anchor."""
     inst = model.inst
-    real = set(inst.real_task_ids())
-    succ: dict[str, str] = {}
-    true_lits: set[tuple[str, str]] = set()
+    real = set(inst.task_ids())
+    succ: dict[str, Stop] = {}
+    true_lits: set[tuple[Stop, Stop]] = set()
     for pair, var in model.theta.items():
         if m.value(var):
             true_lits.add(pair)
             if pair[0] in real:
-                # start dummies may head several routes; tasks may not
+                # start anchors may head several routes; tasks may not
                 if pair[0] in succ:
                     raise MalformedChain(f"{pair[0]} has two successors")
                 succ[pair[0]] = pair[1]
     routes: list[Route] = []
     served: set[str] = set()
     for o in inst.depots:
-        s, f = inst.start_tasks[o].id, inst.end_tasks[o].id
+        s, f = Anchor(o, end=False), Anchor(o, end=True)
         # several routes may leave one depot: walk each outgoing link
         heads = sorted(b for (a, b) in true_lits if a == s)
         for head in heads:
@@ -258,7 +271,9 @@ def route_sets(inst: Instance, cp: PathMap) -> Iterator[RouteSet]:
     model = RoutingModel(inst, cp)
     ctx = model.ctx
     starts = model.start_indicators
-    theta_vars = [model.theta[p] for p in sorted(model.theta)]
+    # blocking clauses list the travel literals by the names of their ends
+    theta_vars = [model.theta[p]
+                  for p in sorted(model.theta, key=lambda p: tuple(map(str, p)))]
     lower = 0
     while (res := ctx.minimize(starts, lower=lower)).sat:
         k = len(res.model.true_vars(starts))

@@ -86,7 +86,7 @@ def validate_schedule(cvs: Schedule, inst: Instance) -> ValidationReport:
                 if t in where:
                     raise MalformedSchedule(f"task {t} served twice")
                 where[t] = (ri, p)
-    missing = set(inst.real_task_ids()) - set(where)
+    missing = set(inst.task_ids()) - set(where)
     if missing:
         raise MalformedSchedule(f"tasks {sorted(missing)} never served")
 
@@ -143,8 +143,6 @@ def validate_schedule(cvs: Schedule, inst: Instance) -> ValidationReport:
 
     # jobs split across routes also break contiguity
     for jid in sorted(inst.jobs):
-        if jid.startswith("__"):
-            continue
         routes_used = {where[t][0] for t in inst.jobs[jid].tasks}
         if len(routes_used) > 1:
             bad.append(Violation(
@@ -459,7 +457,7 @@ def brute_force_feasible(inst: Instance, max_candidates: int = 2_000_000) -> Ora
     succ: dict[NodeId, list[NodeId]] = {n: [] for n in g.nodes}
     for s, d in sorted(g.edges):  # sorted: paths come out in lexicographic order
         succ[s].append(d)
-    tasks = inst.real_task_ids()
+    tasks = inst.task_ids()
     best: int | None = None  # in ruler ticks
 
     path_cache: dict[tuple[NodeId, NodeId], list[tuple[NodeId, ...]]] = {}

@@ -184,6 +184,6 @@ def test_criterion_8_validator_fault_injection():
             report = validate_schedule(bad, inst)
             if not report.ok and expected in {v.kind for v in report.violations}:
                 caught += 1
-    ok = len(cases) == 20 and caught == 20
-    _report(8, f"validator rejects {caught}/20 fault injections with the "
-               "expected violation kind", ok)
+    ok = len(cases) >= 20 and caught == len(cases)
+    _report(8, f"validator rejects {caught}/{len(cases)} fault injections "
+               "with the expected violation kind", ok)

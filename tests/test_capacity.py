@@ -3,7 +3,7 @@
 import pytest
 
 from cfevrp.assignment import assignments
-from cfevrp.capacity import build_visit_lists, verify_capacity
+from cfevrp.capacity import CapacityStats, build_visit_lists, verify_capacity
 from cfevrp.driver import routes_from_task_orders, shortest_path_map
 from cfevrp.errors import BrokenChain
 from cfevrp.graph import validate_graph
@@ -11,7 +11,9 @@ from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
 from cfevrp.routing import Route, RouteSet
-from cfevrp.validator import validate_schedule
+from cfevrp.validator import (
+    EDGE_CAPACITY_OPPOSITE, NODE_CAPACITY, validate_schedule,
+)
 from conftest import swap_deadlock_instance
 
 
@@ -56,6 +58,7 @@ def test_task_at_depot_collapses_to_single_position():
     assert tuple(p.node for p in vls[0].positions) == (1,)
     assert vls[0].edges == ()
     assert vls[0].positions[0].service == 1.0
+    assert vls[0].positions[0].upper == 9  # the service ends by T=10
 
 
 def test_broken_chain_detected(corridor):
@@ -125,6 +128,19 @@ def test_pinned_windows_make_crossing_infeasible():
     ca = _assign(inst, cr)
     cvs, _ = verify_capacity(ca, build_visit_lists(cr, inst), inst)
     assert cvs is None
+
+
+def test_without_conflicts_the_pinned_crossing_is_timed():
+    inst = swap_deadlock_instance()
+    sp = shortest_path_map(inst)
+    cr = routes_from_task_orders(inst, sp, [(1, ["a1"]), (3, ["b1"])])
+    ca = _assign(inst, cr)
+    cvs, stats = verify_capacity(
+        ca, build_visit_lists(cr, inst), inst, conflicts=False)
+    assert cvs is not None
+    assert stats == CapacityStats()  # not one conflict clause encoded
+    kinds = {v.kind for v in validate_schedule(cvs, inst).violations}
+    assert kinds and kinds <= {NODE_CAPACITY, EDGE_CAPACITY_OPPOSITE}
 
 
 def test_hub_nodes_generate_no_conflicts():

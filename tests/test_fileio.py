@@ -20,6 +20,19 @@ def test_instance_round_trip_is_byte_stable():
     assert txt == again
 
 
+def test_job_named_with_two_underscores_survives_the_round_trip():
+    """instance_to_json once dropped every job whose id starts with `__`,
+    and its task with it."""
+    inst = corridor_instance()
+    doc = instance_to_json(inst)
+    doc["jobs"][0]["id"] = "__x"
+    doc["jobs"][0]["tasks"][0]["id"] = "__x1"
+    txt = dumps_canonical(doc)
+    again = parse_instance(txt)
+    assert "__x" in again.jobs and "__x1" in again.tasks
+    assert dumps_canonical(instance_to_json(again)) == txt
+
+
 def test_generated_instances_round_trip():
     for seed in range(5):
         inst = generate_instance(seed, GenParams(nodes=12, vehicles=2,

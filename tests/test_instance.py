@@ -18,15 +18,10 @@ def line_graph():
 FLEET = FleetParams(10, 1, 1, 1, 1, 10)
 
 
-def test_corridor_instance_has_three_real_and_four_dummy_tasks():
+def test_corridor_instance_has_three_tasks_and_two_depots():
     inst = corridor_instance()
-    assert sorted(inst.real_task_ids()) == ["j11", "j21", "j31"]
-    assert len(inst.start_tasks) == 2 and len(inst.end_tasks) == 2
-    for o in inst.depots:
-        for dummy in (inst.start_tasks[o], inst.end_tasks[o]):
-            assert dummy.service_time == 0.0
-            assert dummy.window.lower == 0.0
-            assert dummy.window.upper == inst.fleet.horizon
+    assert inst.task_ids() == ["j11", "j21", "j31"]
+    assert inst.depots == (1, 6)
 
 
 def test_empty_depots_rejected():

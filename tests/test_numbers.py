@@ -44,9 +44,8 @@ def _instance_numbers(inst):
     f = inst.fleet
     yield from (f.operating_range, f.charge_coeff, f.discharge_coeff,
                 f.charge_to_range, f.speed, f.horizon)
-    for tasks in (inst.tasks, inst.start_tasks, inst.end_tasks):
-        for t in tasks.values():
-            yield from (t.window.lower, t.window.upper, t.service_time)
+    for t in inst.tasks.values():
+        yield from (t.window.lower, t.window.upper, t.service_time)
 
 
 def test_every_instance_number_is_a_fraction():

@@ -20,7 +20,7 @@ def enumerate_route_partitions(inst):
     g = inst.graph
     fleet = inst.fleet
     mex = mutually_exclusive_jobs(inst)
-    tasks = inst.real_task_ids()
+    tasks = inst.task_ids()
     budget = fleet.operating_range / fleet.charge_to_range * fleet.speed \
         / fleet.discharge_coeff
 

@@ -1,7 +1,7 @@
 """Independent schedule validation and the brute-force oracle.
 
-The fault-injection battery mutates known-good schedules in twenty ways
-and checks each one is rejected with the right violation kind (or as
+The fault-injection battery mutates known-good schedules in twenty-one
+ways and checks each one is rejected with the right violation kind (or as
 structurally malformed).
 """
 
@@ -23,7 +23,8 @@ from cfevrp.instance import (
 from cfevrp.routing import Route, RouteSet
 from cfevrp.validator import (
     CHARGING_GAP, EDGE_CAPACITY_DIRECT, EDGE_CAPACITY_OPPOSITE, ELIGIBILITY,
-    JOB_CONTIGUITY, NODE_CAPACITY, OPERATING_RANGE, PRECEDENCE, TIME_WINDOW,
+    HORIZON, JOB_CONTIGUITY, NODE_CAPACITY, OPERATING_RANGE, PRECEDENCE,
+    TIME_WINDOW,
     _Potential, _ticks, brute_force_feasible, validate_schedule,
 )
 from conftest import corridor_instance, swap_deadlock_instance
@@ -133,7 +134,7 @@ def _later_index(cvs):
     return max(range(len(cvs.routes)), key=lambda i: cvs.routes[i].node_in[0])
 
 
-# --- the twenty injections --------------------------------------------------
+# --- the twenty-one injections -----------------------------------------------
 
 def mutations():
     """Yields (label, instance, broken schedule, expectation)."""
@@ -169,6 +170,10 @@ def mutations():
            shift_route(t_good, late,
                        -(gap_start - t_good.routes[first].node_in[0]) - 0.5),
            EDGE_CAPACITY_DIRECT)
+    # the task's window reaches T, so only the return comes too late
+    yield ("route back half a unit past the horizon", t_inst,
+           shift_route(t_good, late, t_inst.fleet.horizon + Fraction(1, 2)
+                       - t_good.routes[late].node_out[-1]), HORIZON)
 
     c_inst, c_good = crossing_case()
     c_late = _later_index(c_good)
@@ -229,9 +234,9 @@ def _split_job_schedule(inst):
     return _manual_schedule(inst, [(1, ["a1", "b1"]), (1, ["a2"])])
 
 
-def test_twenty_fault_injections():
+def test_fault_injection_battery():
     cases = list(mutations())
-    assert len(cases) == 20
+    assert len(cases) == 21
     for label, inst, bad, expected in cases:
         if expected is MalformedSchedule:
             with pytest.raises(MalformedSchedule):
