@@ -143,7 +143,8 @@ def _solve(inst, limits, conflicts):
             reason = "no route set serves all tasks"
             if tried:
                 reason = (f"{tried} route set(s) tried; each ran out "
-                          "of assignments and path changes")
+                          "of assignments"
+                          + (" and path changes" if conflicts else ""))
             return SolveOutcome(INFEASIBLE, None, clock.events, reason)
         tried += 1
         outcome = _route_set_phase(inst, cr, limits, clock, conflicts)
@@ -191,7 +192,9 @@ def _capacity_phase(inst, cr, ca, limits, clock, conflicts):
         while True:
             if tried >= limits.max_path_sets:
                 return SolveOutcome(
-                    ABORTED, None, clock.events, "path set limit reached")
+                    ABORTED, None, clock.events,
+                    f"path set limit reached ({limits.max_path_sets} "
+                    "combinations for one assignment)")
             np = clock.run("paths", lambda: solve_paths_changing(paths))
             tried += 1
             if np is None:

@@ -47,10 +47,6 @@ class BrokenChain(CfEvrpError):
     """Route legs do not chain from the depot back to the depot."""
 
 
-class DecodingCycle(CfEvrpError):
-    """A selected path subgraph contains a cycle detached from its chain."""
-
-
 # ------------------------------------------------------------ validator layer
 
 class MalformedSchedule(CfEvrpError):

@@ -1,31 +1,31 @@
 """Alternative path synthesis for route legs.
 
-One Boolean model covers every leg of every route at once: node and edge
-selection variables per leg, flow-style degree constraints tying them into
-a simple chain from the leg's start to its end.  `path_sets` yields every
-simple-path combination, fewest used nodes first.
+`path_sets` yields every combination of simple paths for the legs of a
+route set, each once, fewest nodes in total first.  It is graph code with
+no solver model:
+- each leg lists its simple paths lazily in (node count, node sequence)
+  order, by Yen's algorithm ("Finding the K shortest loopless paths in a
+  network", 1971) with breadth-first spur searches; legs with the same
+  endpoints share one list;
+- the combinations come from a best-first merge of those lists over index
+  tuples, keyed by (total node count, index tuple), so ties come in a
+  fixed order.
 
-It serves one route set for as long as its assignment is tried.  It builds
-the model when the first combination is asked for and keeps it: each
-combination is blocked in place, and the next minimum is searched from the
-last one.  Blocking only removes combinations, so the last optimum is a
-proven lower bound and usually attained again by a single check under the
-assumption "at most that many nodes".
+It serves one route set for as long as its assignment is tried, and works
+out only as many paths as the combinations asked for need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterator
 
-from . import solver as S
-from .errors import DecodingCycle
 from .graph import NodeId, Path, PlantGraph
-from .routing import RouteSet
 from .instance import Instance
+from .routing import RouteSet
 
-EdgeKey = tuple[NodeId, NodeId]
+Nodes = tuple[NodeId, ...]
 
 
 @dataclass(frozen=True)
@@ -42,76 +42,116 @@ class PathAssignment:
         return RouteSet(tuple(routes))
 
 
+def _fewest_hops(g: PlantGraph, root: Nodes, dst: NodeId,
+                 cut: set[NodeId]) -> Nodes | None:
+    """The smallest node sequence among the fewest-edge paths from the
+    last node of `root` to `dst` that avoid the other `root` nodes and do
+    not step first to a node of `cut`.
+
+    A breadth-first search back from `dst` gives each node its distance,
+    and the walk forward takes the smallest next node one step closer.
+    """
+    banned = set(root)
+    dist = {dst: 0}
+    frontier = [dst]
+    while frontier:
+        reached = []
+        for n in frontier:
+            for e in g.in_edges(n):
+                if e.src not in dist and e.src not in banned:
+                    dist[e.src] = dist[n] + 1
+                    reached.append(e.src)
+        frontier = reached
+    firsts = [(dist[e.dst], e.dst) for e in g.out_edges(root[-1])
+              if e.dst in dist and e.dst not in cut]
+    if not firsts:
+        return None
+    seq = [root[-1], min(firsts)[1]]
+    while seq[-1] != dst:
+        d = dist[seq[-1]] - 1
+        seq.append(next(e.dst for e in g.out_edges(seq[-1])
+                        if dist.get(e.dst) == d))
+    return tuple(seq)
+
+
+def simple_paths(g: PlantGraph, src: NodeId, dst: NodeId) -> Iterator[Nodes]:
+    """Every simple src -> dst path once, by (node count, node sequence).
+
+    Yen's algorithm: a path not listed yet leaves the listed path it
+    shares the longest prefix with at some spur node, so the next path is
+    the best of the spur searches from every listed path's nodes.  The
+    spur search fixes the root (the prefix up to the spur node), so its
+    smallest (node count, node sequence) path makes the smallest whole
+    path of that root.
+    """
+    if src == dst:
+        yield (src,)
+        return
+    listed = [_fewest_hops(g, (src,), dst, set())]
+    candidates: list[tuple[int, Nodes]] = []
+    seen = set(listed)
+    while True:
+        last = listed[-1]
+        yield last
+        for i in range(len(last) - 1):
+            root = last[:i + 1]
+            cut = {p[i + 1] for p in listed if p[:i + 1] == root}
+            spur = _fewest_hops(g, root, dst, cut)
+            if spur is not None and (path := root[:-1] + spur) not in seen:
+                seen.add(path)
+                heappush(candidates, (len(path), path))
+        if not candidates:
+            return
+        listed.append(heappop(candidates)[1])
+
+
+class _Leg:
+    """The paths of one leg's endpoints, worked out as they are asked for."""
+
+    def __init__(self, g: PlantGraph, src: NodeId, dst: NodeId):
+        self._g = g
+        self._more = simple_paths(g, src, dst)
+        self._paths: list[Path] = []
+
+    def path(self, k: int) -> Path | None:
+        """The k-th path (from 0), or None when there are fewer."""
+        while len(self._paths) <= k:
+            nodes = next(self._more, None)
+            if nodes is None:
+                return None
+            self._paths.append(self._g.path_between(nodes))
+        return self._paths[k]
+
+
 def path_sets(cr: RouteSet, inst: Instance) -> Iterator[PathAssignment]:
-    """The path combinations of `cr`'s legs, fewest nodes first, each once."""
-    g: PlantGraph = inst.graph
-    legs: list[tuple[int, int, NodeId, NodeId]] = []
-    degenerate: dict[tuple[int, int], Path] = {}
+    """The path combinations of `cr`'s legs, fewest nodes first, each once.
+
+    Ties come by index tuple: the leg paths' ranks, legs in (route, leg)
+    order.
+    """
+    keys: list[tuple[int, int]] = []
+    legs: list[_Leg] = []
+    shared: dict[tuple[NodeId, NodeId], _Leg] = {}
     for r, route in enumerate(cr.routes):
         locs = route.locations(inst)
-        for i, (xi, pi) in enumerate(zip(locs, locs[1:])):
-            if xi == pi:
-                # the empty path is the only simple path from a node to itself
-                degenerate[(r, i)] = Path((xi,), Fraction(0))
-            else:
-                legs.append((r, i, xi, pi))
+        for i, ends in enumerate(zip(locs, locs[1:])):
+            if ends not in shared:
+                shared[ends] = _Leg(inst.graph, *ends)
+            keys.append((r, i))
+            legs.append(shared[ends])
 
-    ctx = S.Context()
-    w: dict[tuple[int, int, NodeId], int] = {}  # node variables
-    z: dict[tuple[int, int, EdgeKey], int] = {}  # edge variables
-    for r, i, _, _ in legs:
-        for n in sorted(g.nodes):
-            w[(r, i, n)] = ctx.new_bool()
-        for e in sorted(g.edges):
-            z[(r, i, e)] = ctx.new_bool()
+    def size(index: tuple[int, ...]) -> int:
+        return sum(len(leg.path(k).nodes) for leg, k in zip(legs, index))
 
-    for r, i, xi, pi in legs:
-        ctx.assert_formula(w[(r, i, xi)])
-        ctx.assert_formula(w[(r, i, pi)])
-        ctx.exactly([z[(r, i, e.key)] for e in g.out_edges(xi)], 1)
-        ctx.exactly([z[(r, i, e.key)] for e in g.in_edges(pi)], 1)
-        for e in sorted(g.edges):
-            if e[0] < e[1]:  # one clause per segment: not both ways
-                ctx.assert_formula(-z[(r, i, e)], -z[(r, i, (e[1], e[0]))])
-        for n in sorted(g.nodes):
-            if n in (xi, pi):
-                continue
-            # a used node is entered and left once, an unused one never
-            visited = w[(r, i, n)]
-            outs = [z[(r, i, e.key)] for e in g.out_edges(n)]
-            ins = [z[(r, i, e.key)] for e in g.in_edges(n)]
-            ctx.exactly(outs, 1, visited)
-            ctx.exactly(ins, 1, visited)
-            ctx.exactly(outs, 0, -visited)
-            ctx.exactly(ins, 0, -visited)
-    nodes = list(w.values())
-
-    optimum = 0  # node count of the last combination yielded
-    while (res := ctx.minimize(nodes, lower=optimum)).sat:
-        m = res.model
-        optimum = len(m.true_vars(nodes))
-        out: dict[tuple[int, int], Path] = dict(degenerate)
-        used: list[int] = []
-        for r, i, xi, pi in legs:
-            succ: dict[NodeId, NodeId] = {}
-            for e in g.edges:
-                if m.value(z[(r, i, e)]):
-                    if e[0] in succ:
-                        raise DecodingCycle(
-                            f"leg ({r},{i}): node {e[0]} has two exits")
-                    succ[e[0]] = e[1]
-            seq = [xi]
-            cur = xi
-            while cur != pi:
-                if cur not in succ:
-                    raise DecodingCycle(f"leg ({r},{i}): chain breaks at {cur}")
-                cur = succ[cur]
-                if cur in seq:
-                    raise DecodingCycle(f"leg ({r},{i}): cycle through {cur}")
-                seq.append(cur)
-            path = g.path_between(tuple(seq))
-            out[(r, i)] = path
-            used.extend(z[(r, i, e)] for e in path.edge_keys)
-        # exclude this combination, and any model containing all its edges
-        ctx.block_true_subset(used, m)
-        yield PathAssignment(out)
+    first = (0,) * len(legs)
+    frontier = [(size(first), first)]
+    seen = {first}
+    while frontier:
+        _, index = heappop(frontier)
+        yield PathAssignment({key: leg.path(k)
+                              for key, leg, k in zip(keys, legs, index)})
+        for j, leg in enumerate(legs):
+            nxt = index[:j] + (index[j] + 1,) + index[j + 1:]
+            if nxt not in seen and leg.path(nxt[j]) is not None:
+                seen.add(nxt)
+                heappush(frontier, (size(nxt), nxt))

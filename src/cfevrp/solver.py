@@ -57,11 +57,11 @@ Number = Union[int, float, Fraction]
 class Model:
     """A satisfying assignment: literal values and real values by node.
 
-    The real values are computed on the first `real` call, since most
-    models (the router's, the path changer's) are only read for literals.
-    They satisfy every true atom and the negation of every false atom that
-    some clause or assumption negates.  An atom that nothing negates may
-    read false while the real values satisfy it.
+    The real values are computed on the first `real` call, since the
+    router's models are only read for literals.  They satisfy every true
+    atom and the negation of every false atom that some clause or
+    assumption negates.  An atom that nothing negates may read false
+    while the real values satisfy it.
     """
 
     def __init__(self, lits: Sequence[bool],

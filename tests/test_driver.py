@@ -140,8 +140,9 @@ def test_exhausted_route_sets_have_their_own_reason():
     assert [e.phase for e in out.events] == ["router", "assign", "router"]
     assert out.reason == (
         "1 route set(s) tried; each ran out of assignments and path changes")
-    # relaxed mode shares the loop, and with it the reason
-    assert c_comsat_solve(_star_instance()).reason == out.reason
+    # relaxed mode shares the loop but never changes paths
+    assert c_comsat_solve(_star_instance()).reason == (
+        "1 route set(s) tried; each ran out of assignments")
 
 
 def test_task_served_at_the_depot_must_end_its_service_by_the_horizon():

@@ -12,7 +12,7 @@ from cfevrp.graph import validate_graph
 from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
-from cfevrp.pathschanger import path_sets
+from cfevrp.pathschanger import path_sets, simple_paths
 from cfevrp.routing import Route, RouteSet
 from conftest import corridor_instance, random_tiny_instance
 from test_graph import random_connected_graph
@@ -213,6 +213,26 @@ def test_changer_lists_every_combination_in_node_count_order():
     assert nontrivial >= 12
 
 
+def test_leg_paths_come_in_node_count_then_sequence_order():
+    nontrivial = 0
+    for seed in range(40):
+        inst, cr = _random_plant(seed, 2, 8)
+        for route in cr.routes:
+            locs = route.locations(inst)
+            for a, b in zip(locs, locs[1:]):
+                expected = sorted(dfs_simple_paths(inst.graph, a, b),
+                                  key=lambda s: (len(s), s))
+                assert list(simple_paths(inst.graph, a, b)) == expected
+                nontrivial += len(expected) > 2
+
+        def combinations():
+            return [tuple(sorted((key, p.nodes) for key, p in np.legs.items()))
+                    for np in itertools.islice(path_sets(cr, inst), 200)]
+
+        assert combinations() == combinations()
+    assert nontrivial >= 20
+
+
 def _count_contexts(monkeypatch):
     """Weak references to every solver Context made from now on, by the
     module that made it."""
@@ -228,19 +248,13 @@ def _count_contexts(monkeypatch):
     return made
 
 
-def test_changer_builds_one_model_per_capacity_phase_and_frees_it(monkeypatch):
+def test_changer_builds_no_solver_context(monkeypatch):
     # random_tiny_instance(250) makes 17 path changer calls in one capacity
     # phase (see the trajectory pin in test_driver.py).
     made = _count_contexts(monkeypatch)
-    inst = random_tiny_instance(250)
-    gc.disable()
-    try:
-        out = comsat_solve(inst)
-        assert out.paths_changer_calls == 17
-        assert len(made["cfevrp.pathschanger"]) == 1
-        assert made["cfevrp.pathschanger"][0]() is None
-    finally:
-        gc.enable()
+    out = comsat_solve(random_tiny_instance(250))
+    assert out.paths_changer_calls == 17
+    assert "cfevrp.pathschanger" not in made
 
 
 def test_router_and_assignment_keep_one_model_per_input_and_free_them(
