@@ -184,15 +184,3 @@ def build_instance(
         jobs=jmap,
         tasks=tmap,
     )
-
-
-def mutually_exclusive_jobs(inst: Instance) -> dict[str, set[str]]:
-    """Jobs whose eligible vehicle sets are disjoint can never share a route."""
-    out: dict[str, set[str]] = {j: set() for j in inst.jobs}
-    ids = sorted(inst.jobs)
-    for i, j1 in enumerate(ids):
-        for j2 in ids[i + 1:]:
-            if not (inst.jobs[j1].eligible_vehicles & inst.jobs[j2].eligible_vehicles):
-                out[j1].add(j2)
-                out[j2].add(j1)
-    return out

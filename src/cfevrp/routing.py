@@ -1,8 +1,9 @@
 """Route construction: serve every task within its window, minimize routes.
 
-Builds a task-successor model: Boolean travel indicators between task
-locations, arrival-time and remaining-charge reals per task, and a start
-and an end anchor per depot that every route leaves from and returns to.
+Builds a task-successor model: Boolean travel indicators on the links
+between stops that some route can use, arrival-time and remaining-charge
+reals per task, and a start and an end anchor per depot that every route
+leaves from and returns to.
 One model serves a whole solve: `route_sets` yields its route sets by
 route count, then by total distance, and blocks each one in place, so none
 is returned twice.
@@ -18,7 +19,7 @@ from typing import Iterator
 from . import solver as S
 from .errors import MalformedChain
 from .graph import NodeId, Path
-from .instance import Instance, mutually_exclusive_jobs
+from .instance import Instance
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,19 @@ class RoutingModel:
     def _dist(self, a: Stop, b: Stop) -> Fraction:
         return self.cp[(self._loc(a), self._loc(b))].length
 
+    def _vehicles(self, stop: Stop) -> frozenset[str]:
+        """The vehicles that may serve stop: those stationed at an anchor's
+        depot, or those eligible for a task's job."""
+        if isinstance(stop, Anchor):
+            return frozenset(self.inst.vehicles_at(stop.depot))
+        return self.inst.job_of(stop).eligible_vehicles
+
+    def _window(self, stop: Stop) -> tuple[Fraction, Fraction]:
+        if isinstance(stop, Anchor):
+            return Fraction(0), self.inst.fleet.horizon
+        w = self.inst.tasks[stop].window
+        return w.lower, w.upper
+
     def _build(self) -> None:
         inst, ctx = self.inst, self.ctx
         real = inst.task_ids()
@@ -97,7 +111,6 @@ class RoutingModel:
         fleet = inst.fleet
         full = fleet.operating_range / fleet.charge_to_range
         T = fleet.horizon
-        mex = mutually_exclusive_jobs(inst)
 
         pairs: list[tuple[Stop, Stop]] = []
         for s in starts:
@@ -110,8 +123,19 @@ class RoutingModel:
         for k in real:
             for f in ends:
                 pairs.append((k, f))
-        for p in pairs:
-            self.theta[p] = ctx.new_bool()
+        # a link exists only where some route can use it: its ends share a
+        # vehicle (the assignment stage puts a route on a vehicle stationed
+        # at its depot and eligible for all its jobs), b can be reached in
+        # b's window from a's earliest time, and one full charge covers it
+        travel: dict[tuple[Stop, Stop], Fraction] = {}
+        for a, b in pairs:
+            t = self._dist(a, b) / fleet.speed
+            if (self._vehicles(a) & self._vehicles(b)
+                    and self._window(a)[0] + self._service(a) + t
+                    <= self._window(b)[1]
+                    and fleet.discharge_coeff * t <= full):
+                self.theta[(a, b)] = ctx.new_bool()
+                travel[(a, b)] = t
 
         for stop in real + starts + ends:
             gamma = self.gamma[stop] = ctx.new_real()
@@ -130,29 +154,19 @@ class RoutingModel:
 
         # travel propagates time forward and charge downward
         for (a, b), var in self.theta.items():
-            d = self._dist(a, b)
-            v = fleet.speed
+            t = travel[(a, b)]
             ctx.assert_formula(-var, ctx.le(
-                self.gamma[a], self.gamma[b], -(self._service(a) + d / v)))
+                self.gamma[a], self.gamma[b], -(self._service(a) + t)))
             ctx.assert_formula(-var, ctx.le(
-                self.eps[b], self.eps[a], -fleet.discharge_coeff * d / v))
+                self.eps[b], self.eps[a], -fleet.discharge_coeff * t))
 
-        # no direct travel between mutually exclusive jobs
-        for k1 in real:
-            for k2 in real:
-                if k1 == k2:
-                    continue
-                if inst.tasks[k2].job in mex[inst.tasks[k1].job]:
-                    ctx.assert_formula(-self.theta[(k1, k2)])
+        def links(pairs) -> list[int]:
+            return [self.theta[p] for p in pairs if p in self.theta]
 
         # every task has exactly one successor and one predecessor
         for k in real:
-            outgoing = [self.theta[(k, k2)] for k2 in real if k2 != k]
-            outgoing += [self.theta[(k, f)] for f in ends]
-            ctx.exactly(outgoing, 1)
-            incoming = [self.theta[(k2, k)] for k2 in real if k2 != k]
-            incoming += [self.theta[(s, k)] for s in starts]
-            ctx.exactly(incoming, 1)
+            ctx.exactly(links((k, b) for b in real + ends), 1)
+            ctx.exactly(links((a, k) for a in real + starts), 1)
 
         # depot coherence: every chain stays anchored to one depot, which
         # also forces each start anchor's chain to close at its own end
@@ -162,35 +176,33 @@ class RoutingModel:
                 for o in inst.depots:
                     delta[(k, o)] = ctx.new_bool()
                 ctx.exactly([delta[(k, o)] for o in inst.depots], 1)
-            for o in inst.depots:
-                s, f = Anchor(o, end=False), Anchor(o, end=True)
-                for k in real:
-                    ctx.assert_formula(-self.theta[(s, k)], delta[(k, o)])
-                    ctx.assert_formula(-self.theta[(k, f)], delta[(k, o)])
-            for k1 in real:
-                for k2 in real:
-                    if k1 == k2:
-                        continue
-                    link = self.theta[(k1, k2)]
+            for (a, b), link in self.theta.items():
+                if isinstance(a, Anchor):
+                    ctx.assert_formula(-link, delta[(b, a.depot)])
+                elif isinstance(b, Anchor):
+                    ctx.assert_formula(-link, delta[(a, b.depot)])
+                else:
                     for o in inst.depots:
-                        d1, d2 = delta[(k1, o)], delta[(k2, o)]
+                        d1, d2 = delta[(a, o)], delta[(b, o)]
                         ctx.assert_formula(-link, -d1, d2)
                         ctx.assert_formula(-link, d1, -d2)
 
-        # multi-task jobs run contiguously in some order
+        # multi-task jobs run contiguously in some order that has its links
         for jid in sorted(inst.jobs):
             tasks = inst.jobs[jid].tasks
             if len(tasks) < 2:
                 continue
             alternatives = []
             for ord_ in permutations(tasks):
-                links = [self.theta[(a, b)] for a, b in zip(ord_, ord_[1:])]
-                if len(links) == 1:
-                    alternatives.append(links[0])
+                order_links = links(zip(ord_, ord_[1:]))
+                if len(order_links) < len(ord_) - 1:
+                    continue
+                if len(order_links) == 1:
+                    alternatives.append(order_links[0])
                     continue
                 # one Boolean per order, true only if all its links are
                 chosen = ctx.new_bool()
-                for link in links:
+                for link in order_links:
                     ctx.assert_formula(-chosen, link)
                 alternatives.append(chosen)
             ctx.assert_formula(*alternatives)
@@ -200,9 +212,7 @@ class RoutingModel:
             for k_prev in sorted(inst.tasks[k].predecessors):
                 ctx.assert_formula(ctx.le(self.gamma[k_prev], self.gamma[k], 0))
 
-        self.start_indicators = [
-            self.theta[(s, k)] for s in starts for k in real
-        ]
+        self.start_indicators = links((s, k) for s in starts for k in real)
 
 
 def extract_routes(m: S.Model, model: RoutingModel) -> RouteSet:

@@ -11,16 +11,19 @@ sub-problem models of this package write in:
 - ``le(x, y, c)`` is the literal of the atom ``x - y <= c``; its negation
   is the strict ``y - x < -c``;
 - ``assert_formula(*lits)`` asserts one clause over such literals;
-- ``exactly`` and ``at_most`` count literals through a cached totalizer
-  and hold whenever all their guard literals are true.
+- ``exactly`` and ``at_most`` count literals through a totalizer
+  (Bailleux and Boufkhad, 2003) and hold whenever all their guard
+  literals are true.  The totalizer is truncated: it counts only up to the
+  bound that is read (n + 1 outputs for a bound n), in O(n * len) clauses,
+  and is kept per literal list until a larger bound asks for a new one.
 
 A CDCL SAT core searches the Boolean skeleton and hands the atoms to a
 difference-logic theory solver (negative-cycle detection over rational
 bounds with an infinitesimal component for strict inequalities).
 Minimization of an indicator count runs a descending linear search over
-the totalizer outputs; it can start from a known lower bound, so a context
-that only gains clauses re-minimizes under an assumption instead of
-starting over.
+the outputs of a totalizer truncated just above the first model's count;
+it can start from a known lower bound, so a context that only gains
+clauses re-minimizes under an assumption instead of starting over.
 
 The SAT core propagates with two watched literals, keeps its trail in
 lists indexed by variable and picks each decision from a heap ordered by
@@ -432,7 +435,7 @@ class Context:
         if n > len(lits):
             self.assert_formula(*unless)
         elif n >= 1:  # at least n
-            self.assert_formula(*unless, self._totalizer(lits)[n - 1])
+            self.assert_formula(*unless, self._totalizer(lits, n + 1)[n - 1])
         self.at_most(lits, n, *guards)
 
     def at_most(self, lits: Sequence[int], n: int, *guards: int) -> None:
@@ -441,7 +444,7 @@ class Context:
         if n < 0:
             self.assert_formula(*unless)
         elif n < len(lits):
-            self.assert_formula(*unless, -self._totalizer(lits)[n])
+            self.assert_formula(*unless, -self._totalizer(lits, n + 1)[n])
 
     def block_model(self, lits: Sequence[int], m: Model) -> None:
         """Forbid the projection of model m onto the given literals."""
@@ -482,24 +485,28 @@ class Context:
                  lower: int = 0) -> SolveResult:
         """Minimize the number of true literals among `indicators`.
 
-        Descending linear search over totalizer outputs.  `lower` must be a
-        proven lower bound on that number, such as an earlier optimum of
-        this context when only clauses were added since: the search then
-        first checks under the assumption "at most `lower`", whose model is
-        optimal, and descends no further than `lower` + 1 otherwise.
-        Nothing is asserted, so later check() calls see the same clauses;
-        callers that want the optimum capped assert at_most themselves.
+        Descending linear search over totalizer outputs, which are built
+        only up to the first model's count + 1: the descent reads no
+        higher, and a caller that caps the optimum with at_most reads
+        exactly that one.  `lower` must be a proven lower bound on that
+        number, such as an earlier optimum of this context when only
+        clauses were added since: the search then first checks under the
+        assumption "at most `lower`", whose model is optimal, and descends
+        no further than `lower` + 1 otherwise.  Nothing is asserted, so
+        later check() calls see the same clauses; callers that want the
+        optimum capped assert at_most themselves.
         """
         if 0 < lower < len(indicators):
-            res = self.check(assumptions=[-self._totalizer(indicators)[lower]])
+            res = self.check(
+                assumptions=[-self._totalizer(indicators, lower + 1)[lower]])
             if res.sat:
                 return res
             lower += 1
         res = self.check()
         if not res.sat or not indicators:
             return res
-        outs = self._totalizer(indicators)
         k = len(res.model.true_vars(indicators))
+        outs = self._totalizer(indicators, k + 1)
         while k > lower:
             tighter = self.check(assumptions=[-outs[k - 1]])
             if not tighter.sat:
@@ -510,40 +517,51 @@ class Context:
 
     # -- cardinality ------------------------------------------------------
 
-    def _totalizer(self, lits: Sequence[int]) -> list[int]:
-        """Sorted-output counter: outs[k] is true iff > k inputs are true.
+    def _totalizer(self, lits: Sequence[int], size: int) -> list[int]:
+        """Sorted-output counter cut at `size` outputs (all of them when
+        size >= len(lits)): outs[k] is true iff > k inputs are true.
 
-        outs[k] <=> (#true >= k+1).  Both implication directions are encoded
-        so the outputs can be used under either polarity.
+        outs[k] <=> (#true >= k+1), for every k < len(outs).  Both
+        implication directions are encoded so the outputs can be used
+        under either polarity.  Each node keeps only its first `size`
+        outputs, so the clauses number O(n * size) instead of O(n^2).  A
+        larger size than the cached one builds a new counter beside it;
+        the old one's clauses stay, and still hold.
         """
         key = tuple(lits)
-        if key not in self._totalizer_cache:
+        outs = self._totalizer_cache.get(key)
+        if outs is None or len(outs) < min(size, len(lits)):
             # the clauses below hold every input under both polarities
             self._note_negated([-abs(l) for l in lits])
-            self._totalizer_cache[key] = self._totalizer_node(list(lits))
-        return self._totalizer_cache[key]
+            outs = self._totalizer_node(list(lits), size)
+            self._totalizer_cache[key] = outs
+        return outs
 
-    def _totalizer_node(self, ls: list[int]) -> list[int]:
-        """Outputs of the totalizer subtree over ls (a method, not a closure,
-        so that building one leaves no reference cycle through the context)."""
+    def _totalizer_node(self, ls: list[int], size: int) -> list[int]:
+        """The first `size` outputs of the totalizer subtree over ls (a
+        method, not a closure, so that building one leaves no reference
+        cycle through the context).
+
+        A child cut at `size` never needs its missing outputs: every sum
+        i + j that reaches past them reaches past this node's outputs too.
+        """
         if len(ls) <= 1:
             return list(ls)
         mid = len(ls) // 2
-        a = self._totalizer_node(ls[:mid])
-        b = self._totalizer_node(ls[mid:])
-        r = [self._sat.new_var() for _ in range(len(a) + len(b))]
+        a = self._totalizer_node(ls[:mid], size)
+        b = self._totalizer_node(ls[mid:], size)
         p, q = len(a), len(b)
+        r = [self._sat.new_var() for _ in range(min(p + q, size))]
         for i in range(p + 1):
             for j in range(q + 1):
-                if 1 <= i + j <= p + q:
+                if 1 <= i + j <= len(r):
                     clause = [r[i + j - 1]]
                     if i >= 1:
                         clause.append(-a[i - 1])
                     if j >= 1:
                         clause.append(-b[j - 1])
-                    if i >= 1 or j >= 1:
-                        self._sat.add_clause(clause)
-                if 0 <= i + j < p + q:
+                    self._sat.add_clause(clause)
+                if i + j < len(r):
                     clause = [-r[i + j]]
                     if i < p:
                         clause.append(a[i])

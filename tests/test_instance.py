@@ -1,4 +1,4 @@
-"""Instance construction, validation, and derived job relations."""
+"""Instance construction and validation."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from cfevrp.errors import InvariantViolation
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
-    mutually_exclusive_jobs,
 )
 from conftest import corridor_instance
 
@@ -71,31 +70,3 @@ def test_predecessor_outside_job_rejected():
 def test_time_window_ordering_enforced():
     with pytest.raises(InvariantViolation):
         TimeWindow(3, 2)
-
-
-def test_mutually_exclusive_jobs_on_corridor():
-    inst = corridor_instance()
-    mex = mutually_exclusive_jobs(inst)
-    assert mex["j1"] == {"j2", "j3"}
-    assert mex["j2"] == {"j1"}
-    assert mex["j3"] == {"j1"}
-
-
-def test_mutual_exclusion_empty_when_fleets_shared():
-    g = line_graph()
-    inst = build_instance(
-        g, [1], FLEET, [Vehicle("v1", 1)],
-        [Job("j1", ("t1",), frozenset({"v1"})),
-         Job("j2", ("t2",), frozenset({"v1"}))],
-        [Task("t1", "j1", 2, TimeWindow(0, 5), 0.0),
-         Task("t2", "j2", 3, TimeWindow(0, 5), 0.0)])
-    mex = mutually_exclusive_jobs(inst)
-    assert mex["j1"] == set() and mex["j2"] == set()
-
-
-def test_mutual_exclusion_symmetric():
-    inst = corridor_instance()
-    mex = mutually_exclusive_jobs(inst)
-    for j, others in mex.items():
-        for o in others:
-            assert j in mex[o]

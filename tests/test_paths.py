@@ -259,16 +259,16 @@ def test_changer_builds_no_solver_context(monkeypatch):
 
 def test_router_and_assignment_keep_one_model_per_input_and_free_them(
         monkeypatch):
-    # random_tiny_instance(250) tries 4 route sets in one solve (see the
+    # random_tiny_instance(250) tries 2 route sets in one solve (see the
     # trajectory pin in test_driver.py).
     made = _count_contexts(monkeypatch)
     inst = random_tiny_instance(250)
     gc.disable()
     try:
         out = comsat_solve(inst)
-        assert sum(e.phase == "router" for e in out.events) == 4
+        assert sum(e.phase == "router" for e in out.events) == 2
         assert len(made["cfevrp.routing"]) == 1
-        assert len(made["cfevrp.assignment"]) == 4
+        assert len(made["cfevrp.assignment"]) == 2
         assert all(ref() is None for refs in made.values() for ref in refs)
     finally:
         gc.enable()

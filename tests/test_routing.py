@@ -3,23 +3,28 @@
 from cfevrp.graph import shortest_path, validate_graph
 from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
-    mutually_exclusive_jobs,
 )
 from cfevrp.driver import shortest_path_map
-from cfevrp.routing import route_sets
-from conftest import corridor_graph
+from cfevrp.routing import Anchor, RoutingModel, route_sets
+from conftest import corridor_graph, random_tiny_instance
 
 
 def enumerate_route_partitions(inst):
-    """Brute-force count of feasible depot-anchored route collections.
+    """Brute-force count of feasible depot-anchored route collections."""
+    return len(route_partitions(inst))
 
-    Mirrors the travel-link model's semantics: earliest-arrival replay with
-    waiting, a per-route charge budget, and mutual exclusion applied to
-    consecutive tasks only.
+
+def route_partitions(inst):
+    """Every feasible depot-anchored route collection, by brute force.
+
+    Returns {frozenset of (depot, task tuple): (route count, distance)}.
+    Mirrors the travel-link model's semantics in exact arithmetic:
+    earliest-arrival replay with waiting, a per-route charge budget,
+    consecutive tasks whose jobs share an eligible vehicle, and a first and
+    a last task whose jobs share one with the vehicles at the route's depot.
     """
     g = inst.graph
     fleet = inst.fleet
-    mex = mutually_exclusive_jobs(inst)
     tasks = inst.task_ids()
     budget = fleet.operating_range / fleet.charge_to_range * fleet.speed \
         / fleet.discharge_coeff
@@ -27,29 +32,34 @@ def enumerate_route_partitions(inst):
     def dist(a, b):
         return shortest_path(g, a, b).length
 
-    def route_ok(depot, seq):
-        t = 0.0
-        length = 0.0
+    def vehicles(tid):
+        return inst.job_of(tid).eligible_vehicles
+
+    def route_length(depot, seq):
+        """The route's length, or None if it cannot run."""
+        at_depot = set(inst.vehicles_at(depot))
+        if not (vehicles(seq[0]) & at_depot and vehicles(seq[-1]) & at_depot):
+            return None
+        if any(not (vehicles(a) & vehicles(b)) for a, b in zip(seq, seq[1:])):
+            return None
+        t = 0
+        length = 0
         loc = depot
-        prev_service = 0.0
-        for i, tid in enumerate(seq):
+        prev_service = 0
+        for tid in seq:
             task = inst.tasks[tid]
-            if i > 0:
-                prev = inst.tasks[seq[i - 1]]
-                if task.job in mex[prev.job]:
-                    return False
             d = dist(loc, task.location)
             length += d
             t = max(t + prev_service + d / fleet.speed, task.window.lower)
-            if t > task.window.upper + 1e-9:
-                return False
+            if t > task.window.upper:
+                return None
             prev_service = task.service_time
             loc = task.location
         d_back = dist(loc, depot)
         length += d_back
-        if t + prev_service + d_back / fleet.speed > fleet.horizon + 1e-9:
-            return False
-        return length <= budget + 1e-9
+        if t + prev_service + d_back / fleet.speed > fleet.horizon:
+            return None
+        return length if length <= budget else None
 
     def ordered_partitions(items):
         if not items:
@@ -65,12 +75,14 @@ def enumerate_route_partitions(inst):
                     yield new
 
     from itertools import product
-    count = 0
+    found = {}
     for part in ordered_partitions(tasks):
         for depots in product(inst.depots, repeat=len(part)):
-            if all(route_ok(o, seq) for o, seq in zip(depots, part)):
-                count += 1
-    return count
+            lengths = [route_length(o, seq) for o, seq in zip(depots, part)]
+            if None not in lengths:
+                key = frozenset((o, tuple(seq)) for o, seq in zip(depots, part))
+                found[key] = (len(part), sum(lengths))
+    return found
 
 
 def three_task_instance():
@@ -120,18 +132,48 @@ def test_window_impossible_task_is_infeasible():
     assert next(route_sets(inst, shortest_path_map(inst)), None) is None
 
 
-def test_blocking_enumerates_all_partitions_then_infeasible():
-    inst = three_task_instance()
-    expected = enumerate_route_partitions(inst)
-    assert expected > 0
+def two_depot_instance_with_an_unserved_depot():
+    """Three single-task jobs at two depots; depot 6 hosts no vehicle that
+    may serve j1, and depot 1 none that may serve j3."""
+    g = corridor_graph()
+    fleet = FleetParams(operating_range=12, charge_coeff=1, discharge_coeff=1,
+                        charge_to_range=1, speed=1, horizon=12)
+    tasks = [
+        Task("t1", "j1", 2, TimeWindow(1, 6), 1.0),
+        Task("t2", "j2", 4, TimeWindow(2, 8), 1.0),
+        Task("t3", "j3", 5, TimeWindow(1, 7), 1.0),
+    ]
+    jobs = [Job("j1", ("t1",), frozenset({"v1"})),
+            Job("j2", ("t2",), frozenset({"v1", "v2", "v3"})),
+            Job("j3", ("t3",), frozenset({"v3"}))]
+    vehicles = [Vehicle("v1", 1), Vehicle("v2", 1), Vehicle("v3", 6)]
+    return build_instance(g, [1, 6], fleet, vehicles, jobs, tasks)
+
+
+def _check_enumeration_against_reference(inst):
+    expected = route_partitions(inst)
+    assert expected
     sp = shortest_path_map(inst)
-    seen = set()
+    seen = []
     for cr in route_sets(inst, sp):
         key = frozenset((r.depot, r.tasks) for r in cr.routes)
-        assert key not in seen
-        seen.add(key)
-        assert len(seen) <= expected
-    assert len(seen) == expected
+        assert key in expected and key not in seen
+        seen.append(key)
+    assert len(seen) == len(expected)
+    assert expected[seen[0]] == min(expected.values())
+
+
+def test_blocking_enumerates_all_partitions_then_infeasible():
+    _check_enumeration_against_reference(three_task_instance())
+
+
+def test_router_skips_depots_that_host_no_eligible_vehicle():
+    inst = two_depot_instance_with_an_unserved_depot()
+    _check_enumeration_against_reference(inst)
+    for cr in route_sets(inst, shortest_path_map(inst)):
+        for r in cr.routes:
+            assert "t1" not in r.tasks or r.depot == 1
+            assert "t3" not in r.tasks or r.depot == 6
 
 
 def test_route_counts_never_decrease_during_enumeration():
@@ -172,3 +214,44 @@ def test_zero_job_instance_yields_empty_route_set():
                           [Vehicle("v1", 1)], [], [])
     cr = next(route_sets(inst, shortest_path_map(inst)), None)
     assert cr is not None and cr.routes == ()
+
+
+def _expected_links(inst, sp):
+    """The travel links some route can use, restated from the instance:
+    the two ends share a vehicle (an anchor's are those at its depot), the
+    later end's window can be reached from the earlier end's earliest time,
+    and one full charge covers the leg."""
+    fleet = inst.fleet
+    full = fleet.operating_range / fleet.charge_to_range
+    stops = {}  # key -> (node, earliest, service, latest, vehicles)
+    for o in inst.depots:
+        at_depot = set(inst.vehicles_at(o))
+        stops[Anchor(o, end=False)] = (o, 0, 0, None, at_depot)
+        stops[Anchor(o, end=True)] = (o, None, 0, fleet.horizon, at_depot)
+    for tid, t in inst.tasks.items():
+        stops[tid] = (t.location, t.window.lower, t.service_time,
+                      t.window.upper, inst.job_of(tid).eligible_vehicles)
+    links = set()
+    for a, (loc_a, early, service, _, va) in stops.items():
+        for b, (loc_b, _, _, late, vb) in stops.items():
+            if a == b or early is None or late is None \
+                    or isinstance(a, Anchor) and isinstance(b, Anchor):
+                continue
+            hours = sp[(loc_a, loc_b)].length / fleet.speed
+            if va & vb and early + service + hours <= late \
+                    and fleet.discharge_coeff * hours <= full:
+                links.add((a, b))
+    return links
+
+
+def test_router_has_exactly_the_links_a_route_can_use():
+    dropped = 0
+    for seed in range(40):
+        for unit in (True, False):
+            inst = random_tiny_instance(seed, unit)
+            sp = shortest_path_map(inst)
+            links = _expected_links(inst, sp)
+            assert set(RoutingModel(inst, sp).theta) == links, (seed, unit)
+            n, d = len(inst.tasks), len(inst.depots)
+            dropped += 2 * n * d + n * (n - 1) - len(links)
+    assert dropped > 0

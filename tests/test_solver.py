@@ -247,6 +247,72 @@ def test_at_most_matches_brute_force():
     _cardinality_matches_brute_force(S.Context.at_most, lambda k, n: k <= n)
 
 
+def _random_literals(rng, vars_, size):
+    """size literals over vars_, each of random sign; a variable may repeat,
+    and then counts once per occurrence."""
+    return [rng.choice(vars_) * rng.choice((1, -1)) for _ in range(size)]
+
+
+def test_truncated_cardinality_matches_brute_force_at_every_bound():
+    # One context per literal list holds every bound at once, each under its
+    # own guard and asked in a random order, so the totalizer is cut at one
+    # bound and rebuilt for a larger one in the same context.
+    rng = random.Random(16)
+    for add, holds in ((S.Context.exactly, lambda k, n: k == n),
+                       (S.Context.at_most, lambda k, n: k <= n)):
+        for size in range(11):
+            ctx = S.Context()
+            vars_ = [ctx.new_bool() for _ in range(6)]
+            lits = _random_literals(rng, vars_, size)
+            bounds = list(range(-1, size + 2))
+            rng.shuffle(bounds)
+            guard = {}
+            for n in bounds:
+                guard[n] = ctx.new_bool()
+                add(ctx, lits, n, guard[n])
+            for bits in itertools.product([False, True], repeat=len(vars_)):
+                fixed = [v if b else -v for v, b in zip(vars_, bits)]
+                value = dict(zip(vars_, bits))
+                count = sum(value[l] if l > 0 else not value[-l] for l in lits)
+                for n in bounds:
+                    res = ctx.check([guard[n], *fixed])
+                    assert res.sat is holds(count, n), (size, lits, n, bits)
+
+
+def test_truncated_minimize_matches_brute_force_from_every_lower_bound():
+    rng = random.Random(17)
+    for size in range(1, 11):
+        for _ in range(3):
+            ctx = S.Context()
+            vars_ = [ctx.new_bool() for _ in range(size)]
+            lits = [v * rng.choice((1, -1)) for v in vars_]
+            clauses = [[rng.choice(vars_) * rng.choice((1, -1))
+                        for _ in range(3)] for _ in range(size)]
+            for clause in clauses:
+                ctx.assert_formula(*clause)
+            costs = []
+            for bits in itertools.product([False, True], repeat=size):
+                value = dict(zip(vars_, bits))
+                truth = lambda l: value[l] if l > 0 else not value[-l]
+                if all(any(truth(l) for l in c) for c in clauses):
+                    costs.append(sum(truth(l) for l in lits))
+            for lower in range(min(costs, default=0) + 1):
+                res = ctx.minimize(lits, lower=lower)
+                assert res.sat is bool(costs)
+                if costs:
+                    assert len(res.model.true_vars(lits)) == min(costs)
+
+
+def test_exactly_one_over_many_literals_adds_linear_clauses():
+    # A bound n reads n + 1 outputs, so the totalizer needs O(n * len)
+    # clauses, not the O(len^2) of a full one.
+    ctx = S.Context()
+    lits = [ctx.new_bool() for _ in range(64)]
+    before = len(ctx._sat.clauses)
+    ctx.exactly(lits, 1)
+    assert len(ctx._sat.clauses) - before < 8 * 64
+
+
 def test_minimize_from_last_optimum_lists_models_by_cost():
     # Blocking each optimum and minimizing again from it must walk every
     # model in cost order: no cap may survive a minimize call, and the
