@@ -6,8 +6,11 @@ restricted to vehicles stationed at the route's depot), and two routes on
 one vehicle must be separated by the charging time of the route about to
 start.
 
-`assignments` yields the feasible assignments of one route set from one
-model, blocking each vehicle map in place.
+`assignments` yields the feasible vehicle maps of one route set from one
+model, blocking each map in place.  The model's start and end times only
+decide whether a vehicle's routes can run back to back within their latest
+starts and charging gaps; they are not passed on.  The capacity stage fixes
+every time, the order of a vehicle's routes included.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ class RouteAttributes:
 @dataclass(frozen=True)
 class Assignment:
     vehicle_of: tuple[str, ...]  # indexed like the route set
-    starts: tuple[Fraction, ...]
 
 
 def compute_route_attributes(
@@ -73,7 +75,7 @@ def compute_route_attributes(
 
 
 def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
-    """Every feasible vehicle map of `cr`, with canonical earliest starts.
+    """Every feasible vehicle map of `cr`.
 
     Each map is blocked as it is yielded, together with every model that
     puts the same routes on the same vehicles.
@@ -118,32 +120,6 @@ def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
             chosen = [v for v in vehicles if m.value(alpha[(v, r)])]
             assert len(chosen) == 1
             vehicle_of.append(chosen[0])
-        starts = _canonical_starts(cr, attrs, inst, vehicle_of, m, s_var)
         ctx.block_true_subset(alpha_vars, m)
-        yield Assignment(tuple(vehicle_of), starts)
+        yield Assignment(tuple(vehicle_of))
 
-
-def _canonical_starts(cr, attrs, inst, vehicle_of, m, s_var):
-    """Shift each vehicle's routes to their earliest consistent starts.
-
-    Keeping the model's relative order per vehicle, each route starts as
-    soon as the previous one has ended and the charging gap has elapsed.
-    The result is pointwise no later than the model values, so every
-    asserted deadline still holds.
-    """
-    n = len(cr.routes)
-    starts = [Fraction(0)] * n
-    speed = inst.fleet.speed
-    C = inst.fleet.charge_coeff
-    by_vehicle: dict[str, list[int]] = {}
-    for r in range(n):
-        by_vehicle.setdefault(vehicle_of[r], []).append(r)
-    for v, rs in by_vehicle.items():
-        rs.sort(key=lambda r: (m.real(s_var[r]), r))
-        prev_end = None
-        for r in rs:
-            dur = attrs[r].length / speed + attrs[r].cum_service
-            gap = C * attrs[r].length
-            starts[r] = Fraction(0) if prev_end is None else prev_end + gap
-            prev_end = starts[r] + dur
-    return tuple(starts)

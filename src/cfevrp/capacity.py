@@ -1,11 +1,14 @@
 """Conflict-free scheduling of routes over shared nodes and edges.
 
-Every route is flattened into its visited node and edge sequences; entry
-times are then scheduled so that non-hub nodes hold at most one vehicle,
-unit-capacity edges are used one vehicle at a time (with a one-time-unit
-separation that also forbids position swapping), and opposite traversals
-of a unit-capacity segment never overlap.  Without those three conflict
-families the same model times the routes of the relaxed mode.
+This is the only stage that fixes times.  Every route is flattened into
+its visited node and edge sequences, and entry times are scheduled so that
+non-hub nodes hold at most one vehicle, unit-capacity edges are used one
+vehicle at a time (with a one-time-unit separation that also forbids
+position swapping), and opposite traversals of a unit-capacity segment
+never overlap.  A route starts when its windows allow; the routes of one
+vehicle run in whichever order keeps their charging gaps.  Without the
+three conflict families the same model times the routes of the relaxed
+mode.
 """
 
 from __future__ import annotations
@@ -120,17 +123,20 @@ def build_visit_lists(cr: RouteSet, inst: Instance) -> list[VisitList]:
 
 def verify_capacity(
     ca: Assignment,
-    visit_lists: list[VisitList],
+    cr: RouteSet,
     inst: Instance,
     conflicts: bool = True,
 ) -> tuple[Schedule | None, CapacityStats]:
     """Schedule all routes' node/edge entry times, or report infeasibility.
 
+    Every time is decided here: a route starts whenever its windows allow,
+    and the charging-gap disjunction orders the routes of one vehicle.
     With `conflicts` false, the shared-node, same-direction and opposite
     edge clauses are left out: routes keep their windows, travel times,
     horizon and charging gaps, but not the occupancy limits.
     """
     g = inst.graph
+    visit_lists = build_visit_lists(cr, inst)
     ctx = S.Context()
     stats = CapacityStats()
     n_routes = len(visit_lists)
@@ -148,10 +154,9 @@ def verify_capacity(
             ctx.assert_formula(ctx.le(y[r][q], x[r][q + 1], -d))
         for p, pos in enumerate(vl.positions):
             # x >= c is the atom 0 - x <= -c (node 0 is zero); every real is
-            # already >= 0, and the route starts no earlier than its start
-            lower = max(pos.lower, ca.starts[r]) if p == 0 else pos.lower
-            if lower > 0:
-                ctx.assert_formula(ctx.le(0, x[r][p], -lower))
+            # already >= 0
+            if pos.lower > 0:
+                ctx.assert_formula(ctx.le(0, x[r][p], -pos.lower))
             ctx.assert_formula(ctx.le(x[r][p], 0, pos.upper))
 
     if conflicts:
@@ -194,7 +199,7 @@ def verify_capacity(
             edges=vl.edges,
             edge_in=edge_in,
             length=vl.route_length,
-            start=ca.starts[r],
+            start=node_in[0],
         ))
     return Schedule(tuple(routes)), stats
 

@@ -4,10 +4,12 @@ The full algorithm iterates: build routes, assign vehicles, schedule
 against capacities; when scheduling fails, try alternative leg paths and
 re-check the routes, backtracking through assignments and route sets as
 the inner problems run dry.  Each searching stage is a generator over one
-fixed input (route sets per solve, assignments per route set, path
-combinations per assignment) that keeps one model and blocks what it
-yields in place.  A relaxed mode schedules with the same capacity model
-without its occupancy limits, and so never needs the path changer.
+fixed input (route sets per solve, vehicle maps per route set, the route
+set on other leg paths per vehicle map) that keeps one model and blocks
+what it yields in place.  Only route sets and vehicle maps pass between
+the stages: the capacity check decides every time.  A relaxed mode
+schedules with the same capacity model without its occupancy limits, and
+so never needs the path changer.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .assignment import Assignment, assignments
-from .capacity import Schedule, build_visit_lists, verify_capacity
+from .capacity import Schedule, verify_capacity
 from .graph import all_pairs_task_paths
 from .instance import Instance
-from .pathschanger import PathAssignment, path_sets
+from .pathschanger import path_sets
 from .routesverify import verify_routes
 from .routing import PathMap, Route, RouteSet, route_sets
 from .errors import InvariantViolation
@@ -99,9 +101,7 @@ def solve_assignment(found: Iterator[Assignment]) -> Assignment | None:
     return next(found, None)
 
 
-def solve_paths_changing(
-    paths: Iterator[PathAssignment],
-) -> PathAssignment | None:
+def solve_paths_changing(paths: Iterator[RouteSet]) -> RouteSet | None:
     return next(paths, None)
 
 
@@ -180,10 +180,9 @@ def _capacity_phase(inst, cr, ca, limits, clock, conflicts):
     paths = path_sets(cr, inst)
     tried = 0
     while True:
-        vls = build_visit_lists(current, inst)
         cvs, _stats = clock.run(
             "capacity",
-            lambda: verify_capacity(ca, vls, inst, conflicts),
+            lambda: verify_capacity(ca, current, inst, conflicts),
             ok=lambda pair: pair[0] is not None)
         if cvs is not None:
             return SolveOutcome(FEASIBLE, cvs, clock.events)
@@ -199,12 +198,12 @@ def _capacity_phase(inst, cr, ca, limits, clock, conflicts):
             tried += 1
             if np is None:
                 return None  # every path combination failed: new assignment
-            candidate = np.apply(cr)
+            if np == cr:
+                continue  # the legs the first check refused
             rvf = clock.run(
                 "routes_check",
-                lambda: verify_routes(candidate, inst),
+                lambda: verify_routes(np, inst),
                 ok=bool)
             if rvf:
-                current = candidate
+                current = np
                 break  # re-run capacity verification with the new paths
-

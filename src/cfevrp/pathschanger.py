@@ -1,8 +1,8 @@
 """Alternative path synthesis for route legs.
 
-`path_sets` yields every combination of simple paths for the legs of a
-route set, each once, fewest nodes in total first.  It is graph code with
-no solver model:
+`path_sets` yields a route set's routes with every combination of simple
+paths for their legs, each once, fewest nodes in total first.  It is graph
+code with no solver model:
 - each leg lists its simple paths lazily in (node count, node sequence)
   order, by Yen's algorithm ("Finding the K shortest loopless paths in a
   network", 1971) with breadth-first spur searches; legs with the same
@@ -17,29 +17,15 @@ out only as many paths as the combinations asked for need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import islice
 from typing import Iterator
 
 from .graph import NodeId, Path, PlantGraph
 from .instance import Instance
-from .routing import RouteSet
+from .routing import Route, RouteSet
 
 Nodes = tuple[NodeId, ...]
-
-
-@dataclass(frozen=True)
-class PathAssignment:
-    legs: dict[tuple[int, int], Path]  # (route index, leg index) -> path
-
-    def apply(self, cr: RouteSet) -> RouteSet:
-        routes = []
-        for r, route in enumerate(cr.routes):
-            legs = tuple(
-                self.legs[(r, i)] for i in range(len(route.legs))
-            )
-            routes.append(route.with_legs(legs))
-        return RouteSet(tuple(routes))
 
 
 def _fewest_hops(g: PlantGraph, root: Nodes, dst: NodeId,
@@ -123,21 +109,20 @@ class _Leg:
         return self._paths[k]
 
 
-def path_sets(cr: RouteSet, inst: Instance) -> Iterator[PathAssignment]:
-    """The path combinations of `cr`'s legs, fewest nodes first, each once.
+def path_sets(cr: RouteSet, inst: Instance) -> Iterator[RouteSet]:
+    """`cr` with every combination of paths for its legs, fewest nodes
+    first, each once.
 
     Ties come by index tuple: the leg paths' ranks, legs in (route, leg)
     order.
     """
-    keys: list[tuple[int, int]] = []
     legs: list[_Leg] = []
     shared: dict[tuple[NodeId, NodeId], _Leg] = {}
-    for r, route in enumerate(cr.routes):
+    for route in cr.routes:
         locs = route.locations(inst)
-        for i, ends in enumerate(zip(locs, locs[1:])):
+        for ends in zip(locs, locs[1:]):
             if ends not in shared:
                 shared[ends] = _Leg(inst.graph, *ends)
-            keys.append((r, i))
             legs.append(shared[ends])
 
     def size(index: tuple[int, ...]) -> int:
@@ -148,8 +133,10 @@ def path_sets(cr: RouteSet, inst: Instance) -> Iterator[PathAssignment]:
     seen = {first}
     while frontier:
         _, index = heappop(frontier)
-        yield PathAssignment({key: leg.path(k)
-                              for key, leg, k in zip(keys, legs, index)})
+        paths = (leg.path(k) for leg, k in zip(legs, index))
+        yield RouteSet(tuple(
+            Route(r.depot, r.tasks, tuple(islice(paths, len(r.legs))))
+            for r in cr.routes))
         for j, leg in enumerate(legs):
             nxt = index[:j] + (index[j] + 1,) + index[j + 1:]
             if nxt not in seen and leg.path(nxt[j]) is not None:

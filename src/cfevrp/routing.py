@@ -37,10 +37,6 @@ class Route:
             inst.tasks[t].location for t in self.tasks
         ) + (self.depot,)
 
-    def with_legs(self, legs: tuple[Path, ...]) -> "Route":
-        assert len(legs) == len(self.legs)
-        return Route(self.depot, self.tasks, legs)
-
 
 @dataclass(frozen=True)
 class RouteSet:

@@ -3,12 +3,14 @@
 from itertools import permutations, product
 
 from cfevrp.assignment import assignments, compute_route_attributes
+from cfevrp.capacity import verify_capacity
 from cfevrp.driver import routes_from_task_orders, shortest_path_map
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
 from cfevrp.routing import RouteSet
+from cfevrp.validator import CHARGING_GAP, validate_schedule
 from conftest import corridor_instance
 
 
@@ -38,14 +40,9 @@ def test_corridor_assignment_picks_the_only_eligible_vehicles():
     inst = corridor_instance()
     sp = shortest_path_map(inst)
     cr = routes_from_task_orders(inst, sp, [(1, ["j11"]), (6, ["j31", "j21"])])
-    attrs = compute_route_attributes(cr, inst)
     ca = next(assignments(cr, inst), None)
     assert ca is not None
     assert ca.vehicle_of == ("v1", "v2")
-    for r in range(2):
-        assert ca.starts[r] <= attrs[r].latest_start
-        dur = attrs[r].length / inst.fleet.speed + attrs[r].cum_service
-        assert ca.starts[r] + dur <= inst.fleet.horizon
 
 
 def test_zero_routes_is_trivially_sat():
@@ -124,17 +121,37 @@ def test_blocking_enumerates_all_vehicle_maps_then_infeasible():
     assert seen == expected
 
 
+def one_vehicle_fixture():
+    """The routes of three_vehicle_fixture's tasks, both on v1, with room
+    to run one after the other."""
+    g = validate_graph([1, 2, 3, 4], [1],
+                       [(1, 2, 1.0, 1), (2, 3, 1.0, 1), (3, 4, 1.0, 1)])
+    fleet = FleetParams(operating_range=20, charge_coeff=1, discharge_coeff=1,
+                        charge_to_range=1, speed=1, horizon=30)
+    tasks = [
+        Task("t1", "j1", 2, TimeWindow(0, 20), 1.0),
+        Task("t2", "j2", 3, TimeWindow(0, 20), 1.0),
+    ]
+    jobs = [Job("j1", ("t1",), frozenset({"v1"})),
+            Job("j2", ("t2",), frozenset({"v1"}))]
+    return build_instance(g, [1], fleet, [Vehicle("v1", 1)], jobs, tasks)
+
+
 def test_charging_gap_separates_same_vehicle_routes():
-    inst = three_vehicle_fixture()
-    sp = shortest_path_map(inst)
-    cr = routes_from_task_orders(inst, sp, [(1, ["t1"]), (1, ["t2"])])
-    attrs = compute_route_attributes(cr, inst)
-    for ca in assignments(cr, inst):
-        for v in set(ca.vehicle_of):
-            rs = sorted((r for r, u in enumerate(ca.vehicle_of) if u == v),
-                        key=lambda r: ca.starts[r])
-            for r_prev, r_next in zip(rs, rs[1:]):
-                end = ca.starts[r_prev] + attrs[r_prev].length \
-                    / inst.fleet.speed + attrs[r_prev].cum_service
-                gap = inst.fleet.charge_coeff * attrs[r_next].length
-                assert ca.starts[r_next] >= end + gap
+    shared = 0
+    for inst in (three_vehicle_fixture(), one_vehicle_fixture()):
+        sp = shortest_path_map(inst)
+        cr = routes_from_task_orders(inst, sp, [(1, ["t1"]), (1, ["t2"])])
+        for ca in assignments(cr, inst):
+            cvs, _ = verify_capacity(ca, cr, inst)
+            assert cvs is not None
+            for v in set(ca.vehicle_of):
+                rs = sorted((rs for rs in cvs.routes if rs.vehicle == v),
+                            key=lambda rs: rs.start)
+                for prev, nxt in zip(rs, rs[1:]):
+                    gap = inst.fleet.charge_coeff * nxt.length
+                    assert nxt.start >= prev.node_out[-1] + gap
+                    shared += 1
+            kinds = {x.kind for x in validate_schedule(cvs, inst).violations}
+            assert CHARGING_GAP not in kinds
+    assert shared  # some map puts two routes on one vehicle

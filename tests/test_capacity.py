@@ -79,10 +79,10 @@ def _assign(inst, cr):
 def test_disjoint_routes_schedule_tightly(corridor):
     cr = partial_routes(corridor, [(1, ["j11"])])
     ca = _assign(corridor, cr)
-    cvs, stats = verify_capacity(ca, build_visit_lists(cr, corridor), corridor)
+    cvs, stats = verify_capacity(ca, cr, corridor)
     assert cvs is not None
     rs = cvs.routes[0]
-    assert rs.node_in[0] >= ca.starts[0]
+    assert rs.start == rs.node_in[0]
     for q, e in enumerate(rs.edges):
         d = corridor.graph.edges[e].length
         assert rs.node_in[q + 1] == rs.edge_in[q] + d
@@ -109,7 +109,7 @@ def test_opposite_edge_crossing_is_serialized():
     sp = shortest_path_map(inst)
     cr = routes_from_task_orders(inst, sp, [(1, ["a1"]), (3, ["b1"])])
     ca = _assign(inst, cr)
-    cvs, stats = verify_capacity(ca, build_visit_lists(cr, inst), inst)
+    cvs, stats = verify_capacity(ca, cr, inst)
     assert cvs is not None
     assert stats.edge_opposite_constraints > 0
     assert validate_schedule(cvs, inst).ok
@@ -126,7 +126,7 @@ def test_pinned_windows_make_crossing_infeasible():
     sp = shortest_path_map(inst)
     cr = routes_from_task_orders(inst, sp, [(1, ["a1"]), (3, ["b1"])])
     ca = _assign(inst, cr)
-    cvs, _ = verify_capacity(ca, build_visit_lists(cr, inst), inst)
+    cvs, _ = verify_capacity(ca, cr, inst)
     assert cvs is None
 
 
@@ -135,8 +135,7 @@ def test_without_conflicts_the_pinned_crossing_is_timed():
     sp = shortest_path_map(inst)
     cr = routes_from_task_orders(inst, sp, [(1, ["a1"]), (3, ["b1"])])
     ca = _assign(inst, cr)
-    cvs, stats = verify_capacity(
-        ca, build_visit_lists(cr, inst), inst, conflicts=False)
+    cvs, stats = verify_capacity(ca, cr, inst, conflicts=False)
     assert cvs is not None
     assert stats == CapacityStats()  # not one conflict clause encoded
     kinds = {v.kind for v in validate_schedule(cvs, inst).violations}
@@ -156,7 +155,7 @@ def test_hub_nodes_generate_no_conflicts():
     sp = shortest_path_map(inst)
     cr = routes_from_task_orders(inst, sp, [(1, ["a1"]), (3, ["b1"])])
     ca = _assign(inst, cr)
-    cvs, stats = verify_capacity(ca, build_visit_lists(cr, inst), inst)
+    cvs, stats = verify_capacity(ca, cr, inst)
     assert cvs is not None
     # every node is a hub and every segment has capacity 2: nothing to check
     assert stats.node_conflict_constraints == 0
@@ -177,7 +176,7 @@ def test_same_vehicle_routes_respect_charging_gap():
     sp = shortest_path_map(inst)
     cr = routes_from_task_orders(inst, sp, [(1, ["a1"]), (1, ["b1"])])
     ca = _assign(inst, cr)
-    cvs, _ = verify_capacity(ca, build_visit_lists(cr, inst), inst)
+    cvs, _ = verify_capacity(ca, cr, inst)
     assert cvs is not None
     a, b = cvs.routes
     first, second = (a, b) if a.node_in[0] <= b.node_in[0] else (b, a)

@@ -1,5 +1,7 @@
 """End-to-end solve loop: outcomes, backtracking, event log, relaxed mode."""
 
+import dataclasses
+import random
 from pathlib import Path
 
 from cfevrp.driver import (
@@ -210,6 +212,63 @@ def test_congested_tiny046_cannot_finish_by_the_horizon():
     assert comsat_solve(inst).status == INFEASIBLE
 
 
+def _two_leaf_instance(a_at, b_at):
+    """The line 2-1-3 with hub 1 and one vehicle whose range fits one task
+    per route.  Task a's window [6, 7] comes after task b's [0, 5], so the
+    route to b must run first."""
+    g = validate_graph([1, 2, 3], [1], [(1, 2, 1.0, 1), (1, 3, 1.0, 1)])
+    return build_instance(
+        g, [1], FleetParams(2, 1, 1, 1, 1, 20), [Vehicle("v", 1)],
+        [Job("a", ("a",), frozenset({"v"})), Job("b", ("b",), frozenset({"v"}))],
+        [Task("a", "a", a_at, TimeWindow(6, 7), 0.0),
+         Task("b", "b", b_at, TimeWindow(0, 5), 0.0)])
+
+
+def test_routes_of_one_vehicle_run_in_the_order_their_windows_need():
+    """The assignment stage once fixed the order of a vehicle's routes,
+    and both modes called this instance infeasible when it put a's route
+    first.  Both labellings are solved, whichever order it picks."""
+    for a_at, b_at in ((2, 3), (3, 2)):
+        inst = _two_leaf_instance(a_at, b_at)
+        assert brute_force_feasible(inst).feasible
+        for solve in (comsat_solve, c_comsat_solve):
+            out = solve(inst)
+            assert out.status == FEASIBLE, (a_at, solve.__name__, out.reason)
+            assert validate_schedule(out.schedule, inst).ok
+            first = min(out.schedule.routes, key=lambda r: r.start)
+            assert first.tasks == ("b",)
+
+
+def short_range_tiny_instance(seed):
+    """random_tiny_instance(seed) with an operating range of 2 to 6, so
+    that a vehicle runs several routes."""
+    inst = random_tiny_instance(seed)
+    reach = random.Random(seed * 7919 + 1).randint(2, 6)
+    return dataclasses.replace(
+        inst, fleet=dataclasses.replace(inst.fleet, operating_range=reach))
+
+
+def test_short_range_tiny_instances_agree_with_the_oracle():
+    """Seed 143 was once infeasible in both modes, with a feasible oracle
+    verdict: its vehicle had to run its routes in the other order."""
+    aborted, wrong = set(), []
+    for seed in range(300):
+        inst = short_range_tiny_instance(seed)
+        out = comsat_solve(inst)
+        feasible = brute_force_feasible(inst).feasible
+        if out.status == ABORTED:
+            aborted.add(seed)
+        elif (out.status == FEASIBLE) != feasible:
+            wrong.append((seed, out.status, feasible))
+        elif out.status == FEASIBLE and not validate_schedule(
+                out.schedule, inst).ok:
+            wrong.append((seed, "schedule fails validation"))
+        if c_comsat_solve(inst).status == INFEASIBLE and feasible:
+            wrong.append((seed, "relaxed mode refuses a feasible instance"))
+    assert not wrong
+    assert aborted == {94}
+
+
 def test_relaxed_schedules_are_well_formed_and_keep_windows():
     # Relaxed mode ignores occupancy, so only the capacity kinds may appear,
     # and it refuses only what no schedule at all can serve.
@@ -236,11 +295,12 @@ def _trajectory(out):
 
 def test_swap_deadlock_trajectory_is_pinned(swap_deadlock):
     out = comsat_solve(swap_deadlock)
-    # the router yields no route set whose depot hosts no eligible vehicle
+    # the router yields no route set whose depot hosts no eligible vehicle;
+    # the first path combination is the refused route set, and is skipped
     assert _trajectory(out) == [
         ("router", True), ("assign", True),
-        ("capacity", False), ("paths", True), ("routes_check", True),
-        ("capacity", False), ("paths", False), ("assign", False),
+        ("capacity", False), ("paths", True),
+        ("paths", False), ("assign", False),
         ("router", False)]
     assert out.schedule is None
     assert out.reason.startswith("1 route set(s) tried")
@@ -249,9 +309,10 @@ def test_swap_deadlock_trajectory_is_pinned(swap_deadlock):
 def test_tiny_seed_250_trajectory_is_pinned():
     out = comsat_solve(random_tiny_instance(250))
     assert _trajectory(out) == (
-        [("router", True), ("assign", True)]
-        + [("capacity", False), ("paths", True), ("routes_check", True)] * 16
-        + [("capacity", False), ("paths", False), ("assign", False),
+        [("router", True), ("assign", True), ("capacity", False),
+         ("paths", True)]
+        + [("paths", True), ("routes_check", True), ("capacity", False)] * 15
+        + [("paths", False), ("assign", False),
            ("router", True), ("assign", True), ("capacity", True)])
     assert out.paths_changer_calls == 17
     assert [(r.vehicle, r.nodes, r.node_in, r.node_out, r.edge_in)

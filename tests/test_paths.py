@@ -55,8 +55,8 @@ def test_two_node_graph_single_leg():
     cr = route_set(inst, 1, ["t1"])
     np = solve_paths_changing(path_sets(cr, inst))
     assert np is not None
-    assert np.legs[(0, 0)].nodes == (1, 2)
-    assert np.legs[(0, 1)].nodes == (2, 1)
+    assert np.routes[0].legs[0].nodes == (1, 2)
+    assert np.routes[0].legs[1].nodes == (2, 1)
 
 
 def test_first_solution_uses_shortest_paths():
@@ -65,8 +65,8 @@ def test_first_solution_uses_shortest_paths():
     np = solve_paths_changing(path_sets(cr, inst))
     assert np is not None
     # minimal used-node count: both legs on the two-edge corridor paths
-    assert np.legs[(0, 0)].length == 2.0
-    assert np.legs[(0, 1)].length == 2.0
+    assert np.routes[0].legs[0].length == 2.0
+    assert np.routes[0].legs[1].length == 2.0
 
 
 def test_blocked_shortest_leg_takes_the_detour():
@@ -78,7 +78,7 @@ def test_blocked_shortest_leg_takes_the_detour():
         np = solve_paths_changing(changer)
         if np is None:
             break
-        if np.legs[(0, 0)].nodes == (6, 7, 4, 3, 2):
+        if np.routes[0].legs[0].nodes == (6, 7, 4, 3, 2):
             seen_detour = True
     assert seen_detour
 
@@ -91,9 +91,10 @@ def enumerate_combinations(inst, cr):
         np = solve_paths_changing(changer)
         if np is None:
             break
-        combo = tuple(sorted(
-            (key, p.nodes) for key, p in np.legs.items()
-        ))
+        assert [(r.depot, r.tasks) for r in np.routes] == [
+            (r.depot, r.tasks) for r in cr.routes]
+        combo = tuple(tuple(p.nodes for p in route.legs)
+                      for route in np.routes)
         assert combo not in seen
         seen.add(combo)
         count += 1
@@ -148,8 +149,8 @@ def test_degenerate_leg_has_exactly_one_combination():
     changer = path_sets(cr, inst)
     np = solve_paths_changing(changer)
     assert np is not None
-    assert np.legs[(0, 0)].nodes == (1,)
-    assert np.legs[(0, 1)].nodes == (1,)
+    assert np.routes[0].legs[0].nodes == (1,)
+    assert np.routes[0].legs[1].nodes == (1,)
     assert solve_paths_changing(changer) is None
 
 
@@ -163,7 +164,7 @@ def test_every_decoded_path_is_simple_and_connects():
             break
         locs = cr.routes[0].locations(inst)
         for i, (a, b) in enumerate(zip(locs, locs[1:])):
-            p = np.legs[(0, i)]
+            p = np.routes[0].legs[i]
             assert p.nodes[0] == a and p.nodes[-1] == b
             assert len(set(p.nodes)) == len(p.nodes)
 
@@ -200,7 +201,7 @@ def test_changer_lists_every_combination_in_node_count_order():
             changer = path_sets(cr, inst)
             got = []
             while (np := solve_paths_changing(changer)) is not None:
-                got.append(tuple(np.legs[(r, i)].nodes
+                got.append(tuple(np.routes[r].legs[i].nodes
                                  for r, route in enumerate(cr.routes)
                                  for i in range(len(route.legs))))
                 assert len(got) <= len(expected)
@@ -226,7 +227,8 @@ def test_leg_paths_come_in_node_count_then_sequence_order():
                 nontrivial += len(expected) > 2
 
         def combinations():
-            return [tuple(sorted((key, p.nodes) for key, p in np.legs.items()))
+            return [tuple(tuple(p.nodes for p in route.legs)
+                          for route in np.routes)
                     for np in itertools.islice(path_sets(cr, inst), 200)]
 
         assert combinations() == combinations()

@@ -13,7 +13,7 @@ from math import lcm
 import pytest
 
 from cfevrp.assignment import assignments
-from cfevrp.capacity import Schedule, build_visit_lists, verify_capacity
+from cfevrp.capacity import Schedule, verify_capacity
 from cfevrp.driver import comsat_solve, shortest_path_map
 from cfevrp.errors import MalformedSchedule, TooLarge
 from cfevrp.graph import validate_graph
@@ -42,7 +42,7 @@ def _manual_schedule(inst, orders):
     cr = RouteSet(tuple(routes))
     ca = next(assignments(cr, inst), None)
     assert ca is not None
-    cvs, _ = verify_capacity(ca, build_visit_lists(cr, inst), inst)
+    cvs, _ = verify_capacity(ca, cr, inst)
     assert cvs is not None
     return cvs
 
