@@ -65,7 +65,7 @@ class Schedule:
 
     @property
     def total_distance(self) -> Fraction:
-        return sum(r.length for r in self.routes)
+        return sum((r.length for r in self.routes), Fraction(0))
 
 
 @dataclass

@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("instance")
     p.add_argument("--relaxed", action="store_true",
-                   help="skip capacity verification")
+                   help="ignore occupancy limits")
     p.add_argument("--max-path-sets", type=int, default=50)
     p.add_argument("--log-json", action="store_true",
                    help="include the phase event log in the output")

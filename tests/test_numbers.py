@@ -76,8 +76,10 @@ def test_non_finite_fleet_value_is_rejected(bad):
 
 # Seeds of the decimal variant whose solve stops at the path-set budget.
 # Limits.max_path_sets counts per assignment, yet reaching it ends the whole
-# solve; the oracle's verdict for each seed is the value.
-BUDGET_ABORTS = {255: True, 283: False, 293: False}
+# solve; the oracle's verdict for each seed is the value.  Seeds 255, 283
+# and 293 once aborted here: each had an assignment whose timing fails even
+# without occupancy limits, and the loop now skips its path changes.
+BUDGET_ABORTS = {}
 
 
 def test_decimal_tiny_instances_agree_with_the_oracle():

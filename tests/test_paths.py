@@ -251,11 +251,10 @@ def _count_contexts(monkeypatch):
 
 
 def test_changer_builds_no_solver_context(monkeypatch):
-    # random_tiny_instance(250) makes 17 path changer calls in one capacity
-    # phase (see the trajectory pin in test_driver.py).
+    # random_tiny_instance(47) makes 68 path changer calls in one solve.
     made = _count_contexts(monkeypatch)
-    out = comsat_solve(random_tiny_instance(250))
-    assert out.paths_changer_calls == 17
+    out = comsat_solve(random_tiny_instance(47))
+    assert out.paths_changer_calls == 68
     assert "cfevrp.pathschanger" not in made
 
 
