@@ -1,9 +1,10 @@
 """Fast re-check of routes after a path change.
 
 The time and charge constraints along one route form a chain, so instead
-of a solver call each route is replayed forward: serve each task at the
-earliest admissible instant and compare against its deadline, then check
-the total travelled distance against the charge budget.
+of a solver call each route is replayed forward from time 0: serve each
+task at the earliest admissible instant and compare against its deadline,
+check that the route is back at its depot by the horizon T, then check the
+total travelled distance against the charge budget.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from .routing import RouteSet
 
 
 def verify_routes(cr: RouteSet, inst: Instance) -> bool:
-    """True iff every route still meets windows and range with its legs."""
+    """True iff every route still meets windows, horizon and range with its
+    legs."""
     fleet = inst.fleet
     budget = fleet.operating_range / fleet.charge_to_range
     for r in cr.routes:
@@ -25,6 +27,8 @@ def verify_routes(cr: RouteSet, inst: Instance) -> bool:
             if t > task.window.upper:
                 return False
             t += task.service_time
+        if t + r.legs[-1].length / fleet.speed > fleet.horizon:
+            return False
         spent = fleet.discharge_coeff * r.length / fleet.speed
         if spent > budget:
             return False

@@ -29,17 +29,23 @@ The SAT core propagates with two watched literals, keeps its trail in
 lists indexed by variable and picks each decision from a heap ordered by
 (activity, index).  It consults the theory at every propagation fixpoint
 and learns each negative cycle as a clause inside the same search, so one
-check() is one SAT search.  The theory adds one edge at a time against a
-potential kept for the whole check, and looks for a negative cycle with a
-Dijkstra over reduced costs from the new edge's head (Cotton and Maler,
-2006); backjumps drop edges and keep the potential.  A false atom is an
+check() is one SAT search.  A context keeps one search state for all its
+checks, as MiniSat's incremental interface does (Een and Sorensson, 2003):
+each search ends back on level 0 and the next starts from there, taking
+in only the clauses added since; the decisions are not kept.  The theory
+adds one edge at a time against a potential, and looks for a negative
+cycle with a Dijkstra over reduced costs from the new edge's head (Cotton
+and Maler, 2006); backjumps drop edges and keep the potential, and so do
+later checks, until new atoms, new reals or a first negation rebuild the
+theory's graph, which then takes the whole trail.  A false atom is an
 edge only when some clause or assumption negates it: every other atom
 occurs only positively, so its false value constrains nothing.  The
 theory works on integers: the bounds are scaled by the LCM of their
 denominators, and each infinitesimal count is packed into the same int,
 so the integer comparisons decide exactly as the rational ones would.
-Real values in models are exact Fractions, computed when a model's reals
-are first read.
+An atom keeps its bound as an int when the bound is integral.  Real values
+in models are exact Fractions, computed when a model's reals are first
+read.
 """
 
 from __future__ import annotations
@@ -47,10 +53,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence, Union
 
 Number = Union[int, float, Fraction]
+Bound = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +106,22 @@ class _SatCore:
     """Small CDCL solver with a theory hook.  Literals are nonzero ints;
     variable v has literals v, -v.
 
-    Clauses of two or more literals are watched on their first two
-    positions (two watched literals, as in Chaff); unit clauses are kept
-    apart and put on level 0 when a search starts.  Conflicts are analysed
-    to the first UIP, learned, and undone by backjumping.
+    Clauses of two or more literals are watched on two literals (two
+    watched literals, as in Chaff).  Conflicts are analysed to the first
+    UIP, learned, and undone by backjumping.
+
+    The search state outlives a solve() call: each call ends back on
+    level 0 and keeps the values, watches, levels and reasons, the level-0
+    trail, the decision heap and the count of clauses seen, so the next
+    call starts from the level-0 fixpoint the last one reached.  The lists
+    indexed by literal are laid out again when variables were added.  The
+    clauses added in between are taken in first: one true on level 0 is
+    left alone, one with a single non-false literal puts it first and
+    asserts it on level 0, and one with more is watched on its first two
+    non-false literals.  A conflict on level 0, from a clause with no
+    non-false literal, from propagation or from the theory, sets
+    `empty_clause`: level 0 holds no assumption, so the clauses and the
+    theory alone are unsat, and every later call answers None at once.
 
     The theory is consulted at every propagation fixpoint, before any
     assumption or decision: `theory(trail, checked)` first drops what it
@@ -114,6 +133,8 @@ class _SatCore:
     asserted after a backjump, with several it is analysed like a
     conflict, and on level 0 it ends the search unsat.  A complete
     assignment reached this way is theory-consistent, so it is the answer.
+    `checked` is kept between calls too; whoever gives the theory a new
+    state sets it to 0, so that the new state takes the whole trail.
 
     Assumptions are handled as forced decisions on their own levels, so
     every learned clause is a consequence of the clause database and the
@@ -126,40 +147,41 @@ class _SatCore:
     def __init__(self) -> None:
         self.nvars = 0
         self.clauses: list[list[int]] = []
-        self.units: list[int] = []
-        # watches[lit]: indices of the clauses watching lit in position 0 or 1
-        self.watches: dict[int, list[int]] = {}
         self.empty_clause = False
         self.activity: list[float] = [0.0]  # indexed by variable; 0 unused
+        # The search state between calls, all of it on level 0.  val[lit] is
+        # the value of literal lit and watch[lit] the indices of the clauses
+        # watching it: positive literals sit at 1..n, negative ones at
+        # n+1..2n through Python's negative indexing.
+        self.val: list[bool | None] = [None]
+        self.watch: list[list[int]] = [[]]
+        self.level: list[int] = [0]  # indexed by variable
+        self.reason: list[int | None] = [None]
+        self.trail: list[int] = []
+        # Decision heap with lazy deletion.  queued[v] says that v has an
+        # entry carrying its current activity.  Analysis bumps assigned
+        # variables only, and backtracking queues each variable it frees, so
+        # every free variable is queued and its current entry surfaces
+        # before its stale ones.  Entries of assigned variables are skipped.
+        self.heap: list[tuple[float, int]] = []
+        self.queued: list[bool] = [True]
+        self.seen = 0     # clauses taken into the watches
+        self.checked = 0  # trail entries the theory has accepted
 
     def new_var(self) -> int:
         self.nvars += 1
-        v = self.nvars
-        self.watches[v] = []
-        self.watches[-v] = []
         self.activity.append(0.0)
-        return v
+        return self.nvars
 
-    def add_clause(self, lits: Sequence[int]) -> int | None:
-        """Add a clause, returning its index (None if dropped as tautology)."""
+    def add_clause(self, lits: Sequence[int]) -> None:
+        """Add a clause (dropped if a tautology); the next solve takes it in."""
         distinct = set(lits)
         if any(-l in distinct for l in distinct):
-            return None
+            return
         if not distinct:
             self.empty_clause = True
-            return None
-        return self._store(sorted(distinct, key=abs))
-
-    def _store(self, clause: list[int]) -> int:
-        """Append a clause of distinct literals, watching its first two."""
-        idx = len(self.clauses)
-        self.clauses.append(clause)
-        if len(clause) == 1:
-            self.units.append(clause[0])
-        else:
-            self.watches[clause[0]].append(idx)
-            self.watches[clause[1]].append(idx)
-        return idx
+            return
+        self.clauses.append(sorted(distinct, key=abs))
 
     # -- main search ------------------------------------------------------
 
@@ -169,33 +191,31 @@ class _SatCore:
         """Return a satisfying assignment indexed by literal, or None.
 
         Entry lit of the list is the value of lit: True or False for every
-        literal (entry 0 is unused).  `theory` is called at each
-        propagation fixpoint as described above.
+        literal (entry 0 is unused).  The list is a copy, which later calls
+        leave alone.  `theory` is called at each propagation fixpoint as
+        described above.
         """
         if self.empty_clause:
             return None
         n = self.nvars
-        clauses = self.clauses
-        activity = self.activity
-        # val[lit] is the value of literal lit, and watch[lit] its watch
-        # list: positive literals sit at 1..n, negative ones at n+1..2n
-        # through Python's negative indexing.
-        val: list[bool | None] = [None] * (2 * n + 1)
-        watch: list[list[int]] = [[]] * (2 * n + 1)
-        for lit, ws in self.watches.items():
-            watch[lit] = ws
-        level = [0] * (n + 1)
-        reason: list[int | None] = [None] * (n + 1)
-        trail: list[int] = []
+        old = len(self.level) - 1
+        if n > old:
+            # lay out for the new variables: the lists indexed by literal
+            # keep their negative literals at the end, so new slots go in
+            # the middle
+            grow = n - old
+            self.val = self.val[:old + 1] + [None] * (2 * grow) + self.val[old + 1:]
+            self.watch = (self.watch[:old + 1] + [[] for _ in range(2 * grow)]
+                          + self.watch[old + 1:])
+            self.level += [0] * grow
+            self.reason += [None] * grow
+            self.queued += [True] * grow
+            for v in range(old + 1, n + 1):
+                heappush(self.heap, (-self.activity[v], v))
+        clauses, activity = self.clauses, self.activity
+        val, watch, level, reason = self.val, self.watch, self.level, self.reason
+        trail, heap, queued = self.trail, self.heap, self.queued
         lim: list[int] = []
-        # Decision heap with lazy deletion.  queued[v] says that v has an
-        # entry carrying its current activity.  Analysis bumps assigned
-        # variables only, and backtracking queues each variable it frees, so
-        # every free variable is queued and its current entry surfaces
-        # before its stale ones.  Entries of assigned variables are skipped.
-        heap = [(-activity[v], v) for v in range(1, n + 1)]
-        heapify(heap)
-        queued = [True] * (n + 1)
 
         def enqueue(lit: int, why: int | None) -> None:
             val[lit] = True
@@ -205,8 +225,17 @@ class _SatCore:
             reason[v] = why
             trail.append(lit)
 
-        head = 0     # trail entries propagated
-        checked = 0  # trail entries the theory has accepted
+        def store(clause: list[int]) -> int:
+            """Append a clause of distinct literals, watching its first two."""
+            idx = len(clauses)
+            clauses.append(clause)
+            if len(clause) > 1:
+                watch[clause[0]].append(idx)
+                watch[clause[1]].append(idx)
+            return idx
+
+        head = len(trail)       # trail entries propagated
+        checked = self.checked  # trail entries the theory has accepted
 
         def propagate() -> int | None:
             """Unit propagation; returns a conflicting clause index or None.
@@ -317,63 +346,84 @@ class _SatCore:
                 clause[1], clause[k] = clause[k], clause[1]
                 to_level = level[abs(clause[1])]
             backtrack(to_level)
-            enqueue(clause[0], self._store(clause))
+            enqueue(clause[0], store(clause))
 
-        for lit in self.units:
-            if val[lit] is False:
-                return None
-            if val[lit] is None:
-                enqueue(lit, None)
-
-        while True:
-            ci = propagate()
-            if ci is not None:
-                if not lim:
-                    return None
-                learn(analyze(ci))
-                continue
-            conflict = theory(trail, checked)
-            if conflict is not None:
-                lemma = [-l for l in conflict]
-                top = max(level[abs(l)] for l in lemma)
-                if top == 0:
-                    self._store(lemma)
-                    return None
-                lemma.sort(key=lambda l: level[abs(l)] != top)
-                if len(lemma) > 1 and level[abs(lemma[1])] == top:
-                    backtrack(top)
-                    learn(analyze(self._store(lemma)))
-                else:
-                    learn(lemma)
-                continue
-            checked = len(trail)
-            # place any pending assumption on its own decision level
-            failed = False
-            placed = False
-            for a in assumptions:
-                av = val[a]
-                if av is False:
-                    failed = True
-                    break
-                if av is None:
-                    lim.append(len(trail))
-                    enqueue(a, None)
-                    placed = True
-                    break
-            if failed:
-                return None
-            if placed:
-                continue
-            while heap:
-                neg_act, pick = heappop(heap)
-                if -neg_act == activity[pick]:
-                    queued[pick] = False
-                    if val[pick] is None:
+        def search() -> list[bool | None] | None:
+            """The answer of this call; on a conflict on level 0, where no
+            assumption sits, it also sets empty_clause."""
+            nonlocal checked
+            # take in the clauses added since the last call, on level 0:
+            # the non-false literals of each move to its front
+            for ci in range(self.seen, len(clauses)):
+                c = clauses[ci]
+                free = 0
+                for i, lit in enumerate(c):
+                    value = val[lit]
+                    if value:
                         break
-            else:
-                return val
-            lim.append(len(trail))
-            enqueue(-pick, None)
+                    if value is None:
+                        c[free], c[i] = lit, c[free]
+                        free += 1
+                else:
+                    if free == 0:
+                        self.empty_clause = True
+                        return None
+                    if free == 1:
+                        enqueue(c[0], ci)
+                    else:
+                        watch[c[0]].append(ci)
+                        watch[c[1]].append(ci)
+            while True:
+                ci = propagate()
+                if ci is not None:
+                    if not lim:
+                        self.empty_clause = True
+                        return None
+                    learn(analyze(ci))
+                    continue
+                conflict = theory(trail, checked)
+                if conflict is not None:
+                    lemma = [-l for l in conflict]
+                    top = max(level[abs(l)] for l in lemma)
+                    if top == 0:
+                        store(lemma)
+                        self.empty_clause = True
+                        return None
+                    lemma.sort(key=lambda l: level[abs(l)] != top)
+                    if len(lemma) > 1 and level[abs(lemma[1])] == top:
+                        backtrack(top)
+                        learn(analyze(store(lemma)))
+                    else:
+                        learn(lemma)
+                    continue
+                checked = len(trail)
+                # place any pending assumption on its own decision level
+                for a in assumptions:
+                    av = val[a]
+                    if av is False:
+                        return None
+                    if av is None:
+                        lim.append(len(trail))
+                        enqueue(a, None)
+                        break
+                else:
+                    while heap:
+                        neg_act, pick = heappop(heap)
+                        if -neg_act == activity[pick]:
+                            queued[pick] = False
+                            if val[pick] is None:
+                                break
+                    else:
+                        return val[:]
+                    lim.append(len(trail))
+                    enqueue(-pick, None)
+
+        answer = search()
+        if not self.empty_clause:
+            self.seen = len(clauses)
+            backtrack(0)
+            self.checked = checked
+        return answer
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +439,10 @@ class Context:
     def __init__(self) -> None:
         self._sat = _SatCore()
         self._nreals = 0
-        # difference atoms: key (x, y, c) meaning  val(x) - val(y) <= c
-        self._atom_lit: dict[tuple[int, int, Fraction], int] = {}
-        self._atom_by_lit: dict[int, tuple[int, int, Fraction]] = {}
+        # difference atoms: key (x, y, c) meaning  val(x) - val(y) <= c, with
+        # c an int when it is integral and a Fraction otherwise
+        self._atom_lit: dict[tuple[int, int, Bound], int] = {}
+        self._atom_by_lit: dict[int, tuple[int, int, Bound]] = {}
         # atoms that some clause or assumption negates: only these give the
         # theory an edge when false (see _DiffGraph).  Learned clauses hold
         # in every model of the theory, so what they negate needs no record.
@@ -411,7 +462,11 @@ class Context:
 
     def le(self, x: int, y: int, c: Number) -> int:
         """The literal of the atom x - y <= c (0 is the zero node)."""
-        key = (x, y, Fraction(c))
+        if isinstance(c, float):
+            c = Fraction(c)
+        if c.denominator == 1:  # an int key is cheaper to build and hash
+            c = c.numerator
+        key = (x, y, c)
         lit = self._atom_lit.get(key)
         if lit is None:
             lit = self._atom_lit[key] = self._sat.new_var()
@@ -474,7 +529,6 @@ class Context:
         self._note_negated(assumptions)
         # atoms added after this check must not change this model's reals
         g = self._diff_graph()
-        g.reset()  # the potential is kept for one check
         assignment = self._sat.solve(assumptions, self._theory_conflict)
         if assignment is None:
             return SolveResult(False, None)
@@ -574,11 +628,13 @@ class Context:
 
     def _diff_graph(self) -> _DiffGraph:
         """The atoms in integer form, rebuilt only after atoms or reals are
-        added or an atom is first negated."""
+        added or an atom is first negated.  A rebuilt graph has taken no
+        literal yet, so the core hands it the whole trail."""
         key = (len(self._atom_by_lit), self._nreals, len(self._negated))
         if self._graph is None or self._graph.key != key:
             self._graph = _DiffGraph(key, self._atom_by_lit, self._negated,
                                      self._nreals)
+            self._sat.checked = 0
         return self._graph
 
     def _theory_conflict(self, trail: Sequence[int], start: int) -> list[int] | None:
@@ -629,7 +685,8 @@ def _real_values(g: _DiffGraph, assignment: Sequence[bool | None]) -> list[Fract
 
 class _DiffGraph:
     """The difference atoms of a context as an integer constraint graph,
-    and the incremental negative-cycle check of one check() over it.
+    and the incremental negative-cycle check over it, whose state is kept
+    from one check() to the next while the graph is not rebuilt.
 
     Node x is the context's real x, and node 0 the zero node.  An edge
     u -> v with weight w encodes val(v) - val(u) <= w.  A true atom
@@ -649,7 +706,7 @@ class _DiffGraph:
       atoms + reals edges) makes at most n passes, and each relaxation
       extends a walk by one edge of eps 0 or -1, so every eps lies in
       [-K, 0]; its result is a shortest simple path, eps in [-(n-1), 0].
-    - The potential kept through a check starts at 0, and its eps never
+    - The potential kept through the checks starts at 0, and its eps never
       rises above 0.  Each lowering takes a node to the potential of the
       new edge's tail plus that edge plus a simple path, so it lowers the
       least eps by at most n.  Whenever an eps falls below -K, the
@@ -661,7 +718,7 @@ class _DiffGraph:
     """
 
     def __init__(self, key: tuple[int, int, int],
-                 atoms: dict[int, tuple[int, int, Fraction]],
+                 atoms: dict[int, tuple[int, int, Bound]],
                  negated: set[int], nreals: int) -> None:
         self.key = key
         self.n = nreals + 1
@@ -689,7 +746,7 @@ class _DiffGraph:
         r, e = divmod(x + h, self.M)
         return r, e - h
 
-    # -- the incremental check of one check() -----------------------------
+    # -- the incremental check ------------------------------------------------
 
     def reset(self) -> None:
         """No edge but nonnegativity, and the potential 0 everywhere."""

@@ -1,4 +1,7 @@
-"""Fast route re-check after path changes: windows and charge budget."""
+"""Fast route re-check after path changes: windows, horizon and charge
+budget."""
+
+import dataclasses
 
 from cfevrp.driver import shortest_path_map
 from cfevrp.graph import Path
@@ -39,6 +42,20 @@ def test_late_arrival_fails(corridor):
     )
     cr = RouteSet((Route(6, ("j21", "j31"), legs),))
     assert not verify_routes(cr, corridor)
+
+
+def test_detour_back_after_the_horizon_fails(corridor):
+    # With T = 9, v2's shortest route is back at 8 and the detour at 10:
+    # it still meets both windows (j21 at 4, j31 at 7) and the range (8).
+    inst = dataclasses.replace(
+        corridor, fleet=dataclasses.replace(corridor.fleet, horizon=9))
+    legs = (
+        inst.graph.path_between((6, 5, 2)),
+        inst.graph.path_between((2, 3, 4)),
+        inst.graph.path_between((4, 7, 6)),
+    )
+    assert verify_routes(RouteSet((Route(6, ("j21", "j31"), legs),)), inst)
+    assert not verify_routes(detour_route_set(inst), inst)
 
 
 def test_charge_budget_exceeded_fails(corridor):

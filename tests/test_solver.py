@@ -651,3 +651,217 @@ def test_cdcl_t_core_matches_brute_force():
             found.add(bits)
             ctx.block_model(bools, res.model)
         assert found == expected
+
+
+# --- the search state kept between check() calls -----------------------------
+#
+# A context keeps its level-0 trail, watches, heap and theory potential from
+# one check() to the next.  These tests replay random logs of additions on
+# one context, checking after each step, and compare every verdict with a
+# fresh context built from the same log.  Literal numbering depends only on
+# the log, so both contexts share it.
+
+
+def _apply(ctx, entry):
+    kind, *args = entry
+    if kind == "bool":
+        ctx.new_bool()
+    elif kind == "real":
+        ctx.new_real()
+    elif kind == "le":
+        return ctx.le(*args)
+    elif kind == "clause":
+        ctx.assert_formula(*args[0])
+    else:
+        ctx.at_most(*args)
+
+
+def _model_satisfies(ctx, res, log, assumptions):
+    """The model of res against every entry of log and the assumptions; its
+    reals must equal the Fraction reference over its true literals."""
+    m = res.model
+    for a in assumptions:
+        assert m.value(a)
+    for kind, *args in log:
+        if kind == "clause":
+            assert any(m.value(l) for l in args[0]), args
+        elif kind == "at_most":
+            lits, n = args
+            assert sum(m.value(l) for l in lits) <= n
+    true_lits = [l for v in range(1, ctx._sat.nvars + 1)
+                 for l in (v, -v) if m.value(l)]
+    reals = reference_real_values(ctx, true_lits, ctx._negated)
+    assert [m.real(x) for x in range(ctx._nreals + 1)] == reals
+    for lit, (x, y, c) in ctx._atom_by_lit.items():
+        if m.value(lit):
+            assert reals[x] - reals[y] <= c
+        elif lit in ctx._negated:
+            assert reals[x] - reals[y] > c
+
+
+def _random_le_args(rng, ctx):
+    """(x, y, c) of a random atom over the context's reals; an integral
+    bound comes as a Fraction, an int or a float."""
+    x, y = rng.sample(range(ctx._nreals + 1), 2)
+    c = _random_bound(rng)
+    if c.denominator == 1:
+        c = rng.choice((c, int(c), float(c)))
+    return x, y, c
+
+
+def test_incremental_context_matches_fresh_context():
+    rng = random.Random(19)
+    seen = dict.fromkeys(
+        ("sat", "unsat", "dead", "level0 unit", "level0 true", "level0 false",
+         "rebuilt", "assumption failed then sat"), 0)
+    for _ in range(150):
+        ctx = S.Context()
+        log = []
+
+        def add(entry):
+            log.append(entry)
+            return _apply(ctx, entry)
+
+        for _ in range(rng.randint(4, 7)):
+            add(("bool",))
+        for _ in range(rng.randint(2, 3)):
+            add(("real",))
+        atoms = []
+        dead = failed = False
+        assumptions = []
+        for _step in range(10):
+            level0 = list(ctx._sat.trail)
+            nvars = ctx._sat.nvars
+
+            def lit():
+                if atoms and rng.random() < 0.4:
+                    return rng.choice(atoms) * rng.choice((1, -1))
+                return rng.randint(1, nvars) * rng.choice((1, -1))
+
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.randrange(10)
+                if kind == 0:  # a new atom, sometimes negated at once
+                    atoms.append(add(("le", *_random_le_args(rng, ctx))))
+                    if rng.random() < 0.5:
+                        add(("clause", [-atoms[-1], lit()]))
+                elif kind == 1 and atoms:  # negate an atom, maybe first time
+                    add(("clause", [-rng.choice(atoms), lit(), lit()]))
+                elif kind == 2:  # a new counter over old and new literals
+                    lits = [lit() for _ in range(rng.randint(2, 5))]
+                    add(("at_most", lits, rng.randint(1, len(lits) - 1)))
+                elif kind == 3:
+                    add(("clause", [lit()]))
+                elif kind == 4 and level0:  # true on level 0
+                    add(("clause", [rng.choice(level0), lit()]))
+                    seen["level0 true"] += 1
+                elif kind == 5 and level0:  # level-0 false literals
+                    false = [-rng.choice(level0) for _ in range(2)]
+                    free = rng.choice((0, 1, 1, 2, 2, 2, 2, 2))
+                    add(("clause", false + [lit() for _ in range(free)]))
+                    seen["level0 false"] += 1
+                else:
+                    add(("clause", [lit() for _ in range(rng.randint(2, 3))]))
+            if rng.random() < 0.5:  # change the assumptions
+                assumptions = [lit() for _ in range(rng.randint(0, 2))]
+                if atoms and rng.random() < 0.3:
+                    assumptions.append(-rng.choice(atoms))
+            graph = ctx._graph
+            trail = len(ctx._sat.trail)
+            res = ctx.check(assumptions)
+            if graph is not None and ctx._graph is not graph and trail:
+                seen["rebuilt"] += 1
+            seen["level0 unit"] += len(ctx._sat.trail) > trail
+            fresh = S.Context()
+            for entry in log:
+                _apply(fresh, entry)
+            expected = fresh.check(assumptions)
+            assert res.sat is expected.sat, log
+            if dead:
+                assert not res.sat
+                break
+            if failed and res.sat:
+                seen["assumption failed then sat"] += 1
+            if res.sat:
+                seen["sat"] += 1
+                _model_satisfies(ctx, res, log, assumptions)
+                _model_satisfies(fresh, expected, log, assumptions)
+                failed = False
+                continue
+            seen["unsat"] += 1
+            if not assumptions or ctx._sat.empty_clause:
+                dead = True  # the next check must be unsat too
+                seen["dead"] += ctx._sat.empty_clause
+            failed = not dead
+    assert min(seen.values()) >= 10, seen
+
+
+def test_equal_bounds_share_one_atom():
+    # An integral bound keys its atom by the int, whatever its type.
+    ctx = S.Context()
+    x = ctx.new_real()
+    assert ctx.le(x, 0, 2) == ctx.le(x, 0, Fraction(2)) == ctx.le(x, 0, 2.0)
+    assert ctx.le(x, 0, Fraction(5, 2)) == ctx.le(x, 0, 2.5)
+    assert ctx.le(0, x, -3) != ctx.le(x, 0, 3)
+    assert sorted(type(c).__name__ for _, _, c in ctx._atom_by_lit.values()) \
+        == ["Fraction", "int", "int", "int"]
+
+
+def test_unsat_without_assumptions_stays_unsat():
+    ctx = S.Context()
+    x, y = ctx.new_real(), ctx.new_real()
+    b = ctx.new_bool()
+    ctx.assert_formula(ctx.le(x, y, -1))  # x <= y - 1
+    ctx.assert_formula(ctx.le(y, x, 0), b)
+    ctx.assert_formula(-b)
+    assert not ctx.check().sat  # a theory conflict on level 0
+    assert ctx._sat.empty_clause
+    c = ctx.new_bool()
+    ctx.assert_formula(c)
+    assert not ctx.check().sat
+    assert not ctx.check([c]).sat
+
+
+def test_failed_assumption_does_not_poison_a_later_check():
+    # A Boolean assumption refuted by a clause, and an atom assumption
+    # refuted by the theory: neither leaves a trace once it is dropped.
+    ctx = S.Context()
+    x = ctx.new_real()
+    a, b = ctx.new_bool(), ctx.new_bool()
+    low = ctx.le(x, 0, 1)  # x <= 1
+    ctx.assert_formula(-a, ctx.le(0, x, -2))  # a -> x >= 2
+    ctx.assert_formula(-a, -b)
+    assert not ctx.check([a, b]).sat
+    assert not ctx.check([a, low]).sat
+    for assumptions in ([], [a], [b], [low]):
+        res = ctx.check(assumptions)
+        assert res.sat and all(res.model.value(l) for l in assumptions)
+    assert not ctx._sat.empty_clause
+
+
+def test_model_is_a_snapshot():
+    # Later checks, blocked models and new atoms must not change what a
+    # model reads, whether its reals are first read at once or only later.
+    ctx = S.Context()
+    xs = [ctx.new_real() for _ in range(3)]
+    bools = [ctx.new_bool() for _ in range(4)]
+    for i, b in enumerate(bools):
+        ctx.assert_formula(-b, ctx.le(0, xs[i % 3], -(i + 1)))  # b -> x >= i+1
+    ctx.assert_formula(*bools)
+    models = []
+    while len(models) < 16 and (res := ctx.check()).sat:
+        m = res.model
+        lits = {l: m.value(l)
+                for v in range(1, ctx._sat.nvars + 1) for l in (v, -v)}
+        assert all(lits[v] is not lits[-v] for v in bools)
+        assert any(lits[v] for v in bools)
+        reals = reference_real_values(
+            ctx, [l for l, t in lits.items() if t], set(ctx._negated))
+        if len(models) % 2:
+            assert [m.real(x) for x in range(len(reals))] == reals
+        models.append((m, lits, reals))
+        ctx.block_model(bools, m)
+        ctx.assert_formula(ctx.le(xs[0], 0, 10 + len(models)))  # a new atom
+        for m, lits, reals in models:
+            assert {l: m.value(l) for l in lits} == lits
+            assert [m.real(x) for x in range(len(reals))] == reals
+    assert len(models) == 15
