@@ -6,11 +6,10 @@ restricted to vehicles stationed at the route's depot), and two routes on
 one vehicle must be separated by the charging time of the route about to
 start.
 
-`assignments` yields the feasible vehicle maps of one route set from one
-model, blocking each map in place.  The model's start and end times only
-decide whether a vehicle's routes can run back to back within their latest
-starts and charging gaps; they are not passed on.  The capacity stage fixes
-every time, the order of a vehicle's routes included.
+`assignments` yields the vehicle maps of one route set from one model,
+blocking each map in place, exactly those that the capacity model times
+without its occupancy limits.  The model's times are not passed on: the
+capacity stage fixes every time, the order of a vehicle's routes included.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import solver as S
+from .capacity import replay
 from .instance import Instance
 from .routing import RouteSet
 
@@ -28,7 +28,8 @@ from .routing import RouteSet
 class RouteAttributes:
     length: Fraction
     cum_service: Fraction
-    latest_start: Fraction
+    latest_start: Fraction | None
+    earliest_end: Fraction | None
     eligible: frozenset[str]
 
 
@@ -40,47 +41,43 @@ class Assignment:
 def compute_route_attributes(
     cr: RouteSet, inst: Instance
 ) -> list[RouteAttributes]:
-    """Length, cumulative service, latest start, and eligible vehicles per
-    route, from the legs the routes currently carry.
-
-    The latest start keeps every task's window and brings the vehicle back
-    by the horizon T.  Both bounds ignore waiting, which is never negative,
-    and path changes only lengthen legs, so they hold for every timing of
-    the route.
+    """Length, cumulative service, latest start, earliest end, and eligible
+    vehicles per route, from the legs the routes currently carry.  The
+    times are `capacity.replay`'s, None if the route cannot be timed alone.
     """
-    speed = inst.fleet.speed
     out = []
     for r in cr.routes:
-        cum_service = sum(inst.tasks[t].service_time for t in r.tasks)
         eligible = set(inst.vehicles_at(r.depot))
         for t in r.tasks:
             eligible &= inst.job_of(t).eligible_vehicles
-        late = inst.fleet.horizon - r.length / speed - cum_service
-        travel = 0
-        service_before = 0
-        for i, t in enumerate(r.tasks):
-            travel += r.legs[i].length
-            late = min(
-                late,
-                inst.tasks[t].window.upper - travel / speed - service_before,
-            )
-            service_before += inst.tasks[t].service_time
+        latest_start, earliest_end = replay(r, inst) or (None, None)
         out.append(RouteAttributes(
             length=r.length,
-            cum_service=cum_service,
-            latest_start=late,
+            cum_service=sum(inst.tasks[t].service_time for t in r.tasks),
+            latest_start=latest_start,
+            earliest_end=earliest_end,
             eligible=frozenset(eligible),
         ))
     return out
 
 
 def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
-    """Every feasible vehicle map of `cr`.
+    """Every vehicle map of `cr` whose capacity check without occupancy
+    limits is sat on `cr`'s legs: a route started by its latest start s
+    ends at the later of s + dur and its earliest end.
+
+    Refusing a map is complete: `cr`'s legs are the router's shortest
+    paths.  Given any schedule on longer legs, the route on the shortest
+    legs can leave at the same time, wait, and serve every task at the
+    same instant; it charges less (C times its length) and is back no
+    later.  So a refused map has no schedule on any path combination.
 
     Each map is blocked as it is yielded, together with every model that
     puts the same routes on the same vehicles.
     """
     attrs = compute_route_attributes(cr, inst)
+    if any(a.latest_start is None for a in attrs):
+        return  # some route cannot be timed even alone
     n = len(cr.routes)
     vehicles = sorted(inst.vehicles)
     ctx = S.Context()
@@ -96,9 +93,10 @@ def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
         ctx.exactly([alpha[(v, r)] for v in vehicles], 1)
         if len(attrs[r].eligible) < len(vehicles):  # else exactly covers it
             ctx.assert_formula(*[alpha[(v, r)] for v in sorted(attrs[r].eligible)])
+        # e >= s + dur, e >= the earliest end, s <= the latest start
         dur = attrs[r].length / speed + attrs[r].cum_service
-        ctx.assert_formula(ctx.le(e_var[r], s_var[r], dur))
         ctx.assert_formula(ctx.le(s_var[r], e_var[r], -dur))
+        ctx.assert_formula(ctx.le(0, e_var[r], -attrs[r].earliest_end))
         ctx.assert_formula(ctx.le(s_var[r], 0, attrs[r].latest_start))
 
     # on one vehicle, r1 starts after r2 has ended and r1's charging gap

@@ -8,20 +8,23 @@ position swapping), and opposite traversals of a unit-capacity segment
 never overlap.  A route starts when its windows allow; the routes of one
 vehicle run in whichever order keeps their charging gaps.  Without the
 three conflict families the same model times the routes of the relaxed
-mode.
+mode; `replay` times one route alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import solver as S
-from .assignment import Assignment
 from .errors import BrokenChain
 from .graph import NodeId
 from .instance import Instance
-from .routing import RouteSet
+from .routing import Route, RouteSet
+
+if TYPE_CHECKING:  # assignment imports replay from here
+    from .assignment import Assignment
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,42 @@ def build_visit_lists(cr: RouteSet, inst: Instance) -> list[VisitList]:
         out.append(VisitList(
             r.depot, r.tasks, tuple(positions), tuple(edges), r.length))
     return out
+
+
+def replay(route: Route, inst: Instance) -> tuple[Fraction, Fraction] | None:
+    """The latest start and the earliest end of `route` timed alone on its
+    legs, or None if it cannot be timed: this model for one route, solved
+    by one walk that merges stops as `build_visit_lists` does.  From a
+    start s each stop is reached at the later of its earliest time from 0
+    and s plus the fixed travel and service before it, so the latest start
+    is the least slack of a stop's upper bound over that offset.
+    """
+    T, speed = inst.fleet.horizon, inst.fleet.speed
+    t = offset = 0  # reaching the open stop: earliest, and with no waits
+    lower, upper, service, served = 0, T, 0, False  # the open stop
+    late = T
+    for i, leg in enumerate(route.legs):
+        if len(leg.nodes) > 1:  # the leg moves on
+            step = leg.length / speed
+            if served:  # close the open stop; one without tasks never binds
+                t = max(t, lower)
+                if t > upper:
+                    return None
+                late = min(late, upper - offset)
+                step += service
+                lower, upper, service, served = 0, T, 0, False
+            t, offset = t + step, offset + step
+        if i < len(route.tasks):
+            task = inst.tasks[route.tasks[i]]
+            lower = max(lower, task.window.lower)
+            upper = min(upper, task.window.upper)
+            service += task.service_time
+            served = True
+    t = max(t, lower)
+    upper = min(upper, T - service)  # the last service ends by T
+    if t > upper:
+        return None
+    return min(late, upper - offset), t + service
 
 
 def verify_capacity(

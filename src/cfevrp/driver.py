@@ -1,16 +1,15 @@
 """Top-level solve loop composing the sub-problem solvers.
 
 The full algorithm iterates: build routes, assign vehicles, schedule
-against capacities; when scheduling fails but the timing without the
-occupancy limits holds, try alternative leg paths and re-check the
-routes, backtracking through assignments and route sets as the inner
-problems run dry.  Each searching stage is a generator over one
+against capacities; when scheduling fails, try alternative leg paths and
+re-check the routes, backtracking through assignments and route sets as
+the inner problems run dry.  Each searching stage is a generator over one
 fixed input (route sets per solve, vehicle maps per route set, the route
 set on other leg paths per vehicle map) that keeps one model and blocks
 what it yields in place.  Only route sets and vehicle maps pass between
 the stages: the capacity check decides every time.  A relaxed mode
-schedules with the same capacity model without its occupancy limits, and
-so never needs the path changer.
+schedules with the same capacity model without its occupancy limits,
+which cannot fail on a map the assignment stage yields.
 """
 
 from __future__ import annotations
@@ -174,43 +173,25 @@ def _route_set_phase(inst, cr, limits, clock, conflicts):
 def _capacity_phase(inst, cr, ca, limits, clock, conflicts):
     """Capacity check with the path-changing inner loop.
 
-    An assignment whose timing fails on `cr` even without the occupancy
-    limits moves on to the next assignment at once, in both modes.  `cr`'s
-    legs are shortest paths, so every alternative leg is at least as long.
-    Given any schedule on longer legs, the route on the shortest legs can
-    leave at the same time, wait, and serve every task at the same instant;
-    it charges less (C times its length) and is back no later.  So a timing
-    that is unsat on the shortest legs is unsat on every path combination,
-    with or without the occupancy limits.  This holds at the first check
-    only: after a path change the legs are no longer the shortest.
-
-    The router's model already times each of its routes alone on these
-    legs: from time 0, within the windows, back by the horizon.  Without
-    the occupancy limits, only the charging gap between two routes of one
-    vehicle is new, so the check without them is made only when some
-    vehicle runs two routes.  Skipping it elsewhere only forgoes the cut.
+    `assignments` yields only maps that `cr` times without the occupancy
+    limits, so the relaxed check cannot fail.  A strict check that fails
+    tries the route set on other leg paths that `verify_routes` accepts.
 
     Returns a final SolveOutcome, or None to signal 'try a new assignment'.
     """
-    def schedule(routes, with_conflicts):
-        return clock.run(
-            "capacity",
-            lambda: verify_capacity(ca, routes, inst, with_conflicts),
-            ok=lambda pair: pair[0] is not None)[0]
-
-    shares_a_vehicle = len(set(ca.vehicle_of)) < len(ca.vehicle_of)
     current = cr  # carries the current leg paths
     paths = path_sets(cr, inst)
     tried = 0
     while True:
-        cvs = schedule(current, conflicts)
+        cvs = clock.run(
+            "capacity",
+            lambda: verify_capacity(ca, current, inst, conflicts),
+            ok=lambda pair: pair[0] is not None)[0]
         if cvs is not None:
             return SolveOutcome(FEASIBLE, cvs, clock.events)
         if not conflicts:
-            return None
-        if (current is cr and shares_a_vehicle
-                and schedule(cr, False) is None):
-            return None  # timing alone refutes it on the shortest legs
+            raise InvariantViolation(
+                f"the assignment stage yielded untimable map {ca.vehicle_of}")
         while True:
             if tried >= limits.max_path_sets:
                 return SolveOutcome(

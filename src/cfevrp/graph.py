@@ -38,10 +38,6 @@ class Edge:
     length: Fraction
     capacity: int
 
-    @property
-    def key(self) -> tuple[NodeId, NodeId]:
-        return (self.src, self.dst)
-
 
 @dataclass(frozen=True)
 class Path:

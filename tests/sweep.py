@@ -9,8 +9,10 @@ seeds 0-299, with unit and with decimal data, each solved in both modes
 (`comsat_solve` and `c_comsat_solve`): 1,256 solves.  Each solve prints one
 JSON line with its status, reason, event phases (a trailing `-` marks an
 unsat event), total distance and the exact times of its schedule.  Every
-strict schedule is checked with `validate_schedule`; a summary goes to
-stderr, and the exit status is 1 if some strict schedule fails validation.
+strict schedule is checked with `validate_schedule`.  A summary goes to
+stderr: the solve counts, then the events per mode and phase over all
+solves and how many of them were unsat.  The exit status is 1 if some strict schedule
+fails validation.
 
 `cfevrp` is imported from `PYTHONPATH`, so one copy of this script sweeps
 any tree.  Pytest does not collect this file.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -54,11 +57,15 @@ def times(schedule) -> list:
 
 def main() -> int:
     solves = strict = invalid = 0
+    events, unsat = Counter(), Counter()
     t0 = time.perf_counter()
     for name, inst in instances():
         for mode, solve in (("strict", comsat_solve), ("relaxed", c_comsat_solve)):
             out = solve(inst)
             solves += 1
+            for e in out.events:
+                events[mode, e.phase] += 1
+                unsat[mode, e.phase] += not e.sat
             line = {
                 "instance": name, "mode": mode, "status": out.status,
                 "reason": out.reason,
@@ -76,6 +83,9 @@ def main() -> int:
             print(json.dumps(line), flush=True)
     print(f"{solves} solves, {strict} strict schedules, {invalid} invalid, "
           f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)
+    for (mode, phase), n in events.items():
+        print(f"{mode} {phase}: {n} events, {unsat[mode, phase]} unsat",
+              file=sys.stderr)
     return 1 if invalid else 0
 
 

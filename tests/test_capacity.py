@@ -1,9 +1,14 @@
 """Capacity scheduling: visit lists, conflict constraints, exemption stats."""
 
+import dataclasses
+import random
+
 import pytest
 
-from cfevrp.assignment import assignments
-from cfevrp.capacity import CapacityStats, build_visit_lists, verify_capacity
+from cfevrp.assignment import Assignment, assignments, compute_route_attributes
+from cfevrp.capacity import (
+    CapacityStats, build_visit_lists, replay, verify_capacity,
+)
 from cfevrp.driver import routes_from_task_orders, shortest_path_map
 from cfevrp.errors import BrokenChain
 from cfevrp.graph import validate_graph
@@ -14,7 +19,8 @@ from cfevrp.routing import Route, RouteSet
 from cfevrp.validator import (
     EDGE_CAPACITY_OPPOSITE, NODE_CAPACITY, validate_schedule,
 )
-from conftest import swap_deadlock_instance
+from cfevrp.routesverify import verify_routes
+from conftest import random_tiny_instance, swap_deadlock_instance
 
 
 def partial_routes(inst, orders):
@@ -68,6 +74,66 @@ def test_broken_chain_detected(corridor):
     ))
     with pytest.raises(BrokenChain):
         build_visit_lists(RouteSet((r,)), corridor)
+
+
+def co_located_instance(windows, services):
+    """Tasks a (job A) and b (job B) at node 2 of the line 1-2, and the
+    route [a, b] that serves them back to back from depot 1."""
+    g = validate_graph([1, 2], [1], [(1, 2, 1.0, 1)])
+    fleet = FleetParams(100, 1, 1, 1, 1, 20)
+    tasks = [Task(tid, job, 2, TimeWindow(*w), service)
+             for tid, job, w, service in zip("ab", "AB", windows, services)]
+    jobs = [Job("A", ("a",), frozenset({"v1"})),
+            Job("B", ("b",), frozenset({"v1"}))]
+    inst = build_instance(g, [1], fleet, [Vehicle("v1", 1)], jobs, tasks)
+    return inst, partial_routes(inst, [(1, ["a", "b"])])
+
+
+def test_co_located_tasks_are_served_at_one_instant():
+    # the windows do not meet, so no instant serves both tasks
+    inst, cr = co_located_instance([(0, 5), (6, 8)], [1, 1])
+    schedule, _ = verify_capacity(Assignment(("v1",)), cr, inst, False)
+    assert schedule is None
+    assert replay(cr.routes[0], inst) is None
+    assert not verify_routes(cr, inst)
+    # one stop serves both within [0, 6] for 3 + 1 units: the latest start
+    # is 6 minus one unit of travel, and from time 0 the route is back at
+    # 1 + 4 + 1 = 6
+    inst, cr = co_located_instance([(0, 10), (0, 6)], [3, 1])
+    assert compute_route_attributes(cr, inst)[0].latest_start == 5
+    assert replay(cr.routes[0], inst) == (5, 6)
+    schedule, _ = verify_capacity(Assignment(("v1",)), cr, inst, False)
+    assert schedule.routes[0].position_tasks == ((), ("a", "b"), ())
+
+
+def test_replay_times_a_lone_route_as_the_capacity_model_does():
+    """On random tiny instances with the tasks moved to random nodes (so
+    some share a node or sit at a depot), replay times a route on shortest
+    legs iff the capacity model without occupancy limits schedules it
+    alone, and that schedule starts by the latest start and ends no earlier
+    than the earliest end."""
+    timed = untimed = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        inst = random_tiny_instance(seed, unit=seed % 2 == 0)
+        nodes = sorted(inst.graph.nodes)
+        inst = dataclasses.replace(inst, tasks={
+            tid: dataclasses.replace(t, location=rng.choice(nodes))
+            for tid, t in inst.tasks.items()})
+        for _ in range(5):
+            tasks = rng.sample(inst.task_ids(), rng.randint(1, len(inst.tasks)))
+            cr = partial_routes(inst, [(rng.choice(inst.depots), tasks)])
+            bounds = replay(cr.routes[0], inst)
+            schedule, _ = verify_capacity(
+                Assignment(("v1",)), cr, inst, conflicts=False)
+            assert (bounds is None) == (schedule is None), seed
+            if bounds is None:
+                untimed += 1
+                continue
+            timed += 1
+            rs = schedule.routes[0]
+            assert rs.start <= bounds[0] and rs.node_out[-1] >= bounds[1], seed
+    assert timed >= 50 and untimed >= 50
 
 
 def _assign(inst, cr):

@@ -3,11 +3,14 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
 
-from cfevrp.assignment import assignments
+from cfevrp.assignment import (
+    Assignment, assignments, compute_route_attributes,
+)
 from cfevrp.capacity import verify_capacity
 from cfevrp.driver import (
     ABORTED, FEASIBLE, INFEASIBLE, Limits, _Clock, _route_set_phase,
@@ -68,26 +71,36 @@ def test_relaxed_mode_ignores_capacity(corridor):
 
 
 def test_timing_refuted_on_shortest_legs_is_refuted_on_every_path_set():
-    """The premises of the capacity phase's skip: an assignment whose
-    timing fails on the router's legs without occupancy limits has some
-    vehicle running two routes, and has no schedule, strict or relaxed, on
-    any path combination."""
-    refuted = combinations = 0
+    """`assignments` yields exactly the eligible vehicle maps whose timing
+    holds on the router's legs without occupancy limits.  A map it refuses
+    has some vehicle running two routes (or a route that cannot be timed
+    alone), and has no schedule, strict or relaxed, on the other path
+    combinations: each refused map is checked on the path changer's first
+    ten, which keeps the test fast."""
+    refused = combinations = 0
     for seed, unit in ([(s, True) for s in range(100)]
                        + [(s, False) for s in range(100, 150)]):
         inst = random_tiny_instance(seed, unit=unit)
         for cr in route_sets(inst, shortest_path_map(inst)):
-            for ca in assignments(cr, inst):
-                if verify_capacity(ca, cr, inst, False)[0] is not None:
+            attrs = compute_route_attributes(cr, inst)
+            alone = all(a.latest_start is not None for a in attrs)
+            yielded = {ca.vehicle_of for ca in assignments(cr, inst)}
+            eligible = list(product(*(sorted(a.eligible) for a in attrs)))
+            assert yielded <= set(eligible), seed
+            for vehicle_of in eligible:
+                ca = Assignment(vehicle_of)
+                timed = verify_capacity(ca, cr, inst, False)[0] is not None
+                assert timed == (vehicle_of in yielded), (seed, unit)
+                if timed:
                     continue
-                refuted += 1
-                assert len(set(ca.vehicle_of)) < len(ca.vehicle_of), seed
-                for np in path_sets(cr, inst):
+                refused += 1
+                assert len(set(vehicle_of)) < len(vehicle_of) or not alone
+                for np in islice(path_sets(cr, inst), 10):
                     combinations += 1
                     for conflicts in (True, False):
                         schedule, _ = verify_capacity(ca, np, inst, conflicts)
                         assert schedule is None, (seed, unit, conflicts)
-    assert refuted >= 40 and combinations >= 600
+    assert refused >= 40 and combinations >= 600
 
 
 def test_capacity_bound_instance_diverges(swap_deadlock):
@@ -350,11 +363,10 @@ def test_swap_deadlock_trajectory_is_pinned(swap_deadlock):
 
 def test_tiny_seed_250_trajectory_is_pinned():
     out = comsat_solve(random_tiny_instance(250))
-    # the first route set's one assignment fails its timing even without
-    # occupancy limits, so no path changes are tried for it
+    # the first route set's only eligible vehicle map fails its timing even
+    # without occupancy limits, so the assignment stage yields no map
     assert _trajectory(out) == [
-        ("router", True), ("assign", True),
-        ("capacity", False), ("capacity", False), ("assign", False),
+        ("router", True), ("assign", False),
         ("router", True), ("assign", True), ("capacity", True)]
     assert out.paths_changer_calls == 0
     assert [(r.vehicle, r.nodes, r.node_in, r.node_out, r.edge_in)
