@@ -25,7 +25,7 @@ from .graph import all_pairs_task_paths
 from .instance import Instance
 from .pathschanger import path_sets
 from .routesverify import verify_routes
-from .routing import PathMap, Route, RouteSet, route_sets
+from .routing import PathMap, RouteSet, route_sets
 from .errors import InvariantViolation
 
 FEASIBLE = "feasible"
@@ -67,29 +67,6 @@ def total_distance(outcome: SolveOutcome) -> Fraction:
 
 def shortest_path_map(inst: Instance) -> PathMap:
     return all_pairs_task_paths(inst.graph, inst.task_locations())
-
-
-def routes_from_task_orders(
-    inst: Instance,
-    sp: PathMap,
-    orders: list[tuple[int, list[str]]],
-) -> RouteSet:
-    """Build a route set from explicit (depot, task order) pairs.
-
-    This lets a caller run the later stages on routes of its choosing.
-    """
-    routes = []
-    served: set[str] = set()
-    for depot, tasks in orders:
-        if depot not in inst.depots:
-            raise InvariantViolation(f"{depot} is not a depot")
-        locs = [depot] + [inst.tasks[t].location for t in tasks] + [depot]
-        legs = tuple(sp[(a, b)] for a, b in zip(locs, locs[1:]))
-        routes.append(Route(depot, tuple(tasks), legs))
-        served.update(tasks)
-    if served != set(inst.task_ids()):
-        raise InvariantViolation("forced routes must cover every task exactly once")
-    return RouteSet(tuple(routes))
 
 
 # The searching stages as the loop calls them, once per event: each takes

@@ -176,17 +176,6 @@ def _check_strongly_connected(g: PlantGraph) -> None:
             raise NotStronglyConnected(f"nodes {missing} not mutually reachable")
 
 
-def shortest_path(g: PlantGraph, src: NodeId, dst: NodeId) -> Path:
-    """Minimum-length path from src to dst.
-
-    Ties among equal-length paths are broken by the lexicographically
-    smallest node sequence, so results are reproducible across runs.
-    """
-    if src == dst:
-        return Path((src,), Fraction(0))
-    return single_source_paths(g, src)[dst]
-
-
 def single_source_paths(g: PlantGraph, src: NodeId) -> dict[NodeId, Path]:
     """Dijkstra labels keyed by (distance, node sequence) for determinism.
 

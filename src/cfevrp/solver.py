@@ -8,22 +8,27 @@ sub-problem models of this package write in:
 - a real is a node of the difference graph, a positive int ``x`` from
   ``new_real()``; node 0 is the constant zero, and every real is
   nonnegative;
-- ``le(x, y, c)`` is the literal of the atom ``x - y <= c``; its negation
-  is the strict ``y - x < -c``;
+- ``le(x, y, c)`` is the literal of the atom ``x - y <= c``, for an int or
+  Fraction bound ``c``;
 - ``assert_formula(*lits)`` asserts one clause over such literals;
+- atoms occur only positively: a clause, an assumption or a blocking
+  clause that negates one raises ValueError, and so does a counter over
+  one.  A false atom then constrains nothing, since flipping it to true
+  satisfies every clause that holds it, so the theory takes the true
+  atoms only;
 - ``exactly`` and ``at_most`` count literals through a totalizer
   (Bailleux and Boufkhad, 2003) and hold whenever all their guard
   literals are true.  The totalizer is truncated: it counts only up to the
   bound that is read (n + 1 outputs for a bound n), in O(n * len) clauses,
   and is kept per literal list until a larger bound asks for a new one.
 
-A CDCL SAT core searches the Boolean skeleton and hands the atoms to a
-difference-logic theory solver (negative-cycle detection over rational
-bounds with an infinitesimal component for strict inequalities).
-Minimization of an indicator count runs a descending linear search over
-the outputs of a totalizer truncated just above the first model's count;
-it can start from a known lower bound, so a context that only gains
-clauses re-minimizes under an assumption instead of starting over.
+A CDCL SAT core searches the Boolean skeleton and hands the true atoms to
+a difference-logic theory solver (negative-cycle detection over rational
+bounds).  Minimization of an indicator count runs a descending linear
+search over the outputs of a totalizer truncated just above the first
+model's count; it can start from a known lower bound, so a context that
+only gains clauses re-minimizes under an assumption instead of starting
+over.
 
 The SAT core propagates with two watched literals, keeps its trail in
 lists indexed by variable and picks each decision from a heap ordered by
@@ -36,16 +41,12 @@ in only the clauses added since; the decisions are not kept.  The theory
 adds one edge at a time against a potential, and looks for a negative
 cycle with a Dijkstra over reduced costs from the new edge's head (Cotton
 and Maler, 2006); backjumps drop edges and keep the potential, and so do
-later checks, until new atoms, new reals or a first negation rebuild the
-theory's graph, which then takes the whole trail.  A false atom is an
-edge only when some clause or assumption negates it: every other atom
-occurs only positively, so its false value constrains nothing.  The
-theory works on integers: the bounds are scaled by the LCM of their
-denominators, and each infinitesimal count is packed into the same int,
-so the integer comparisons decide exactly as the rational ones would.
-An atom keeps its bound as an int when the bound is integral.  Real values
-in models are exact Fractions, computed when a model's reals are first
-read.
+later checks, until new atoms or new reals rebuild the theory's graph,
+which then takes the whole trail.  The theory works on integers: the
+bounds are scaled by the LCM of their denominators, so the integer
+comparisons decide exactly as the rational ones would.  An atom keeps its
+bound as an int when the bound is integral.  Real values in models are
+exact Fractions, computed when a model's reals are first read.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence, Union
 
-Number = Union[int, float, Fraction]
 Bound = Union[int, Fraction]
 
 
@@ -69,9 +69,7 @@ class Model:
 
     The real values are computed on the first `real` call, since the
     router's models are only read for literals.  They satisfy every true
-    atom and the negation of every false atom that some clause or
-    assumption negates.  An atom that nothing negates may read false
-    while the real values satisfy it.
+    atom; an atom may read false while the real values satisfy it.
     """
 
     def __init__(self, lits: Sequence[bool],
@@ -443,10 +441,6 @@ class Context:
         # c an int when it is integral and a Fraction otherwise
         self._atom_lit: dict[tuple[int, int, Bound], int] = {}
         self._atom_by_lit: dict[int, tuple[int, int, Bound]] = {}
-        # atoms that some clause or assumption negates: only these give the
-        # theory an edge when false (see _DiffGraph).  Learned clauses hold
-        # in every model of the theory, so what they negate needs no record.
-        self._negated: set[int] = set()
         self._totalizer_cache: dict[tuple[int, ...], list[int]] = {}
         self._graph: _DiffGraph | None = None
 
@@ -460,10 +454,15 @@ class Context:
         self._nreals += 1
         return self._nreals
 
-    def le(self, x: int, y: int, c: Number) -> int:
-        """The literal of the atom x - y <= c (0 is the zero node)."""
-        if isinstance(c, float):
-            c = Fraction(c)
+    def le(self, x: int, y: int, c: Bound) -> int:
+        """The literal of the atom x - y <= c (0 is the zero node), to be
+        used only positively.
+
+        A float bound raises TypeError: its binary value is rarely the
+        decimal it was written as, so the caller converts it exactly.
+        """
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"bound {c!r} is not an int or a Fraction")
         if c.denominator == 1:  # an int key is cheaper to build and hash
             c = c.numerator
         key = (x, y, c)
@@ -481,7 +480,7 @@ class Context:
         a stage's `encode_s`, sees them.  Only the totalizer's own clauses
         and the blocking clauses are added below it.
         """
-        self._note_negated(lits)
+        self._require_positive(lits)
         self._sat.add_clause(lits)
 
     def exactly(self, lits: Sequence[int], n: int, *guards: int) -> None:
@@ -504,7 +503,7 @@ class Context:
     def block_model(self, lits: Sequence[int], m: Model) -> None:
         """Forbid the projection of model m onto the given literals."""
         clause = [-l if m.value(l) else l for l in lits]
-        self._note_negated(clause)
+        self._require_positive(clause)
         self._sat.add_clause(clause)
 
     def block_true_subset(self, lits: Sequence[int], m: Model) -> None:
@@ -513,20 +512,21 @@ class Context:
         Stronger than block_model: also rules out supersets.
         """
         clause = [-l for l in lits if m.value(l)]
-        self._note_negated(clause)
+        self._require_positive(clause)
         self._sat.add_clause(clause)
 
-    def _note_negated(self, lits: Iterable[int]) -> None:
-        """Record the atoms that occur negated among lits."""
+    def _require_positive(self, lits: Iterable[int]) -> None:
+        """Raise ValueError if an atom occurs negated among lits."""
         atoms = self._atom_by_lit
         for l in lits:
             if l < 0 and -l in atoms:
-                self._negated.add(-l)
+                raise ValueError(f"the atom {atoms[-l]} occurs negated; "
+                                 "atoms may occur only positively")
 
     # -- solving ----------------------------------------------------------
 
     def check(self, assumptions: Sequence[int] = ()) -> SolveResult:
-        self._note_negated(assumptions)
+        self._require_positive(assumptions)
         # atoms added after this check must not change this model's reals
         g = self._diff_graph()
         assignment = self._sat.solve(assumptions, self._theory_conflict)
@@ -586,7 +586,7 @@ class Context:
         outs = self._totalizer_cache.get(key)
         if outs is None or len(outs) < min(size, len(lits)):
             # the clauses below hold every input under both polarities
-            self._note_negated([-abs(l) for l in lits])
+            self._require_positive([-abs(l) for l in lits])
             outs = self._totalizer_node(list(lits), size)
             self._totalizer_cache[key] = outs
         return outs
@@ -628,12 +628,11 @@ class Context:
 
     def _diff_graph(self) -> _DiffGraph:
         """The atoms in integer form, rebuilt only after atoms or reals are
-        added or an atom is first negated.  A rebuilt graph has taken no
-        literal yet, so the core hands it the whole trail."""
-        key = (len(self._atom_by_lit), self._nreals, len(self._negated))
+        added.  A rebuilt graph has taken no literal yet, so the core hands
+        it the whole trail."""
+        key = (len(self._atom_by_lit), self._nreals)
         if self._graph is None or self._graph.key != key:
-            self._graph = _DiffGraph(key, self._atom_by_lit, self._negated,
-                                     self._nreals)
+            self._graph = _DiffGraph(key, self._atom_by_lit, self._nreals)
             self._sat.checked = 0
         return self._graph
 
@@ -668,19 +667,8 @@ def _shortest_paths(n: int, edges: Sequence[tuple[int, int, int]]) -> list[int]:
 
 def _real_values(g: _DiffGraph, assignment: Sequence[bool | None]) -> list[Fraction]:
     """The value of every node of g under a theory-consistent assignment."""
-    edges = g.edges(assignment)
-    r, e = zip(*map(g.unpack, _shortest_paths(g.n, edges)))
-    # realize the infinitesimal: pick delta keeping every edge satisfied
-    delta = Fraction(1)
-    for u, v, w in edges:
-        wr, we = g.unpack(w)
-        slack_r = r[u] + wr - r[v]
-        slack_e = e[u] + we - e[v]
-        if slack_r > 0 and slack_e < 0:
-            delta = min(delta, Fraction(slack_r, -slack_e * g.scale))
-    delta = delta / 2
-    return [Fraction(r[x] - r[0], g.scale) + delta * (e[x] - e[0])
-            for x in range(g.n)]
+    r = _shortest_paths(g.n, g.edges(assignment))
+    return [Fraction(r[x] - r[0], g.scale) for x in range(g.n)]
 
 
 class _DiffGraph:
@@ -690,48 +678,21 @@ class _DiffGraph:
 
     Node x is the context's real x, and node 0 the zero node.  An edge
     u -> v with weight w encodes val(v) - val(u) <= w.  A true atom
-    u - v <= c is the edge v -> u of weight c.  A false atom gives an edge
-    only if some clause or assumption negates it: the strict v - u < -c,
-    the edge u -> v of weight -c - eps.  An atom that nothing negates
-    occurs only positively, so flipping it to true satisfies every clause
-    that contains it; its false value needs no edge.  Every real is
-    nonnegative: an edge x -> 0 of weight 0.
-
-    Bounds are multiplied by `scale`, the LCM of their denominators, and a
-    bound value + eps * delta is packed into the int value * M + eps.
-    Packed ints compare exactly as (value, eps) pairs do while the eps
-    parts compared differ by less than M/2.  With K = n * (atoms + reals
-    + 1) and M = 8K, that holds:
-    - Bellman-Ford from zero (`_shortest_paths`, over at most
-      atoms + reals edges) makes at most n passes, and each relaxation
-      extends a walk by one edge of eps 0 or -1, so every eps lies in
-      [-K, 0]; its result is a shortest simple path, eps in [-(n-1), 0].
-    - The potential kept through the checks starts at 0, and its eps never
-      rises above 0.  Each lowering takes a node to the potential of the
-      new edge's tail plus that edge plus a simple path, so it lowers the
-      least eps by at most n.  Whenever an eps falls below -K, the
-      potential is recomputed from the active edges by Bellman-Ford, so
-      before each new edge every eps lies in [-K, 0], and the sums that
-      Dijkstra compares have eps within 2K + n < M/2 of each other.
-    Without the recomputation, adding and undoing two opposite strict
-    edges in turn would lower the potential's eps without bound.
+    u - v <= c is the edge v -> u of weight c; a false atom gives no edge,
+    since atoms occur only positively.  Every real is nonnegative: an edge
+    x -> 0 of weight 0.  Bounds are multiplied by `scale`, the LCM of their
+    denominators.
     """
 
-    def __init__(self, key: tuple[int, int, int],
-                 atoms: dict[int, tuple[int, int, Bound]],
-                 negated: set[int], nreals: int) -> None:
+    def __init__(self, key: tuple[int, int],
+                 atoms: dict[int, tuple[int, int, Bound]], nreals: int) -> None:
         self.key = key
         self.n = nreals + 1
-        self.scale = math.lcm(*(c.denominator for _, _, c in atoms.values()))
-        self.eps_floor = self.n * (len(atoms) + nreals + 1)  # K above
-        self.M = M = 8 * self.eps_floor
-        # edge[lit] = (u, v, weight) of the edge that lit gives when true
-        self.edge: dict[int, tuple[int, int, int]] = {}
-        for lit, (u, v, c) in atoms.items():
-            w = c.numerator * (self.scale // c.denominator) * M
-            self.edge[lit] = (v, u, w)
-            if lit in negated:
-                self.edge[-lit] = (u, v, -w - 1)
+        self.scale = scale = math.lcm(*(c.denominator for _, _, c in atoms.values()))
+        # edge[lit] = (u, v, weight) of the edge that atom lit gives when true
+        self.edge: dict[int, tuple[int, int, int]] = {
+            lit: (v, u, c.numerator * (scale // c.denominator))
+            for lit, (u, v, c) in atoms.items()}
         self.reset()
 
     def edges(self, assignment: Sequence[bool | None]) -> list[tuple[int, int, int]]:
@@ -739,12 +700,6 @@ class _DiffGraph:
         out = [e for lit, e in self.edge.items() if assignment[lit]]
         out += [(x, 0, 0) for x in range(1, self.n)]
         return out
-
-    def unpack(self, x: int) -> tuple[int, int]:
-        """Split a packed int into its scaled value and its eps."""
-        h = self.M // 2
-        r, e = divmod(x + h, self.M)
-        return r, e - h
 
     # -- the incremental check ------------------------------------------------
 
@@ -820,12 +775,6 @@ class _DiffGraph:
                         return lits
                     key[t] = nk
                     heappush(heap, (nk, t))
-        low = 0
         for s in done:
             pot[s] += key[s]
-            low = min(low, self.unpack(pot[s])[1])
-        if low < -self.eps_floor:
-            active = [(a, b, wt) for a, es in enumerate(out) for b, wt, _ in es]
-            active.append((u, v, w))
-            pot[:] = _shortest_paths(self.n, active)
         return None

@@ -1,15 +1,53 @@
-"""Shared fixtures: the seven-node corridor instance and a tiny-instance fuzzer."""
+"""Shared fixtures: the seven-node corridor instance, a tiny-instance fuzzer,
+and helpers that build paths and routes by hand."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from cfevrp.graph import PlantGraph, validate_graph
+from cfevrp.errors import InvariantViolation
+from cfevrp.graph import NodeId, Path, PlantGraph, single_source_paths, validate_graph
 from cfevrp.instance import (
     FleetParams, Instance, Job, Task, TimeWindow, Vehicle, build_instance,
 )
+from cfevrp.routing import PathMap, Route, RouteSet
+
+
+def shortest_path(g: PlantGraph, src: NodeId, dst: NodeId) -> Path:
+    """Minimum-length path from src to dst.
+
+    Ties among equal-length paths are broken by the lexicographically
+    smallest node sequence, so results are reproducible across runs.
+    """
+    if src == dst:
+        return Path((src,), Fraction(0))
+    return single_source_paths(g, src)[dst]
+
+
+def routes_from_task_orders(
+    inst: Instance,
+    sp: PathMap,
+    orders: list[tuple[int, list[str]]],
+) -> RouteSet:
+    """Build a route set from explicit (depot, task order) pairs.
+
+    This lets a test run the later stages on routes of its choosing.
+    """
+    routes = []
+    served: set[str] = set()
+    for depot, tasks in orders:
+        if depot not in inst.depots:
+            raise InvariantViolation(f"{depot} is not a depot")
+        locs = [depot] + [inst.tasks[t].location for t in tasks] + [depot]
+        legs = tuple(sp[(a, b)] for a, b in zip(locs, locs[1:]))
+        routes.append(Route(depot, tuple(tasks), legs))
+        served.update(tasks)
+    if served != set(inst.task_ids()):
+        raise InvariantViolation("forced routes must cover every task exactly once")
+    return RouteSet(tuple(routes))
 
 CORRIDOR_SEGMENTS = [
     (1, 2, 1.0, 1), (2, 3, 1.0, 1), (2, 5, 1.0, 1), (3, 4, 1.0, 1),

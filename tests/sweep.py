@@ -15,7 +15,8 @@ solves and how many of them were unsat.  The exit status is 1 if some strict sch
 fails validation.
 
 `cfevrp` is imported from `PYTHONPATH`, so one copy of this script sweeps
-any tree.  Pytest does not collect this file.
+any tree.  Pytest does not collect this file; `test_sweep.py` runs `main`
+in-process.
 """
 
 from __future__ import annotations

@@ -10,13 +10,13 @@ from functools import lru_cache
 from cfevrp.assignment import assignments, compute_route_attributes
 from cfevrp.driver import (
     FEASIBLE, INFEASIBLE, Limits, c_comsat_solve, comsat_solve,
-    routes_from_task_orders, shortest_path_map, total_distance,
+    shortest_path_map, total_distance,
 )
 from cfevrp.routing import route_sets
 from cfevrp.validator import brute_force_feasible, validate_schedule
 
 from conftest import corridor_instance, random_tiny_instance, \
-    swap_deadlock_instance
+    routes_from_task_orders, shortest_path, swap_deadlock_instance
 from test_assignment import brute_force_vehicle_maps, three_vehicle_fixture
 from test_driver import solve_from_route_orders
 from test_graph import floyd_warshall, random_connected_graph
@@ -116,7 +116,6 @@ def test_criterion_4_exhaustive_enumeration():
 
 def test_criterion_5_shortest_paths_exact():
     import random
-    from cfevrp.graph import shortest_path
     rng = random.Random(20240817)
     checked = 0
     ok = True

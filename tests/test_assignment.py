@@ -4,14 +4,14 @@ from itertools import permutations, product
 
 from cfevrp.assignment import assignments, compute_route_attributes
 from cfevrp.capacity import verify_capacity
-from cfevrp.driver import routes_from_task_orders, shortest_path_map
+from cfevrp.driver import shortest_path_map
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
 from cfevrp.routing import RouteSet
 from cfevrp.validator import CHARGING_GAP, validate_schedule
-from conftest import corridor_instance
+from conftest import corridor_instance, routes_from_task_orders
 
 
 def test_attribute_computation_on_corridor_route():

@@ -9,7 +9,7 @@ from cfevrp.assignment import Assignment, assignments, compute_route_attributes
 from cfevrp.capacity import (
     CapacityStats, build_visit_lists, replay, verify_capacity,
 )
-from cfevrp.driver import routes_from_task_orders, shortest_path_map
+from cfevrp.driver import shortest_path_map
 from cfevrp.errors import BrokenChain
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
@@ -20,7 +20,9 @@ from cfevrp.validator import (
     EDGE_CAPACITY_OPPOSITE, NODE_CAPACITY, validate_schedule,
 )
 from cfevrp.routesverify import verify_routes
-from conftest import random_tiny_instance, swap_deadlock_instance
+from conftest import (
+    random_tiny_instance, routes_from_task_orders, swap_deadlock_instance,
+)
 
 
 def partial_routes(inst, orders):

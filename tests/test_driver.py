@@ -14,8 +14,7 @@ from cfevrp.assignment import (
 from cfevrp.capacity import verify_capacity
 from cfevrp.driver import (
     ABORTED, FEASIBLE, INFEASIBLE, Limits, _Clock, _route_set_phase,
-    c_comsat_solve, comsat_solve, routes_from_task_orders, shortest_path_map,
-    total_distance,
+    c_comsat_solve, comsat_solve, shortest_path_map, total_distance,
 )
 from cfevrp.errors import InvariantViolation
 from cfevrp.fileio import parse_instance
@@ -29,7 +28,7 @@ from cfevrp.validator import (
     EDGE_CAPACITY_DIRECT, EDGE_CAPACITY_OPPOSITE, NODE_CAPACITY,
     brute_force_feasible, validate_schedule,
 )
-from conftest import random_tiny_instance
+from conftest import random_tiny_instance, routes_from_task_orders
 
 BENCH_INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances"
 

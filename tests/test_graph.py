@@ -7,8 +7,8 @@ import pytest
 from cfevrp.errors import (
     BadCapacity, DanglingEdgeEndpoint, NonPositiveLength, NotStronglyConnected,
 )
-from cfevrp.graph import all_pairs_task_paths, shortest_path, validate_graph
-from conftest import corridor_graph
+from cfevrp.graph import all_pairs_task_paths, validate_graph
+from conftest import corridor_graph, shortest_path
 
 
 def floyd_warshall(g):

@@ -1,12 +1,12 @@
 """Route construction: minimality, blocking-based enumeration, edge cases."""
 
-from cfevrp.graph import shortest_path, validate_graph
+from cfevrp.graph import validate_graph
 from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
 from cfevrp.driver import shortest_path_map
 from cfevrp.routing import Anchor, RoutingModel, route_sets
-from conftest import corridor_graph, random_tiny_instance
+from conftest import corridor_graph, random_tiny_instance, shortest_path
 
 
 def enumerate_route_partitions(inst):

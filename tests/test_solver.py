@@ -6,6 +6,8 @@ import random
 import weakref
 from fractions import Fraction
 
+import pytest
+
 from cfevrp import solver as S
 
 
@@ -341,29 +343,24 @@ def test_minimize_from_last_optimum_lists_models_by_cost():
 # --- difference theory against a Fraction reference -------------------------
 #
 # The theory works on integers: bounds scaled by the LCM of their
-# denominators, a strict-edge count packed into each weight, and a potential
-# kept while literals come and go.  These references run a from-scratch
-# Bellman-Ford on (Fraction, eps) pairs over the same edges: a true atom
-# gives its edge, and a false one only when the test negated it in a clause.
+# denominators, and a potential kept while literals come and go.  These
+# references run a from-scratch Bellman-Ford on Fractions over the same
+# edges: a true atom gives its edge, and a false atom none, since atoms occur
+# only positively.
 
-def _ref_edge(ctx, lit, negated):
+def _ref_edge(ctx, lit):
     """(u, v, weight) of the edge lit gives, or None."""
-    atom = ctx._atom_by_lit.get(abs(lit))
+    atom = ctx._atom_by_lit.get(lit)
     if atom is None:
         return None
     u, v, c = atom
-    if lit > 0:
-        return (v, u, (c, 0))
-    if -lit in negated:
-        return (u, v, (-c, -1))
-    return None
+    return (v, u, Fraction(c))
 
 
-def _ref_edges(ctx, lits, negated):
-    edges = [(*e, lit) for lit in lits
-             if (e := _ref_edge(ctx, lit, negated)) is not None]
+def _ref_edges(ctx, lits):
+    edges = [(*e, lit) for lit in lits if (e := _ref_edge(ctx, lit)) is not None]
     for x in range(1, ctx._nreals + 1):  # node 0 is zero
-        edges.append((x, 0, (Fraction(0), 0), 0))
+        edges.append((x, 0, Fraction(0), 0))
     return edges
 
 
@@ -373,7 +370,7 @@ def _ref_relax(dist, edges, passes):
     for _ in range(passes):
         changed = None
         for u, v, w, _lit in edges:
-            cand = (dist[u][0] + w[0], dist[u][1] + w[1])
+            cand = dist[u] + w
             if cand < dist[v]:
                 dist[v] = cand
                 changed = v
@@ -382,26 +379,15 @@ def _ref_relax(dist, edges, passes):
     return changed
 
 
-def reference_has_negative_cycle(ctx, lits, negated):
-    nodes = range(ctx._nreals + 1)
-    dist = {x: (Fraction(0), 0) for x in nodes}
-    return _ref_relax(dist, _ref_edges(ctx, lits, negated), len(nodes)) is not None
+def reference_has_negative_cycle(ctx, lits):
+    dist = dict.fromkeys(range(ctx._nreals + 1), Fraction(0))
+    return _ref_relax(dist, _ref_edges(ctx, lits), len(dist)) is not None
 
 
-def reference_real_values(ctx, lits, negated):
-    edges = _ref_edges(ctx, lits, negated)
-    nodes = range(ctx._nreals + 1)
-    dist = {x: (Fraction(0), 0) for x in nodes}
-    _ref_relax(dist, edges, len(nodes))
-    delta = Fraction(1)
-    for u, v, w, _ in edges:
-        slack_r = dist[u][0] + w[0] - dist[v][0]
-        slack_e = dist[u][1] + w[1] - dist[v][1]
-        if slack_r > 0 and slack_e < 0:
-            delta = min(delta, Fraction(slack_r, -slack_e))
-    base = dist[0]
-    return [dist[x][0] - base[0] + delta / 2 * (dist[x][1] - base[1])
-            for x in nodes]
+def reference_real_values(ctx, lits):
+    dist = dict.fromkeys(range(ctx._nreals + 1), Fraction(0))
+    _ref_relax(dist, _ref_edges(ctx, lits), len(dist))
+    return [dist[x] - dist[0] for x in dist]
 
 
 def _random_bound(rng):
@@ -435,13 +421,9 @@ def test_integer_theory_matches_fraction_reference():
     for _ in range(60):
         ctx = S.Context()
         xs = [ctx.new_real() for _ in range(rng.randint(2, 5))]
-        negated = set()
         for _batch in range(2):  # new atoms must rebuild the integer graph
             for _ in range(rng.randint(2, 6)):
-                atom = _random_atom(rng, ctx, xs)
-                if rng.random() < 0.5:
-                    ctx.assert_formula(-atom, ctx.new_bool())
-                    negated.add(atom)
+                _random_atom(rng, ctx, xs)
             atoms = sorted(ctx._atom_by_lit)
             for _ in range(5):
                 g = ctx._diff_graph()
@@ -453,7 +435,7 @@ def test_integer_theory_matches_fraction_reference():
                         checked = min(checked, len(trail))
                     trail.append(atom if rng.random() < 0.5 else -atom)
                     cycle = ctx._theory_conflict(trail, checked)
-                    expected = reference_has_negative_cycle(ctx, trail, negated)
+                    expected = reference_has_negative_cycle(ctx, trail)
                     assert (cycle is not None) == expected, trail
                     if cycle is None:
                         outcomes["consistent"] += 1
@@ -462,103 +444,52 @@ def test_integer_theory_matches_fraction_reference():
                     outcomes["conflict"] += 1
                     assert len(set(cycle)) == len(cycle)
                     assert set(cycle) <= set(trail)
-                    weights = [_ref_edge(ctx, lit, negated)[2] for lit in cycle]
-                    assert (sum(w[0] for w in weights),
-                            sum(w[1] for w in weights)) < (0, 0)
-                    assert reference_has_negative_cycle(ctx, cycle, negated)
+                    assert sum(_ref_edge(ctx, lit)[2] for lit in cycle) < 0
+                    assert reference_has_negative_cycle(ctx, cycle)
                     trail.pop()
                     checked = min(checked, len(trail))
                 val = [None] * (2 * ctx._sat.nvars + 1)
                 for lit in trail:
                     val[lit], val[-lit] = True, False
                 assert (S._real_values(g, val)
-                        == reference_real_values(ctx, trail, negated))
+                        == reference_real_values(ctx, trail))
     assert min(outcomes.values()) >= 50, outcomes
-
-
-def test_kept_potential_decides_exactly_after_long_drift():
-    # Adding and undoing two opposite strict edges in turn lowers the kept
-    # potential by one eps per step, with no cycle ever closed.  Far past M/2
-    # steps the packed ints must still compare exactly.
-    ctx = S.Context()
-    a, b = ctx.new_real(), ctx.new_real()
-    p, q = ctx.le(a, b, 0), ctx.le(b, a, 0)
-    r = ctx.le(b, a, Fraction(1, 1000))
-    ctx.assert_formula(-p, -q)  # false p or q gives a strict edge
-    g = ctx._diff_graph()
-    g.reset()
-    steps = 4000
-    assert steps > 20 * g.M
-    for step in range(steps):
-        assert ctx._theory_conflict([-p if step % 2 else -q], 0) is None
-        assert all(-g.M // 4 < g.unpack(x)[1] <= 0 for x in g.pot)
-        # the potential keeps every active edge
-        assert all(g.pot[v] <= g.pot[u] + w
-                   for u, es in enumerate(g.out) for v, w, _ in es)
-        if step % 101 == 0:
-            # cycles of weight -2 eps, 0 and 1/1000 - eps
-            assert sorted(ctx._theory_conflict([-p, -q], 0)) == sorted([-p, -q])
-            assert ctx._theory_conflict([p, q], 0) is None
-            assert ctx._theory_conflict([r, -q], 0) is None
-
-
-def test_atom_negated_later_becomes_strict():
-    # x >= 2, x <= y, y <= 2, and the atom p: x <= 2.  While nothing negates
-    # p, a model may read p false (no edge) with x = 2, which satisfies p.
-    # Once an assumption or a clause negates p, false p is the strict x > 2,
-    # which the other bounds refute.
-    for negate_by in ("assumption", "clause"):
-        ctx = S.Context()
-        x, y = ctx.new_real(), ctx.new_real()
-        ctx.assert_formula(ctx.le(0, x, -2))
-        ctx.assert_formula(ctx.le(x, y, 0))
-        ctx.assert_formula(ctx.le(y, 0, 2))
-        p = ctx.le(x, 0, 2)
-        res = ctx.check()
-        assert res.sat and res.model.value(p) is False
-        assert res.model.real(x) == 2
-        if negate_by == "assumption":
-            assert not ctx.check([-p]).sat
-        else:
-            b = ctx.new_bool()
-            ctx.assert_formula(-p, b)
-            assert not ctx.check([-b]).sat
-        res = ctx.check()
-        assert res.sat and res.model.value(p) is True
-        assert res.model.real(x) == 2
 
 
 def test_model_values_are_exact_fractions():
     ctx = S.Context()
     a, b = ctx.new_real(), ctx.new_real()
     ctx.assert_formula(ctx.le(a, b, -Fraction(1, 3)))  # b - a >= 1/3
-    ctx.assert_formula(ctx.le(b, 0, Fraction(0.7)))
-    ctx.assert_formula(-ctx.le(a, 0, Fraction(2, 7)))  # a > 2/7
+    ctx.assert_formula(ctx.le(b, 0, Fraction(7, 10)))  # b <= 7/10
+    ctx.assert_formula(ctx.le(0, a, -Fraction(2, 7)))  # a >= 2/7
     res = ctx.check()
     assert res.sat
     va, vb = res.model.real(a), res.model.real(b)
     assert isinstance(va, Fraction) and isinstance(vb, Fraction)
-    assert va > Fraction(2, 7) and vb - va >= Fraction(1, 3)
-    assert vb <= Fraction(0.7)
+    assert va >= Fraction(2, 7) and vb - va >= Fraction(1, 3)
+    assert vb <= Fraction(7, 10)
 
 
 # --- the CDCL(T) core against brute force -------------------------------------
 #
-# Random small CNFs over Boolean variables and difference atoms.  Brute force
-# decides every projection onto the Boolean variables by trying each truth
-# value of each atom and a Fraction Bellman-Ford on the atoms' constraints.
+# Random small CNFs over Boolean literals and positive difference atoms.
+# Brute force decides every projection onto the Boolean variables by trying
+# each truth value of each atom and a Fraction Bellman-Ford on the true
+# atoms' constraints.
 # The seed makes the solver hit theory conflicts with one literal on their
 # top level, theory conflicts on level 0, and unit clauses added between two
-# check() calls; breaking the handling of any of them fails this test.
+# check() calls.  A mishandled unit clause fails this test; the two conflict
+# branches are pinned by test_failed_assumption_does_not_poison_a_later_check
+# and test_unsat_without_assumptions_stays_unsat.
 
 
 def _atoms_consistent(xs, atoms, truth):
     zero = "zero"
-    edges = [(x, zero, (Fraction(0), 0), 0) for x in xs]
+    edges = [(x, zero, Fraction(0), 0) for x in xs]
     for (a, b, c), t in zip(atoms, truth):
-        a, b = a or zero, b or zero
-        edges.append((b, a, (c, 0), 0) if t else (a, b, (-c, -1), 0))
-    dist = {x: (Fraction(0), 0) for x in [zero, *xs]}
+        if t:
+            edges.append((b or zero, a or zero, c, 0))
+    dist = dict.fromkeys([zero, *xs], Fraction(0))
     return _ref_relax(dist, edges, len(dist)) is None
 
 
@@ -604,7 +535,7 @@ def _check_model(res, bools, atoms, clauses):
 def _random_lit(rng, nb, na):
     if rng.random() < 0.5:
         return ("b", rng.randrange(nb), rng.random() < 0.5)
-    return ("a", rng.randrange(na), rng.random() < 0.5)
+    return ("a", rng.randrange(na), True)
 
 
 def test_cdcl_t_core_matches_brute_force():
@@ -690,22 +621,20 @@ def _model_satisfies(ctx, res, log, assumptions):
             assert sum(m.value(l) for l in lits) <= n
     true_lits = [l for v in range(1, ctx._sat.nvars + 1)
                  for l in (v, -v) if m.value(l)]
-    reals = reference_real_values(ctx, true_lits, ctx._negated)
+    reals = reference_real_values(ctx, true_lits)
     assert [m.real(x) for x in range(ctx._nreals + 1)] == reals
     for lit, (x, y, c) in ctx._atom_by_lit.items():
         if m.value(lit):
             assert reals[x] - reals[y] <= c
-        elif lit in ctx._negated:
-            assert reals[x] - reals[y] > c
 
 
 def _random_le_args(rng, ctx):
     """(x, y, c) of a random atom over the context's reals; an integral
-    bound comes as a Fraction, an int or a float."""
+    bound comes as a Fraction or an int."""
     x, y = rng.sample(range(ctx._nreals + 1), 2)
     c = _random_bound(rng)
     if c.denominator == 1:
-        c = rng.choice((c, int(c), float(c)))
+        c = rng.choice((c, int(c)))
     return x, y, c
 
 
@@ -730,32 +659,41 @@ def test_incremental_context_matches_fresh_context():
         dead = failed = False
         assumptions = []
         for _step in range(10):
+            # atoms occur only positively: a level-0 literal may go into a
+            # clause as it is unless it negates an atom, and negated unless
+            # it is an atom
             level0 = list(ctx._sat.trail)
-            nvars = ctx._sat.nvars
+            level0_true = [l for l in level0 if -l not in ctx._atom_by_lit]
+            level0_false = [l for l in level0 if l not in ctx._atom_by_lit]
+            bools = [v for v in range(1, ctx._sat.nvars + 1)
+                     if v not in ctx._atom_by_lit]
+
+            def boolean():
+                return rng.choice(bools) * rng.choice((1, -1))
 
             def lit():
                 if atoms and rng.random() < 0.4:
-                    return rng.choice(atoms) * rng.choice((1, -1))
-                return rng.randint(1, nvars) * rng.choice((1, -1))
+                    return rng.choice(atoms)
+                return boolean()
 
             for _ in range(rng.randint(1, 3)):
                 kind = rng.randrange(10)
-                if kind == 0:  # a new atom, sometimes negated at once
+                if kind == 0:  # a new atom, sometimes in a clause at once
                     atoms.append(add(("le", *_random_le_args(rng, ctx))))
                     if rng.random() < 0.5:
-                        add(("clause", [-atoms[-1], lit()]))
-                elif kind == 1 and atoms:  # negate an atom, maybe first time
-                    add(("clause", [-rng.choice(atoms), lit(), lit()]))
-                elif kind == 2:  # a new counter over old and new literals
-                    lits = [lit() for _ in range(rng.randint(2, 5))]
+                        add(("clause", [atoms[-1], lit()]))
+                elif kind == 1 and atoms:  # an atom, maybe for the first time
+                    add(("clause", [rng.choice(atoms), lit(), lit()]))
+                elif kind == 2:  # a new counter over old and new Booleans
+                    lits = [boolean() for _ in range(rng.randint(2, 5))]
                     add(("at_most", lits, rng.randint(1, len(lits) - 1)))
                 elif kind == 3:
                     add(("clause", [lit()]))
-                elif kind == 4 and level0:  # true on level 0
-                    add(("clause", [rng.choice(level0), lit()]))
+                elif kind == 4 and level0_true:  # true on level 0
+                    add(("clause", [rng.choice(level0_true), lit()]))
                     seen["level0 true"] += 1
-                elif kind == 5 and level0:  # level-0 false literals
-                    false = [-rng.choice(level0) for _ in range(2)]
+                elif kind == 5 and level0_false:  # level-0 false literals
+                    false = [-rng.choice(level0_false) for _ in range(2)]
                     free = rng.choice((0, 1, 1, 2, 2, 2, 2, 2))
                     add(("clause", false + [lit() for _ in range(free)]))
                     seen["level0 false"] += 1
@@ -764,7 +702,7 @@ def test_incremental_context_matches_fresh_context():
             if rng.random() < 0.5:  # change the assumptions
                 assumptions = [lit() for _ in range(rng.randint(0, 2))]
                 if atoms and rng.random() < 0.3:
-                    assumptions.append(-rng.choice(atoms))
+                    assumptions.append(rng.choice(atoms))
             graph = ctx._graph
             trail = len(ctx._sat.trail)
             res = ctx.check(assumptions)
@@ -796,12 +734,16 @@ def test_incremental_context_matches_fresh_context():
 
 
 def test_equal_bounds_share_one_atom():
-    # An integral bound keys its atom by the int, whatever its type.
+    # An integral bound keys its atom by the int, whatever its type; a float
+    # bound is refused, since its binary value is not the decimal written.
     ctx = S.Context()
     x = ctx.new_real()
-    assert ctx.le(x, 0, 2) == ctx.le(x, 0, Fraction(2)) == ctx.le(x, 0, 2.0)
-    assert ctx.le(x, 0, Fraction(5, 2)) == ctx.le(x, 0, 2.5)
+    assert ctx.le(x, 0, 2) == ctx.le(x, 0, Fraction(2))
+    assert ctx.le(x, 0, Fraction(5, 2)) == ctx.le(x, 0, Fraction(10, 4))
     assert ctx.le(0, x, -3) != ctx.le(x, 0, 3)
+    for c in (2.0, 2.5, 0.7):
+        with pytest.raises(TypeError):
+            ctx.le(x, 0, c)
     assert sorted(type(c).__name__ for _, _, c in ctx._atom_by_lit.values()) \
         == ["Fraction", "int", "int", "int"]
 
@@ -854,8 +796,7 @@ def test_model_is_a_snapshot():
                 for v in range(1, ctx._sat.nvars + 1) for l in (v, -v)}
         assert all(lits[v] is not lits[-v] for v in bools)
         assert any(lits[v] for v in bools)
-        reals = reference_real_values(
-            ctx, [l for l, t in lits.items() if t], set(ctx._negated))
+        reals = reference_real_values(ctx, [l for l, t in lits.items() if t])
         if len(models) % 2:
             assert [m.real(x) for x in range(len(reals))] == reals
         models.append((m, lits, reals))
@@ -865,3 +806,35 @@ def test_model_is_a_snapshot():
             assert {l: m.value(l) for l in lits} == lits
             assert [m.real(x) for x in range(len(reals))] == reals
     assert len(models) == 15
+
+
+def test_negated_atom_is_refused_at_every_entry_point():
+    # Atoms occur only positively.  Every entry point that would negate one
+    # raises before it changes the context, which then answers as before.
+    ctx = S.Context()
+    x = ctx.new_real()
+    b = ctx.new_bool()
+    low = ctx.le(0, x, -2)  # x >= 2
+    high = ctx.le(x, 0, 1)  # x <= 1
+    ctx.assert_formula(low, b)
+    ctx.assert_formula(high)
+    m = ctx.check().model
+    assert m.value(high) and m.value(b) and not m.value(low)
+    size = (ctx._sat.nvars, len(ctx._sat.clauses), len(ctx._atom_by_lit))
+    refused = [
+        lambda: ctx.assert_formula(b, -high),
+        lambda: ctx.block_model([b, high], m),
+        lambda: ctx.block_true_subset([high], m),
+        lambda: ctx.check([b, -low]),
+        lambda: ctx.at_most([b, low], 1),
+        lambda: ctx.exactly([high, b], 1),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="negated"):
+            call()
+        assert (ctx._sat.nvars, len(ctx._sat.clauses),
+                len(ctx._atom_by_lit)) == size
+        res = ctx.check()
+        assert res.sat and res.model.value(b) and res.model.value(high)
+        assert res.model.real(x) <= 1
+        assert not ctx.check([low]).sat
