@@ -15,7 +15,6 @@ capacity stage fixes every time, the order of a vehicle's routes included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from . import solver as S
@@ -26,10 +25,10 @@ from .routing import RouteSet
 
 @dataclass(frozen=True)
 class RouteAttributes:
-    length: Fraction
-    cum_service: Fraction
-    latest_start: Fraction | None
-    earliest_end: Fraction | None
+    length: int  # in graph units; the times in ticks
+    cum_service: int
+    latest_start: int | None
+    earliest_end: int | None
     eligible: frozenset[str]
 
 
@@ -45,15 +44,16 @@ def compute_route_attributes(
     vehicles per route, from the legs the routes currently carry.  The
     times are `capacity.replay`'s, None if the route cannot be timed alone.
     """
+    ticks = cr.ticks
     out = []
     for r in cr.routes:
         eligible = set(inst.vehicles_at(r.depot))
         for t in r.tasks:
             eligible &= inst.job_of(t).eligible_vehicles
-        latest_start, earliest_end = replay(r, inst) or (None, None)
+        latest_start, earliest_end = replay(r, ticks) or (None, None)
         out.append(RouteAttributes(
             length=r.length,
-            cum_service=sum(inst.tasks[t].service_time for t in r.tasks),
+            cum_service=sum(ticks.service[t] for t in r.tasks),
             latest_start=latest_start,
             earliest_end=earliest_end,
             eligible=frozenset(eligible),
@@ -86,15 +86,14 @@ def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
     }
     s_var = [ctx.new_real() for _ in range(n)]
     e_var = [ctx.new_real() for _ in range(n)]
-    speed = inst.fleet.speed
-    C = inst.fleet.charge_coeff
+    C = cr.ticks.charging
 
     for r in range(n):
         ctx.exactly([alpha[(v, r)] for v in vehicles], 1)
         if len(attrs[r].eligible) < len(vehicles):  # else exactly covers it
             ctx.assert_formula(*[alpha[(v, r)] for v in sorted(attrs[r].eligible)])
         # e >= s + dur, e >= the earliest end, s <= the latest start
-        dur = attrs[r].length / speed + attrs[r].cum_service
+        dur = attrs[r].length * cr.ticks.travel + attrs[r].cum_service
         ctx.assert_formula(ctx.le(s_var[r], e_var[r], -dur))
         ctx.assert_formula(ctx.le(0, e_var[r], -attrs[r].earliest_end))
         ctx.assert_formula(ctx.le(s_var[r], 0, attrs[r].latest_start))
@@ -102,8 +101,8 @@ def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
     # on one vehicle, r1 starts after r2 has ended and r1's charging gap
     # has passed, or the other way round
     apart = {
-        (r1, r2): (ctx.le(e_var[r2], s_var[r1], -C * attrs[r1].length),
-                   ctx.le(e_var[r1], s_var[r2], -C * attrs[r2].length))
+        (r1, r2): (ctx.le(e_var[r2], s_var[r1], -attrs[r1].length * C),
+                   ctx.le(e_var[r1], s_var[r2], -attrs[r2].length * C))
         for r1 in range(n) for r2 in range(r1 + 1, n)
     }
     for v in vehicles:

@@ -8,7 +8,7 @@ position swapping), and opposite traversals of a unit-capacity segment
 never overlap.  A route starts when its windows allow; the routes of one
 vehicle run in whichever order keeps their charging gaps.  Without the
 three conflict families the same model times the routes of the relaxed
-mode; `replay` times one route alone.
+mode; `replay` times one route alone.  Both run on the route set's ticks.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 from . import solver as S
 from .errors import BrokenChain
 from .graph import NodeId
-from .instance import Instance
+from .instance import Instance, Ticks
 from .routing import Route, RouteSet
 
 if TYPE_CHECKING:  # assignment imports replay from here
@@ -30,9 +30,9 @@ if TYPE_CHECKING:  # assignment imports replay from here
 @dataclass(frozen=True)
 class VisitPosition:
     node: NodeId
-    lower: Fraction
-    upper: Fraction
-    service: Fraction
+    lower: int  # in ticks
+    upper: int
+    service: int
     tasks: tuple[str, ...]  # tasks served at this stop, () for intersections
 
 
@@ -42,7 +42,7 @@ class VisitList:
     route_tasks: tuple[str, ...]
     positions: tuple[VisitPosition, ...]
     edges: tuple[tuple[NodeId, NodeId], ...]  # len(positions) - 1
-    route_length: Fraction
+    route_length: int  # in graph units
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,13 @@ def build_visit_lists(cr: RouteSet, inst: Instance) -> list[VisitList]:
     Consecutive co-located stops (a task at the depot, or two back-to-back
     tasks at one node) merge into a single position whose window is the
     intersection and whose service time is the sum.  The service at the
-    last position ends by the horizon T.
+    last position ends by the horizon T.  Times are in ticks.
     """
-    T = inst.fleet.horizon
-    zero = Fraction(0)
+    ticks = cr.ticks
+    T = ticks.horizon
     out = []
     for r in cr.routes:
-        positions = [VisitPosition(r.depot, zero, T, zero, ())]
+        positions = [VisitPosition(r.depot, 0, T, 0, ())]
         edges: list[tuple[NodeId, NodeId]] = []
         for i, leg in enumerate(r.legs):
             if leg.src != positions[-1].node:
@@ -100,7 +100,7 @@ def build_visit_lists(cr: RouteSet, inst: Instance) -> list[VisitList]:
                     f"leg {i} starts at {leg.src}, expected {positions[-1].node}")
             for a, b in leg.edge_keys:
                 edges.append((a, b))
-                positions.append(VisitPosition(b, zero, T, zero, ()))
+                positions.append(VisitPosition(b, 0, T, 0, ()))
             if i < len(r.tasks):
                 t = inst.tasks[r.tasks[i]]
                 if t.location != positions[-1].node:
@@ -110,9 +110,9 @@ def build_visit_lists(cr: RouteSet, inst: Instance) -> list[VisitList]:
                 prev = positions[-1]
                 positions[-1] = VisitPosition(
                     prev.node,
-                    max(prev.lower, t.window.lower),
-                    min(prev.upper, t.window.upper),
-                    prev.service + t.service_time,
+                    max(prev.lower, ticks.lower[t.id]),
+                    min(prev.upper, ticks.upper[t.id]),
+                    prev.service + ticks.service[t.id],
                     prev.tasks + (t.id,),
                 )
         if positions[-1].node != r.depot:
@@ -124,7 +124,7 @@ def build_visit_lists(cr: RouteSet, inst: Instance) -> list[VisitList]:
     return out
 
 
-def replay(route: Route, inst: Instance) -> tuple[Fraction, Fraction] | None:
+def replay(route: Route, ticks: Ticks) -> tuple[int, int] | None:
     """The latest start and the earliest end of `route` timed alone on its
     legs, or None if it cannot be timed: this model for one route, solved
     by one walk that merges stops as `build_visit_lists` does.  From a
@@ -132,13 +132,13 @@ def replay(route: Route, inst: Instance) -> tuple[Fraction, Fraction] | None:
     and s plus the fixed travel and service before it, so the latest start
     is the least slack of a stop's upper bound over that offset.
     """
-    T, speed = inst.fleet.horizon, inst.fleet.speed
+    T = ticks.horizon
     t = offset = 0  # reaching the open stop: earliest, and with no waits
     lower, upper, service, served = 0, T, 0, False  # the open stop
     late = T
     for i, leg in enumerate(route.legs):
         if len(leg.nodes) > 1:  # the leg moves on
-            step = leg.length / speed
+            step = leg.length * ticks.travel
             if served:  # close the open stop; one without tasks never binds
                 t = max(t, lower)
                 if t > upper:
@@ -148,10 +148,10 @@ def replay(route: Route, inst: Instance) -> tuple[Fraction, Fraction] | None:
                 lower, upper, service, served = 0, T, 0, False
             t, offset = t + step, offset + step
         if i < len(route.tasks):
-            task = inst.tasks[route.tasks[i]]
-            lower = max(lower, task.window.lower)
-            upper = min(upper, task.window.upper)
-            service += task.service_time
+            task = route.tasks[i]
+            lower = max(lower, ticks.lower[task])
+            upper = min(upper, ticks.upper[task])
+            service += ticks.service[task]
             served = True
     t = max(t, lower)
     upper = min(upper, T - service)  # the last service ends by T
@@ -174,7 +174,7 @@ def verify_capacity(
     edge clauses are left out: routes keep their windows, travel times,
     horizon and charging gaps, but not the occupancy limits.
     """
-    g = inst.graph
+    ticks = cr.ticks
     visit_lists = build_visit_lists(cr, inst)
     ctx = S.Context()
     stats = CapacityStats()
@@ -188,7 +188,7 @@ def verify_capacity(
             # enter the edge after the service, reach its end d later
             ctx.assert_formula(ctx.le(
                 x[r][q], y[r][q], -vl.positions[q].service))
-            d = g.edges[ekey].length / inst.fleet.speed
+            d = inst.graph.units[ekey] * ticks.travel
             ctx.assert_formula(ctx.le(x[r][q + 1], y[r][q], d))
             ctx.assert_formula(ctx.le(y[r][q], x[r][q + 1], -d))
         for p, pos in enumerate(vl.positions):
@@ -199,34 +199,30 @@ def verify_capacity(
             ctx.assert_formula(ctx.le(x[r][p], 0, pos.upper))
 
     if conflicts:
-        _assert_conflicts(ctx, visit_lists, x, y, inst, stats)
+        _assert_conflicts(ctx, visit_lists, x, y, inst, ticks, stats)
 
     # same-vehicle routes keep their charging gaps under the actual times
-    C = inst.fleet.charge_coeff
     for r1 in range(n_routes):
         for r2 in range(r1 + 1, n_routes):
             if ca.vehicle_of[r1] != ca.vehicle_of[r2]:
                 continue
             end1 = (x[r1][-1], visit_lists[r1].positions[-1].service)
             end2 = (x[r2][-1], visit_lists[r2].positions[-1].service)
-            gap1 = C * visit_lists[r1].route_length
-            gap2 = C * visit_lists[r2].route_length
+            gap1 = visit_lists[r1].route_length * ticks.charging
+            gap2 = visit_lists[r2].route_length * ticks.charging
             ctx.assert_formula(ctx.le(end2[0], x[r1][0], -(end2[1] + gap1)),
                                ctx.le(end1[0], x[r2][0], -(end1[1] + gap2)))
 
     res = ctx.check()
     if not res.sat:
         return None, stats
-    m = res.model
+    m, scale = res.model, ticks.scale
     routes = []
     for r, vl in enumerate(visit_lists):
-        node_in = tuple(m.real(var) for var in x[r])
-        edge_in = tuple(m.real(var) for var in y[r])
-        node_out = tuple(
-            edge_in[p] if p < len(edge_in)
-            else node_in[p] + vl.positions[p].service
-            for p in range(len(vl.positions))
-        )
+        node_in = tuple(Fraction(m.real(var), scale) for var in x[r])
+        edge_in = tuple(Fraction(m.real(var), scale) for var in y[r])
+        end = m.real(x[r][-1]) + vl.positions[-1].service
+        node_out = edge_in + (Fraction(end, scale),)
         routes.append(RouteSchedule(
             vehicle=ca.vehicle_of[r],
             depot=vl.depot,
@@ -237,15 +233,16 @@ def verify_capacity(
             position_tasks=tuple(p.tasks for p in vl.positions),
             edges=vl.edges,
             edge_in=edge_in,
-            length=vl.route_length,
+            length=vl.route_length * inst.graph.unit,
             start=node_in[0],
         ))
     return Schedule(tuple(routes)), stats
 
 
-def _assert_conflicts(ctx, visit_lists, x, y, inst, stats) -> None:
+def _assert_conflicts(ctx, visit_lists, x, y, inst, ticks, stats) -> None:
     """The occupancy limits over position entry times x and edge entry
-    times y, counted into stats."""
+    times y, in ticks, counted into stats."""
+    one = ticks.scale  # the 1-unit separation
     g = inst.graph
     n_routes = len(visit_lists)
     # shared non-hub nodes: one vehicle at a time, no swapping
@@ -263,9 +260,9 @@ def _assert_conflicts(ctx, visit_lists, x, y, inst, stats) -> None:
                     # one enters a unit after the other has left
                     parts = []
                     if have2:
-                        parts.append(ctx.le(y[r2][p2], x[r1][p1], -1))
+                        parts.append(ctx.le(y[r2][p2], x[r1][p1], -one))
                     if have1:
-                        parts.append(ctx.le(y[r1][p1], x[r2][p2], -1))
+                        parts.append(ctx.le(y[r1][p1], x[r2][p2], -one))
                     if parts:
                         ctx.assert_formula(*parts)
                         stats.node_conflict_constraints += 1
@@ -279,15 +276,15 @@ def _assert_conflicts(ctx, visit_lists, x, y, inst, stats) -> None:
                         if g.edges[e1].capacity != 1:
                             stats.capacity2_exempt_pairs += 1
                             continue
-                        ctx.assert_formula(ctx.le(y[r2][q2], y[r1][q1], -1),
-                                           ctx.le(y[r1][q1], y[r2][q2], -1))
+                        ctx.assert_formula(ctx.le(y[r2][q2], y[r1][q1], -one),
+                                           ctx.le(y[r1][q1], y[r2][q2], -one))
                         stats.edge_direct_constraints += 1
                     elif e1 == (e2[1], e2[0]):
                         if g.edges[e1].capacity != 1:
                             stats.capacity2_exempt_pairs += 1
                             continue
-                        d1 = g.edges[e1].length / inst.fleet.speed
-                        d2 = g.edges[e2].length / inst.fleet.speed
+                        d1 = g.units[e1] * ticks.travel
+                        d2 = g.units[e2] * ticks.travel
                         ctx.assert_formula(ctx.le(y[r2][q2], y[r1][q1], -d2),
                                            ctx.le(y[r1][q1], y[r2][q2], -d1))
                         stats.edge_opposite_constraints += 1

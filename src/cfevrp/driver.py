@@ -22,7 +22,7 @@ from typing import Iterator
 from .assignment import Assignment, assignments
 from .capacity import Schedule, verify_capacity
 from .graph import all_pairs_task_paths
-from .instance import Instance
+from .instance import Instance, Ticks
 from .pathschanger import path_sets
 from .routesverify import verify_routes
 from .routing import PathMap, RouteSet, route_sets
@@ -112,7 +112,7 @@ def _solve(inst, limits, conflicts):
 
     `conflicts` says whether the capacity model keeps its occupancy limits.
     """
-    routes = route_sets(inst, shortest_path_map(inst))
+    routes = route_sets(inst, shortest_path_map(inst), Ticks(inst))
     clock = _Clock([])
     tried = 0
     while True:

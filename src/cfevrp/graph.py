@@ -41,13 +41,14 @@ class Edge:
 
 @dataclass(frozen=True)
 class Path:
-    """A simple directed path, stored as its node sequence.
+    """A simple directed path, stored as its node sequence, and its length
+    as a whole number of its graph's `unit`.
 
     The empty path (a single node, no edges) has length 0.
     """
 
     nodes: tuple[NodeId, ...]
-    length: Fraction
+    length: int
 
     def __post_init__(self) -> None:
         assert len(self.nodes) >= 1
@@ -78,9 +79,12 @@ class PlantGraph:
     # and the oracle reads g.edges in its inner loops.
     _out: dict[NodeId, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
     _in: dict[NodeId, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
-    # Dijkstra's view: the LCM of the length denominators, and per node its
-    # out-edges as (dst, length * scale), an int, in the order of _out.
-    _scale: int = field(init=False, repr=False, compare=False)
+    # `unit` is the longest length that divides every edge's, and units[key]
+    # an edge's length in units.  _steps is Dijkstra's view: per node its
+    # out-edges as (dst, units), in the order of _out.
+    unit: Fraction = field(init=False, repr=False, compare=False)
+    units: dict[tuple[NodeId, NodeId], int] = field(
+        init=False, repr=False, compare=False)
     _steps: dict[NodeId, tuple[tuple[NodeId, int], ...]] = field(
         init=False, repr=False, compare=False)
 
@@ -93,10 +97,15 @@ class PlantGraph:
             ins.setdefault(e.dst, []).append(e)
         object.__setattr__(self, "_out", {n: tuple(es) for n, es in outs.items()})
         object.__setattr__(self, "_in", {n: tuple(es) for n, es in ins.items()})
-        scale = math.lcm(*(e.length.denominator for e in self.edges.values()))
-        object.__setattr__(self, "_scale", scale)
+        lengths = [e.length for e in self.edges.values()]
+        num = math.gcd(*(x.numerator for x in lengths)) or 1  # 1: no edge
+        den = math.lcm(*(x.denominator for x in lengths))
+        units = {k: e.length.numerator * den // e.length.denominator // num
+                 for k, e in self.edges.items()}
+        object.__setattr__(self, "unit", Fraction(num, den))
+        object.__setattr__(self, "units", units)
         object.__setattr__(self, "_steps", {
-            n: tuple((e.dst, int(e.length * scale)) for e in es)
+            n: tuple((e.dst, units[(n, e.dst)]) for e in es)
             for n, es in self._out.items()})
 
     def out_edges(self, n: NodeId) -> tuple[Edge, ...]:
@@ -107,11 +116,11 @@ class PlantGraph:
 
     def path_between(self, nodes: tuple[NodeId, ...]) -> Path:
         """Build a Path from an explicit node sequence, summing edge lengths."""
-        total = Fraction(0)
-        for a, b in zip(nodes, nodes[1:]):
-            if (a, b) not in self.edges:
-                raise DanglingEdgeEndpoint(f"no edge {a}->{b}")
-            total += self.edges[(a, b)].length
+        total = 0
+        for key in zip(nodes, nodes[1:]):
+            if key not in self.units:
+                raise DanglingEdgeEndpoint(f"no edge {key[0]}->{key[1]}")
+            total += self.units[key]
         return Path(tuple(nodes), total)
 
 
@@ -176,22 +185,19 @@ def _check_strongly_connected(g: PlantGraph) -> None:
             raise NotStronglyConnected(f"nodes {missing} not mutually reachable")
 
 
-def single_source_paths(g: PlantGraph, src: NodeId) -> dict[NodeId, Path]:
-    """Dijkstra labels keyed by (distance, node sequence) for determinism.
-
-    Distances are ints, the lengths scaled by `g._scale`, so they compare
-    exactly as the Fraction lengths do; each Path gets its Fraction back.
+def single_source_paths(g: PlantGraph, src: NodeId,
+                        dsts: list[NodeId]) -> dict[NodeId, Path]:
+    """The shortest path from src to each of dsts, by Dijkstra with labels
+    keyed by (length, node sequence) for determinism.
     """
     best: dict[NodeId, tuple[int, tuple[NodeId, ...]]] = {src: (0, (src,))}
     heap: list[tuple[int, tuple[NodeId, ...]]] = [best[src]]
-    done: set[NodeId] = set()
     steps = g._steps
     while heap:
         dist, seq = heapq.heappop(heap)
         node = seq[-1]
-        if node in done or (dist, seq) != best[node]:
-            continue
-        done.add(node)
+        if (dist, seq) != best[node]:
+            continue  # stale: the first pop of a node takes its final label
         for dst, length in steps.get(node, ()):
             if dst in seq:
                 continue  # keep paths simple
@@ -199,18 +205,13 @@ def single_source_paths(g: PlantGraph, src: NodeId) -> dict[NodeId, Path]:
             if dst not in best or cand < best[dst]:
                 best[dst] = cand
                 heapq.heappush(heap, cand)
-    scale = g._scale
-    return {n: Path(seq, Fraction(dist, scale)) for n, (dist, seq) in best.items()}
+    return {n: Path(best[n][1], best[n][0]) for n in dsts}
 
 
 def all_pairs_task_paths(
     g: PlantGraph, locations: set[NodeId]
 ) -> dict[tuple[NodeId, NodeId], Path]:
     """Shortest paths between every ordered pair of the given locations."""
-    out: dict[tuple[NodeId, NodeId], Path] = {}
-    for src in sorted(locations):
-        labels = single_source_paths(g, src)
-        for dst in sorted(locations):
-            out[(src, dst)] = labels[dst] if src != dst else Path((src,), Fraction(0))
-    return out
-
+    ends = sorted(locations)
+    return {(src, dst): path for src in ends
+            for dst, path in single_source_paths(g, src, ends).items()}

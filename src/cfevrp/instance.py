@@ -5,11 +5,12 @@ fleet description.
 
 Every number of an instance is an exact Fraction: the constructors below
 pass their numbers through `graph.exact` once, so all later arithmetic is
-exact and needs no tolerance.
+exact and needs no tolerance; a solve decides on them as ints, `Ticks`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -108,6 +109,37 @@ class Instance:
         locs = {t.location for t in self.tasks.values()}
         locs.update(self.depots)
         return locs
+
+
+class Ticks:
+    """An instance's times and charges as ints, in ticks of 1/scale units,
+    on which a solve decides: a positive rescaling keeps every comparison.
+    `scale` makes whole T, the windows, the services, a full charge OR/rho
+    and, per graph unit of length, the travel time, the charging time C and
+    the charge D/v; so the 1-unit separation is `scale` ticks.
+    """
+
+    def __init__(self, inst: Instance) -> None:
+        fleet, tasks, unit = inst.fleet, inst.tasks.values(), inst.graph.unit
+        # T, a full charge; per graph unit of length: travel, charging, charge
+        fixed = (fleet.horizon, fleet.operating_range / fleet.charge_to_range,
+                 unit / fleet.speed, fleet.charge_coeff * unit,
+                 fleet.discharge_coeff * unit / fleet.speed)
+        self.scale = scale = math.lcm(
+            *(x.denominator for x in fixed),
+            *(x.denominator for t in tasks
+              for x in (t.window.lower, t.window.upper, t.service_time)))
+
+        def whole(x: Fraction) -> int:  # x * scale, which must be whole
+            n, rest = divmod(x.numerator * scale, x.denominator)
+            assert rest == 0, f"{x} is not a whole number of 1/{scale} units"
+            return n
+
+        (self.horizon, self.full, self.travel, self.charging,
+         self.charge) = map(whole, fixed)
+        self.lower = {t.id: whole(t.window.lower) for t in tasks}
+        self.upper = {t.id: whole(t.window.upper) for t in tasks}
+        self.service = {t.id: whole(t.service_time) for t in tasks}
 
 
 def build_instance(

@@ -136,7 +136,7 @@ def path_sets(cr: RouteSet, inst: Instance) -> Iterator[RouteSet]:
         paths = (leg.path(k) for leg, k in zip(legs, index))
         yield RouteSet(tuple(
             Route(r.depot, r.tasks, tuple(islice(paths, len(r.legs))))
-            for r in cr.routes))
+            for r in cr.routes), cr.ticks)
         for j, leg in enumerate(legs):
             nxt = index[:j] + (index[j] + 1,) + index[j + 1:]
             if nxt not in seen and leg.path(nxt[j]) is not None:

@@ -12,10 +12,8 @@ from .routing import RouteSet
 
 def verify_routes(cr: RouteSet, inst: Instance) -> bool:
     """True iff every route still meets windows, horizon and range with its
-    legs."""
-    fleet = inst.fleet
-    budget = fleet.operating_range / fleet.charge_to_range
+    legs.  The numbers of `inst` are read from `cr.ticks`."""
+    ticks = cr.ticks
     return all(
-        replay(r, inst) is not None
-        and fleet.discharge_coeff * r.length / fleet.speed <= budget
+        replay(r, ticks) is not None and r.length * ticks.charge <= ticks.full
         for r in cr.routes)

@@ -11,15 +11,14 @@ is returned twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterator
 
 from . import solver as S
 from .errors import MalformedChain
 from .graph import NodeId, Path
-from .instance import Instance
+from .instance import Instance, Ticks
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,7 @@ class Route:
     legs: tuple[Path, ...]  # len(tasks) + 1: depot->t1->...->tn->depot
 
     @property
-    def length(self) -> Fraction:
+    def length(self) -> int:  # in graph units, as the legs'
         return sum(leg.length for leg in self.legs)
 
     def locations(self, inst: Instance) -> tuple[NodeId, ...]:
@@ -41,6 +40,7 @@ class Route:
 @dataclass(frozen=True)
 class RouteSet:
     routes: tuple[Route, ...]
+    ticks: Ticks = field(compare=False, repr=False)  # the solve's numbers
 
 
 PathMap = dict[tuple[NodeId, NodeId], Path]
@@ -63,50 +63,32 @@ Stop = str | Anchor  # a task id or an anchor
 class RoutingModel:
     """Model plus the variable maps needed for extraction."""
 
-    def __init__(self, inst: Instance, cp: PathMap):
+    def __init__(self, inst: Instance, cp: PathMap, ticks: Ticks):
         self.inst = inst
         self.cp = cp
+        self.ticks = ticks
         self.ctx = S.Context()
         self.theta: dict[tuple[Stop, Stop], int] = {}  # travel a -> b
+        self.dist: dict[tuple[Stop, Stop], int] = {}  # its length
         self.gamma: dict[Stop, int] = {}  # arrival time
         self.eps: dict[Stop, int] = {}  # remaining charge
         self.start_indicators: list[int] = []
         self._build()
 
-    def _loc(self, stop: Stop) -> NodeId:
-        if isinstance(stop, Anchor):
-            return stop.depot
-        return self.inst.tasks[stop].location
-
-    def _service(self, stop: Stop) -> Fraction:
-        if isinstance(stop, Anchor):
-            return 0
-        return self.inst.tasks[stop].service_time
-
-    def _dist(self, a: Stop, b: Stop) -> Fraction:
-        return self.cp[(self._loc(a), self._loc(b))].length
-
-    def _vehicles(self, stop: Stop) -> frozenset[str]:
-        """The vehicles that may serve stop: those stationed at an anchor's
-        depot, or those eligible for a task's job."""
-        if isinstance(stop, Anchor):
-            return frozenset(self.inst.vehicles_at(stop.depot))
-        return self.inst.job_of(stop).eligible_vehicles
-
-    def _window(self, stop: Stop) -> tuple[Fraction, Fraction]:
-        if isinstance(stop, Anchor):
-            return Fraction(0), self.inst.fleet.horizon
-        w = self.inst.tasks[stop].window
-        return w.lower, w.upper
-
     def _build(self) -> None:
-        inst, ctx = self.inst, self.ctx
+        inst, ctx, ticks = self.inst, self.ctx, self.ticks
         real = inst.task_ids()
         starts = [Anchor(o, end=False) for o in inst.depots]
         ends = [Anchor(o, end=True) for o in inst.depots]
-        fleet = inst.fleet
-        full = fleet.operating_range / fleet.charge_to_range
-        T = fleet.horizon
+        full = ticks.full
+        # per stop: its node, earliest time, service, latest time and the
+        # vehicles that may serve it (an anchor's: those at its depot)
+        stops = {a: (a.depot, 0, 0, ticks.horizon,
+                     frozenset(inst.vehicles_at(a.depot))) for a in starts + ends}
+        for k in real:
+            stops[k] = (inst.tasks[k].location, ticks.lower[k],
+                        ticks.service[k], ticks.upper[k],
+                        inst.job_of(k).eligible_vehicles)
 
         pairs: list[tuple[Stop, Stop]] = []
         for s in starts:
@@ -123,38 +105,35 @@ class RoutingModel:
         # vehicle (the assignment stage puts a route on a vehicle stationed
         # at its depot and eligible for all its jobs), b can be reached in
         # b's window from a's earliest time, and one full charge covers it
-        travel: dict[tuple[Stop, Stop], Fraction] = {}
         for a, b in pairs:
-            t = self._dist(a, b) / fleet.speed
-            if (self._vehicles(a) & self._vehicles(b)
-                    and self._window(a)[0] + self._service(a) + t
-                    <= self._window(b)[1]
-                    and fleet.discharge_coeff * t <= full):
+            loc_a, early, service, _, va = stops[a]
+            loc_b, _, _, late, vb = stops[b]
+            d = self.cp[(loc_a, loc_b)].length
+            if (va & vb and early + service + d * ticks.travel <= late
+                    and d * ticks.charge <= full):
                 self.theta[(a, b)] = ctx.new_bool()
-                travel[(a, b)] = t
+                self.dist[(a, b)] = d
 
         for stop in real + starts + ends:
             gamma = self.gamma[stop] = ctx.new_real()
             eps = self.eps[stop] = ctx.new_real()
             # x <= c is the atom x - 0 <= c, and x >= c is 0 - x <= -c
             ctx.assert_formula(ctx.le(eps, 0, full))
-            if isinstance(stop, Anchor):
-                ctx.assert_formula(ctx.le(gamma, 0, T))
-            else:
-                w = inst.tasks[stop].window
-                ctx.assert_formula(ctx.le(0, gamma, -w.lower))
-                ctx.assert_formula(ctx.le(gamma, 0, w.upper))
+            _, early, _, late, _ = stops[stop]
+            if not isinstance(stop, Anchor):
+                ctx.assert_formula(ctx.le(0, gamma, -early))
+            ctx.assert_formula(ctx.le(gamma, 0, late))
         for s in starts:
             # vehicles leave the depot at full charge (at most full: above)
             ctx.assert_formula(ctx.le(0, self.eps[s], -full))
 
         # travel propagates time forward and charge downward
         for (a, b), var in self.theta.items():
-            t = travel[(a, b)]
+            d = self.dist[(a, b)]
             ctx.assert_formula(-var, ctx.le(
-                self.gamma[a], self.gamma[b], -(self._service(a) + t)))
+                self.gamma[a], self.gamma[b], -(stops[a][2] + d * ticks.travel)))
             ctx.assert_formula(-var, ctx.le(
-                self.eps[b], self.eps[a], -fleet.discharge_coeff * t))
+                self.eps[b], self.eps[a], -d * ticks.charge))
 
         def links(pairs) -> list[int]:
             return [self.theta[p] for p in pairs if p in self.theta]
@@ -250,23 +229,19 @@ def extract_routes(m: S.Model, model: RoutingModel) -> RouteSet:
             routes.append(Route(o, tuple(chain), legs))
     if served != real:
         raise MalformedChain(f"tasks {sorted(real - served)} not on any route")
-    fleet = inst.fleet
-    budget = (fleet.operating_range / fleet.charge_to_range) * fleet.speed \
-        / fleet.discharge_coeff
+    ticks = model.ticks
     for r in routes:
-        if r.length > budget:
+        if r.length * ticks.charge > ticks.full:
             raise MalformedChain(
                 f"route at depot {r.depot} exceeds the charge budget")
-    return RouteSet(tuple(routes))
+    return RouteSet(tuple(routes), ticks)
 
 
-def _model_distance(m: S.Model, model: RoutingModel) -> Fraction:
-    return sum(model._dist(a, b)
-               for (a, b), var in model.theta.items()
-               if m.value(var))
+def _model_distance(m: S.Model, model: RoutingModel) -> int:
+    return sum(model.dist[p] for p, var in model.theta.items() if m.value(var))
 
 
-def route_sets(inst: Instance, cp: PathMap) -> Iterator[RouteSet]:
+def route_sets(inst: Instance, cp: PathMap, ticks: Ticks) -> Iterator[RouteSet]:
     """Every route set of the instance, fewest routes first, then shortest.
 
     At each route count, the route sets of that count are enumerated once
@@ -274,7 +249,7 @@ def route_sets(inst: Instance, cp: PathMap) -> Iterator[RouteSet]:
     total distance, ties in the order found.  Blocking only removes route
     sets, so the next count is searched from one above the last.
     """
-    model = RoutingModel(inst, cp)
+    model = RoutingModel(inst, cp, ticks)
     ctx = model.ctx
     starts = model.start_indicators
     # blocking clauses list the travel literals by the names of their ends

@@ -8,8 +8,8 @@ sub-problem models of this package write in:
 - a real is a node of the difference graph, a positive int ``x`` from
   ``new_real()``; node 0 is the constant zero, and every real is
   nonnegative;
-- ``le(x, y, c)`` is the literal of the atom ``x - y <= c``, for an int or
-  Fraction bound ``c``;
+- ``le(x, y, c)`` is the literal of the atom ``x - y <= c``, for an int
+  bound ``c``: callers scale their quantities to whole units first;
 - ``assert_formula(*lits)`` asserts one clause over such literals;
 - atoms occur only positively: a clause, an assumption or a blocking
   clause that negates one raises ValueError, and so does a counter over
@@ -23,7 +23,7 @@ sub-problem models of this package write in:
   and is kept per literal list until a larger bound asks for a new one.
 
 A CDCL SAT core searches the Boolean skeleton and hands the true atoms to
-a difference-logic theory solver (negative-cycle detection over rational
+a difference-logic theory solver (negative-cycle detection over integer
 bounds).  Minimization of an indicator count runs a descending linear
 search over the outputs of a totalizer truncated just above the first
 model's count; it can start from a known lower bound, so a context that
@@ -42,22 +42,16 @@ adds one edge at a time against a potential, and looks for a negative
 cycle with a Dijkstra over reduced costs from the new edge's head (Cotton
 and Maler, 2006); backjumps drop edges and keep the potential, and so do
 later checks, until new atoms or new reals rebuild the theory's graph,
-which then takes the whole trail.  The theory works on integers: the
-bounds are scaled by the LCM of their denominators, so the integer
-comparisons decide exactly as the rational ones would.  An atom keeps its
-bound as an int when the bound is integral.  Real values in models are
-exact Fractions, computed when a model's reals are first read.
+which then takes the whole trail.  Bounds and real values are ints, so
+the theory compares exactly; real values in models are computed when a
+model's reals are first read.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Sequence, Union
-
-Bound = Union[int, Fraction]
+from typing import Callable, Iterable, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +67,15 @@ class Model:
     """
 
     def __init__(self, lits: Sequence[bool],
-                 reals: Callable[[], Sequence[Fraction]]):
+                 reals: Callable[[], Sequence[int]]):
         self._lits = lits
         self._compute_reals = reals
-        self._reals: Sequence[Fraction] | None = None
+        self._reals: Sequence[int] | None = None
 
     def value(self, lit: int) -> bool:
         return self._lits[lit]
 
-    def real(self, x: int) -> Fraction:
+    def real(self, x: int) -> int:
         if self._reals is None:
             self._reals = self._compute_reals()
         return self._reals[x]
@@ -172,14 +166,11 @@ class _SatCore:
         return self.nvars
 
     def add_clause(self, lits: Sequence[int]) -> None:
-        """Add a clause (dropped if a tautology); the next solve takes it in."""
-        distinct = set(lits)
-        if any(-l in distinct for l in distinct):
-            return
-        if not distinct:
+        """Add a clause over distinct variables; the next solve takes it in."""
+        if not lits:
             self.empty_clause = True
             return
-        self.clauses.append(sorted(distinct, key=abs))
+        self.clauses.append(sorted(lits, key=abs))
 
     # -- main search ------------------------------------------------------
 
@@ -437,10 +428,9 @@ class Context:
     def __init__(self) -> None:
         self._sat = _SatCore()
         self._nreals = 0
-        # difference atoms: key (x, y, c) meaning  val(x) - val(y) <= c, with
-        # c an int when it is integral and a Fraction otherwise
-        self._atom_lit: dict[tuple[int, int, Bound], int] = {}
-        self._atom_by_lit: dict[int, tuple[int, int, Bound]] = {}
+        # difference atoms: key (x, y, c) meaning  val(x) - val(y) <= c
+        self._atom_lit: dict[tuple[int, int, int], int] = {}
+        self._atom_by_lit: dict[int, tuple[int, int, int]] = {}
         self._totalizer_cache: dict[tuple[int, ...], list[int]] = {}
         self._graph: _DiffGraph | None = None
 
@@ -454,17 +444,16 @@ class Context:
         self._nreals += 1
         return self._nreals
 
-    def le(self, x: int, y: int, c: Bound) -> int:
+    def le(self, x: int, y: int, c: int) -> int:
         """The literal of the atom x - y <= c (0 is the zero node), to be
         used only positively.
 
-        A float bound raises TypeError: its binary value is rarely the
-        decimal it was written as, so the caller converts it exactly.
+        The bound is an int; any other raises TypeError.  A caller with
+        rational quantities scales them all by one positive factor that
+        makes them whole, which keeps every comparison.
         """
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"bound {c!r} is not an int or a Fraction")
-        if c.denominator == 1:  # an int key is cheaper to build and hash
-            c = c.numerator
+        if not isinstance(c, int):
+            raise TypeError(f"bound {c!r} is not an int")
         key = (x, y, c)
         lit = self._atom_lit.get(key)
         if lit is None:
@@ -481,7 +470,7 @@ class Context:
         and the blocking clauses are added below it.
         """
         self._require_positive(lits)
-        self._sat.add_clause(lits)
+        self._add_clause(lits)
 
     def exactly(self, lits: Sequence[int], n: int, *guards: int) -> None:
         """Exactly n of lits are true whenever every guard is true."""
@@ -504,7 +493,7 @@ class Context:
         """Forbid the projection of model m onto the given literals."""
         clause = [-l if m.value(l) else l for l in lits]
         self._require_positive(clause)
-        self._sat.add_clause(clause)
+        self._add_clause(clause)
 
     def block_true_subset(self, lits: Sequence[int], m: Model) -> None:
         """Forbid every model where all lits true in m are true again.
@@ -513,7 +502,16 @@ class Context:
         """
         clause = [-l for l in lits if m.value(l)]
         self._require_positive(clause)
-        self._sat.add_clause(clause)
+        self._add_clause(clause)
+
+    def _add_clause(self, lits: Sequence[int]) -> None:
+        """Add the clause lits with repeated literals merged, or not at all
+        if it holds a complementary pair."""
+        if len(lits) > 1 and len(set(map(abs, lits))) < len(lits):
+            lits = set(lits)
+            if any(-l in lits for l in lits):
+                return
+        self._sat.add_clause(lits)
 
     def _require_positive(self, lits: Iterable[int]) -> None:
         """Raise ValueError if an atom occurs negated among lits."""
@@ -604,6 +602,9 @@ class Context:
         mid = len(ls) // 2
         a = self._totalizer_node(ls[:mid], size)
         b = self._totalizer_node(ls[mid:], size)
+        # only a node over two inputs has clauses with two input literals
+        add = (self._add_clause if len(ls) == 2 and abs(ls[0]) == abs(ls[1])
+               else self._sat.add_clause)
         p, q = len(a), len(b)
         r = [self._sat.new_var() for _ in range(min(p + q, size))]
         for i in range(p + 1):
@@ -614,14 +615,14 @@ class Context:
                         clause.append(-a[i - 1])
                     if j >= 1:
                         clause.append(-b[j - 1])
-                    self._sat.add_clause(clause)
+                    add(clause)
                 if i + j < len(r):
                     clause = [-r[i + j]]
                     if i < p:
                         clause.append(a[i])
                     if j < q:
                         clause.append(b[j])
-                    self._sat.add_clause(clause)
+                    add(clause)
         return r
 
     # -- theory -----------------------------------------------------------
@@ -665,10 +666,10 @@ def _shortest_paths(n: int, edges: Sequence[tuple[int, int, int]]) -> list[int]:
     return dist
 
 
-def _real_values(g: _DiffGraph, assignment: Sequence[bool | None]) -> list[Fraction]:
+def _real_values(g: _DiffGraph, assignment: Sequence[bool | None]) -> list[int]:
     """The value of every node of g under a theory-consistent assignment."""
     r = _shortest_paths(g.n, g.edges(assignment))
-    return [Fraction(r[x] - r[0], g.scale) for x in range(g.n)]
+    return [r[x] - r[0] for x in range(g.n)]
 
 
 class _DiffGraph:
@@ -680,19 +681,16 @@ class _DiffGraph:
     u -> v with weight w encodes val(v) - val(u) <= w.  A true atom
     u - v <= c is the edge v -> u of weight c; a false atom gives no edge,
     since atoms occur only positively.  Every real is nonnegative: an edge
-    x -> 0 of weight 0.  Bounds are multiplied by `scale`, the LCM of their
-    denominators.
+    x -> 0 of weight 0.
     """
 
     def __init__(self, key: tuple[int, int],
-                 atoms: dict[int, tuple[int, int, Bound]], nreals: int) -> None:
+                 atoms: dict[int, tuple[int, int, int]], nreals: int) -> None:
         self.key = key
         self.n = nreals + 1
-        self.scale = scale = math.lcm(*(c.denominator for _, _, c in atoms.values()))
         # edge[lit] = (u, v, weight) of the edge that atom lit gives when true
         self.edge: dict[int, tuple[int, int, int]] = {
-            lit: (v, u, c.numerator * (scale // c.denominator))
-            for lit, (u, v, c) in atoms.items()}
+            lit: (v, u, c) for lit, (u, v, c) in atoms.items()}
         self.reset()
 
     def edges(self, assignment: Sequence[bool | None]) -> list[tuple[int, int, int]]:

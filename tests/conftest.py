@@ -4,14 +4,14 @@ and helpers that build paths and routes by hand."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from cfevrp.errors import InvariantViolation
 from cfevrp.graph import NodeId, Path, PlantGraph, single_source_paths, validate_graph
 from cfevrp.instance import (
-    FleetParams, Instance, Job, Task, TimeWindow, Vehicle, build_instance,
+    FleetParams, Instance, Job, Task, TimeWindow, Ticks, Vehicle,
+    build_instance,
 )
 from cfevrp.routing import PathMap, Route, RouteSet
 
@@ -22,9 +22,7 @@ def shortest_path(g: PlantGraph, src: NodeId, dst: NodeId) -> Path:
     Ties among equal-length paths are broken by the lexicographically
     smallest node sequence, so results are reproducible across runs.
     """
-    if src == dst:
-        return Path((src,), Fraction(0))
-    return single_source_paths(g, src)[dst]
+    return single_source_paths(g, src, [dst])[dst]
 
 
 def routes_from_task_orders(
@@ -47,7 +45,7 @@ def routes_from_task_orders(
         served.update(tasks)
     if served != set(inst.task_ids()):
         raise InvariantViolation("forced routes must cover every task exactly once")
-    return RouteSet(tuple(routes))
+    return RouteSet(tuple(routes), Ticks(inst))
 
 CORRIDOR_SEGMENTS = [
     (1, 2, 1.0, 1), (2, 3, 1.0, 1), (2, 5, 1.0, 1), (3, 4, 1.0, 1),

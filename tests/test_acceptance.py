@@ -12,6 +12,7 @@ from cfevrp.driver import (
     FEASIBLE, INFEASIBLE, Limits, c_comsat_solve, comsat_solve,
     shortest_path_map, total_distance,
 )
+from cfevrp.instance import Ticks
 from cfevrp.routing import route_sets
 from cfevrp.validator import brute_force_feasible, validate_schedule
 
@@ -87,7 +88,7 @@ def test_criterion_4_exhaustive_enumeration():
     expected_r = enumerate_route_partitions(inst_r)
     sp = shortest_path_map(inst_r)
     seen_r = 0
-    for _cr in route_sets(inst_r, sp):
+    for _cr in route_sets(inst_r, sp, Ticks(inst_r)):
         seen_r += 1
         assert seen_r <= expected_r
     # vehicle maps: same, against the permutation oracle
@@ -125,7 +126,7 @@ def test_criterion_5_shortest_paths_exact():
         for a in g.nodes:
             for b in g.nodes:
                 p = shortest_path(g, a, b)
-                if p.length != dist[(a, b)]:
+                if p.length * g.unit != dist[(a, b)]:
                     ok = False
                 checked += 1
     _report(5, "shortest paths match an independent all-pairs computation "

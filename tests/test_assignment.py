@@ -7,7 +7,7 @@ from cfevrp.capacity import verify_capacity
 from cfevrp.driver import shortest_path_map
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
-    FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
+    FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
 )
 from cfevrp.routing import RouteSet
 from cfevrp.validator import CHARGING_GAP, validate_schedule
@@ -47,7 +47,7 @@ def test_corridor_assignment_picks_the_only_eligible_vehicles():
 
 def test_zero_routes_is_trivially_sat():
     inst = corridor_instance()
-    cr = RouteSet(())
+    cr = RouteSet((), Ticks(inst))
     ca = next(assignments(cr, inst), None)
     assert ca is not None and ca.vehicle_of == ()
 

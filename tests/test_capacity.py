@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from cfevrp.driver import shortest_path_map
 from cfevrp.errors import BrokenChain
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
-    FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
+    FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
 )
 from cfevrp.routing import Route, RouteSet
 from cfevrp.validator import (
@@ -33,7 +34,7 @@ def partial_routes(inst, orders):
         locs = [depot] + [inst.tasks[t].location for t in tasks] + [depot]
         legs = tuple(sp[(a, b)] for a, b in zip(locs, locs[1:]))
         routes.append(Route(depot, tuple(tasks), legs))
-    return RouteSet(tuple(routes))
+    return RouteSet(tuple(routes), Ticks(inst))
 
 
 def test_visit_list_concatenates_legs(corridor):
@@ -50,7 +51,7 @@ def test_visit_list_concatenates_legs(corridor):
 
 
 def test_empty_route_set_gives_empty_lists(corridor):
-    assert build_visit_lists(RouteSet(()), corridor) == []
+    assert build_visit_lists(RouteSet((), Ticks(corridor)), corridor) == []
 
 
 def test_task_at_depot_collapses_to_single_position():
@@ -75,7 +76,7 @@ def test_broken_chain_detected(corridor):
         corridor.graph.path_between((2, 1)),  # starts at the wrong node
     ))
     with pytest.raises(BrokenChain):
-        build_visit_lists(RouteSet((r,)), corridor)
+        build_visit_lists(RouteSet((r,), Ticks(corridor)), corridor)
 
 
 def co_located_instance(windows, services):
@@ -96,14 +97,14 @@ def test_co_located_tasks_are_served_at_one_instant():
     inst, cr = co_located_instance([(0, 5), (6, 8)], [1, 1])
     schedule, _ = verify_capacity(Assignment(("v1",)), cr, inst, False)
     assert schedule is None
-    assert replay(cr.routes[0], inst) is None
+    assert replay(cr.routes[0], cr.ticks) is None
     assert not verify_routes(cr, inst)
     # one stop serves both within [0, 6] for 3 + 1 units: the latest start
     # is 6 minus one unit of travel, and from time 0 the route is back at
     # 1 + 4 + 1 = 6
     inst, cr = co_located_instance([(0, 10), (0, 6)], [3, 1])
     assert compute_route_attributes(cr, inst)[0].latest_start == 5
-    assert replay(cr.routes[0], inst) == (5, 6)
+    assert replay(cr.routes[0], cr.ticks) == (5, 6)
     schedule, _ = verify_capacity(Assignment(("v1",)), cr, inst, False)
     assert schedule.routes[0].position_tasks == ((), ("a", "b"), ())
 
@@ -125,7 +126,7 @@ def test_replay_times_a_lone_route_as_the_capacity_model_does():
         for _ in range(5):
             tasks = rng.sample(inst.task_ids(), rng.randint(1, len(inst.tasks)))
             cr = partial_routes(inst, [(rng.choice(inst.depots), tasks)])
-            bounds = replay(cr.routes[0], inst)
+            bounds = replay(cr.routes[0], cr.ticks)
             schedule, _ = verify_capacity(
                 Assignment(("v1",)), cr, inst, conflicts=False)
             assert (bounds is None) == (schedule is None), seed
@@ -134,7 +135,8 @@ def test_replay_times_a_lone_route_as_the_capacity_model_does():
                 continue
             timed += 1
             rs = schedule.routes[0]
-            assert rs.start <= bounds[0] and rs.node_out[-1] >= bounds[1], seed
+            late, early = (Fraction(b, cr.ticks.scale) for b in bounds)
+            assert rs.start <= late and rs.node_out[-1] >= early, seed
     assert timed >= 50 and untimed >= 50
 
 

@@ -20,7 +20,7 @@ from cfevrp.errors import InvariantViolation
 from cfevrp.fileio import parse_instance
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
-    FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
+    FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
 )
 from cfevrp.pathschanger import path_sets
 from cfevrp.routing import route_sets
@@ -80,7 +80,7 @@ def test_timing_refuted_on_shortest_legs_is_refuted_on_every_path_set():
     for seed, unit in ([(s, True) for s in range(100)]
                        + [(s, False) for s in range(100, 150)]):
         inst = random_tiny_instance(seed, unit=unit)
-        for cr in route_sets(inst, shortest_path_map(inst)):
+        for cr in route_sets(inst, shortest_path_map(inst), Ticks(inst)):
             attrs = compute_route_attributes(cr, inst)
             alone = all(a.latest_start is not None for a in attrs)
             yielded = {ca.vehicle_of for ca in assignments(cr, inst)}
@@ -290,6 +290,32 @@ def test_routes_of_one_vehicle_run_in_the_order_their_windows_need():
             assert validate_schedule(out.schedule, inst).ok
             first = min(out.schedule.routes, key=lambda r: r.start)
             assert first.tasks == ("b",)
+
+
+def _co_located_instance():
+    """Tasks a (job A) and b (job B) both at node 2 of the line 1-2, each
+    with window [5, 5] and service 2: one stop serves both at instant 5."""
+    g = validate_graph([1, 2], [1], [(1, 2, 1.0, 1)])
+    return build_instance(
+        g, [1], FleetParams(100, 1, 1, 1, 1, 20), [Vehicle("v1", 1)],
+        [Job("A", ("a",), frozenset({"v1"})), Job("B", ("b",), frozenset({"v1"}))],
+        [Task("a", "A", 2, TimeWindow(5, 5), 2),
+         Task("b", "B", 2, TimeWindow(5, 5), 2)])
+
+
+def test_co_located_tasks_are_feasible_for_the_oracle():
+    verdict = brute_force_feasible(_co_located_instance())
+    assert verdict.feasible and verdict.best_total_distance == 2
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the router times co-located tasks one after the other, so both modes "
+    "answer infeasible (events router, assign-, router-); ROADMAP item 1"))
+@pytest.mark.parametrize("solve", [comsat_solve, c_comsat_solve])
+def test_co_located_tasks_are_served_at_one_arrival(solve):
+    out = solve(_co_located_instance())
+    assert out.status == FEASIBLE, [(e.phase, e.sat) for e in out.events]
+    assert total_distance(out) == 2
 
 
 def short_range_tiny_instance(seed):

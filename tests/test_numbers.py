@@ -6,13 +6,16 @@ floats.  The solver, the validator and the oracle therefore decide the
 same arithmetic, on decimal data as on integer data.
 """
 
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from cfevrp.driver import (
-    ABORTED, FEASIBLE, c_comsat_solve, comsat_solve, total_distance,
+    ABORTED, FEASIBLE, INFEASIBLE, c_comsat_solve, comsat_solve,
+    total_distance,
 )
 from cfevrp.errors import CfEvrpError, InvariantViolation, NonPositiveLength
 from cfevrp.fileio import dumps_canonical, instance_to_json, parse_instance
@@ -100,3 +103,28 @@ def test_decimal_tiny_instances_agree_with_the_oracle():
             wrong.append((seed, "schedule fails validation or ends past T"))
     assert not wrong
     assert aborted == BUDGET_ABORTS
+
+
+def test_decimal_tiny_instances_with_charge_coefficients_agree_with_the_oracle():
+    # The decimal recipe draws D = rho = 1, so the router's charge reals
+    # never scale.  Here D and rho are drawn too, rho = 4/3 among them,
+    # whose ticks are thirds.
+    feasible = infeasible = 0
+    for seed in range(100):
+        inst = random_tiny_instance(seed, unit=False)
+        rng = random.Random(1000 + seed)
+        inst = dataclasses.replace(inst, fleet=dataclasses.replace(
+            inst.fleet, discharge_coeff=rng.choice([0.7, 1.5, 2]),
+            charge_to_range=rng.choice([0.5, Fraction(4, 3), 3])))
+        verdict = brute_force_feasible(inst)
+        for solve in (comsat_solve, c_comsat_solve):
+            out = solve(inst)
+            assert out.status in (FEASIBLE, INFEASIBLE), (seed, out.reason)
+            feasible += out.status == FEASIBLE
+            infeasible += out.status == INFEASIBLE
+            if solve is comsat_solve:
+                assert (out.status == FEASIBLE) == verdict.feasible, seed
+                assert out.status != FEASIBLE or (
+                    validate_schedule(out.schedule, inst).ok
+                    and _ends_by_horizon(out.schedule, inst)), seed
+    assert (feasible, infeasible) == (122, 78)

@@ -10,7 +10,7 @@ from cfevrp import solver as S
 from cfevrp.driver import comsat_solve, shortest_path_map, solve_paths_changing
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
-    FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
+    FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
 )
 from cfevrp.pathschanger import path_sets, simple_paths
 from cfevrp.routing import Route, RouteSet
@@ -42,7 +42,7 @@ def route_set(inst, depot, tasks):
     sp = shortest_path_map(inst)
     locs = [depot] + [inst.tasks[t].location for t in tasks] + [depot]
     legs = tuple(sp[(a, b)] for a, b in zip(locs, locs[1:]))
-    return RouteSet((Route(depot, tuple(tasks), legs),))
+    return RouteSet((Route(depot, tuple(tasks), legs),), Ticks(inst))
 
 
 def test_two_node_graph_single_leg():
@@ -130,7 +130,7 @@ def test_enumeration_count_multi_route():
     sp = shortest_path_map(inst)
     r1 = Route(1, ("j11",), (sp[(1, 5)], sp[(5, 1)]))
     r2 = Route(6, ("j31",), (sp[(6, 4)], sp[(4, 6)]))
-    cr = RouteSet((r1, r2))
+    cr = RouteSet((r1, r2), Ticks(inst))
     expected = (
         len(dfs_simple_paths(g, 1, 5)) * len(dfs_simple_paths(g, 5, 1))
         * len(dfs_simple_paths(g, 6, 4)) * len(dfs_simple_paths(g, 4, 6))
@@ -183,7 +183,7 @@ def _random_plant(seed, n_routes, max_nodes):
     sp = shortest_path_map(inst)
     routes = tuple(Route(1, (f"t{k}",), (sp[(1, x)], sp[(x, 1)]))
                    for k, x in enumerate(locs))
-    return inst, RouteSet(routes)
+    return inst, RouteSet(routes, Ticks(inst))
 
 
 def test_changer_lists_every_combination_in_node_count_order():

@@ -5,6 +5,7 @@ import dataclasses
 
 from cfevrp.driver import shortest_path_map
 from cfevrp.graph import Path
+from cfevrp.instance import Ticks
 from cfevrp.routesverify import verify_routes
 from cfevrp.routing import Route, RouteSet, route_sets
 
@@ -17,12 +18,12 @@ def detour_route_set(inst):
         g.path_between((2, 3, 4)),
         g.path_between((4, 7, 6)),
     )
-    return RouteSet((Route(6, ("j21", "j31"), legs),))
+    return RouteSet((Route(6, ("j21", "j31"), legs),), Ticks(inst))
 
 
 def test_shortest_paths_after_routing_verify(corridor):
     sp = shortest_path_map(corridor)
-    cr = next(route_sets(corridor, sp), None)
+    cr = next(route_sets(corridor, sp, Ticks(corridor)), None)
     assert verify_routes(cr, corridor)
 
 
@@ -37,10 +38,10 @@ def test_late_arrival_fails(corridor):
     g = corridor.graph
     legs = (
         g.path_between((6, 7, 4, 3, 2)),
-        Path((2, 3, 4), 6.0),  # inflated middle leg: j31 missed
+        Path((2, 3, 4), 6),  # inflated middle leg: j31 missed
         g.path_between((4, 7, 6)),
     )
-    cr = RouteSet((Route(6, ("j21", "j31"), legs),))
+    cr = RouteSet((Route(6, ("j21", "j31"), legs),), Ticks(corridor))
     assert not verify_routes(cr, corridor)
 
 
@@ -54,18 +55,19 @@ def test_detour_back_after_the_horizon_fails(corridor):
         inst.graph.path_between((2, 3, 4)),
         inst.graph.path_between((4, 7, 6)),
     )
-    assert verify_routes(RouteSet((Route(6, ("j21", "j31"), legs),)), inst)
+    assert verify_routes(
+        RouteSet((Route(6, ("j21", "j31"), legs),), Ticks(inst)), inst)
     assert not verify_routes(detour_route_set(inst), inst)
 
 
 def test_charge_budget_exceeded_fails(corridor):
     g = corridor.graph
     legs = (
-        Path((6, 7, 4, 3, 2), 4.0),
-        Path((2, 3, 4), 2.0),
-        Path((4, 7, 6), 5.0),  # total 11 > operating range 10
+        Path((6, 7, 4, 3, 2), 4),
+        Path((2, 3, 4), 2),
+        Path((4, 7, 6), 5),  # total 11 > operating range 10
     )
-    cr = RouteSet((Route(6, ("j21", "j31"), legs),))
+    cr = RouteSet((Route(6, ("j21", "j31"), legs),), Ticks(corridor))
     assert not verify_routes(cr, corridor)
 
 
@@ -73,8 +75,8 @@ def test_waiting_for_a_window_is_allowed(corridor):
     g = corridor.graph
     # v1 reaches node 5 at t=2 after a distance-2 leg; with a distance-1
     # stand-in it would arrive at 1 and must wait until the window opens
-    legs = (Path((1, 5), 1.0), Path((5, 1), 1.0))
-    cr = RouteSet((Route(1, ("j11",), legs),))
+    legs = (Path((1, 5), 1), Path((5, 1), 1))
+    cr = RouteSet((Route(1, ("j11",), legs),), Ticks(corridor))
     assert verify_routes(cr, corridor)
 
 
@@ -85,6 +87,7 @@ def test_monotone_in_leg_lengths(corridor):
     for i in range(3):
         legs = list(base.routes[0].legs)
         old = legs[i]
-        legs[i] = Path(old.nodes, old.length / 2)
-        cr = RouteSet((Route(6, ("j21", "j31"), tuple(legs)),))
+        legs[i] = Path(old.nodes, old.length // 2)
+        cr = RouteSet((Route(6, ("j21", "j31"), tuple(legs)),),
+                      Ticks(corridor))
         assert verify_routes(cr, corridor)

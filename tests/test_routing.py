@@ -2,7 +2,7 @@
 
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
-    FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
+    FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
 )
 from cfevrp.driver import shortest_path_map
 from cfevrp.routing import Anchor, RoutingModel, route_sets
@@ -103,7 +103,7 @@ def three_task_instance():
 
 def test_corridor_first_solution_has_two_routes(corridor):
     sp = shortest_path_map(corridor)
-    cr = next(route_sets(corridor, sp), None)
+    cr = next(route_sets(corridor, sp, Ticks(corridor)), None)
     assert cr is not None
     assert len(cr.routes) == 2
     # mutual exclusion keeps j1 apart from j2/j3, so the minimal split is
@@ -114,7 +114,7 @@ def test_corridor_first_solution_has_two_routes(corridor):
 
 def test_every_route_starts_and_ends_at_its_depot(corridor):
     sp = shortest_path_map(corridor)
-    cr = next(route_sets(corridor, sp), None)
+    cr = next(route_sets(corridor, sp, Ticks(corridor)), None)
     for r in cr.routes:
         locs = r.locations(corridor)
         assert locs[0] == r.depot and locs[-1] == r.depot
@@ -129,7 +129,7 @@ def test_window_impossible_task_is_infeasible():
         g, [1], fleet, [Vehicle("v1", 1)],
         [Job("j1", ("t1",), frozenset({"v1"}))],
         [Task("t1", "j1", 3, TimeWindow(0, 1), 0.0)])  # distance 2 > upper 1
-    assert next(route_sets(inst, shortest_path_map(inst)), None) is None
+    assert next(route_sets(inst, shortest_path_map(inst), Ticks(inst)), None) is None
 
 
 def two_depot_instance_with_an_unserved_depot():
@@ -155,7 +155,7 @@ def _check_enumeration_against_reference(inst):
     assert expected
     sp = shortest_path_map(inst)
     seen = []
-    for cr in route_sets(inst, sp):
+    for cr in route_sets(inst, sp, Ticks(inst)):
         key = frozenset((r.depot, r.tasks) for r in cr.routes)
         assert key in expected and key not in seen
         seen.append(key)
@@ -170,7 +170,7 @@ def test_blocking_enumerates_all_partitions_then_infeasible():
 def test_router_skips_depots_that_host_no_eligible_vehicle():
     inst = two_depot_instance_with_an_unserved_depot()
     _check_enumeration_against_reference(inst)
-    for cr in route_sets(inst, shortest_path_map(inst)):
+    for cr in route_sets(inst, shortest_path_map(inst), Ticks(inst)):
         for r in cr.routes:
             assert "t1" not in r.tasks or r.depot == 1
             assert "t3" not in r.tasks or r.depot == 6
@@ -181,7 +181,7 @@ def test_route_counts_never_decrease_during_enumeration():
     sp = shortest_path_map(inst)
     counts = []
     keys = []
-    for cr in route_sets(inst, sp):
+    for cr in route_sets(inst, sp, Ticks(inst)):
         counts.append(len(cr.routes))
         keys.append((len(cr.routes), sum(r.length for r in cr.routes)))
     assert counts == sorted(counts)
@@ -200,7 +200,7 @@ def test_multi_task_job_runs_contiguously():
     shared = frozenset({"v1"})
     jobs = [Job("a", ("a1", "a2"), shared), Job("b", ("b1",), shared)]
     inst = build_instance(g, [1], fleet, [Vehicle("v1", 1)], jobs, tasks)
-    cr = next(route_sets(inst, shortest_path_map(inst)), None)
+    cr = next(route_sets(inst, shortest_path_map(inst), Ticks(inst)), None)
     assert cr is not None
     for r in cr.routes:
         idx = [i for i, t in enumerate(r.tasks) if t in ("a1", "a2")]
@@ -212,7 +212,7 @@ def test_zero_job_instance_yields_empty_route_set():
     g = validate_graph([1, 2], [1], [(1, 2, 1.0, 1)])
     inst = build_instance(g, [1], FleetParams(10, 1, 1, 1, 1, 10),
                           [Vehicle("v1", 1)], [], [])
-    cr = next(route_sets(inst, shortest_path_map(inst)), None)
+    cr = next(route_sets(inst, shortest_path_map(inst), Ticks(inst)), None)
     assert cr is not None and cr.routes == ()
 
 
@@ -237,7 +237,7 @@ def _expected_links(inst, sp):
             if a == b or early is None or late is None \
                     or isinstance(a, Anchor) and isinstance(b, Anchor):
                 continue
-            hours = sp[(loc_a, loc_b)].length / fleet.speed
+            hours = sp[(loc_a, loc_b)].length * inst.graph.unit / fleet.speed
             if va & vb and early + service + hours <= late \
                     and fleet.discharge_coeff * hours <= full:
                 links.add((a, b))
@@ -251,7 +251,7 @@ def test_router_has_exactly_the_links_a_route_can_use():
             inst = random_tiny_instance(seed, unit)
             sp = shortest_path_map(inst)
             links = _expected_links(inst, sp)
-            assert set(RoutingModel(inst, sp).theta) == links, (seed, unit)
+            assert set(RoutingModel(inst, sp, Ticks(inst)).theta) == links, (seed, unit)
             n, d = len(inst.tasks), len(inst.depots)
             dropped += 2 * n * d + n * (n - 1) - len(links)
     assert dropped > 0

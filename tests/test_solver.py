@@ -30,6 +30,35 @@ def test_assert_true_stays_sat():
     x = ctx.new_bool()
     ctx.assert_formula(x, -x)  # a tautology
     assert ctx.check().sat
+    # a repeated literal counts once, in an asserted and in a blocking
+    # clause: y or y or x with x false forces y, and blocking the model's
+    # projection onto x, y, y leaves no model
+    y = ctx.new_bool()
+    ctx.assert_formula(y, y, x)
+    ctx.assert_formula(-x)
+    res = ctx.check()
+    assert res.sat and res.model.value(y)
+    ctx.block_model([x, y, y], res.model)
+    assert not ctx.check().sat
+    assert _each_variable_once(ctx)
+
+
+def _each_variable_once(ctx):
+    """No stored clause repeats a variable: repeats merged, tautologies
+    dropped."""
+    return all(len({abs(l) for l in c}) == len(c) for c in ctx._sat.clauses)
+
+
+def test_counter_over_repeated_inputs():
+    # a counter counts a repeated input twice, and x, -x once in all
+    ctx = S.Context()
+    x, z = ctx.new_bool(), ctx.new_bool()
+    ctx.at_most([z, z], 1)
+    ctx.exactly([x, -x], 1)
+    for assumptions, sat in (([], True), ([z], False), ([x], True),
+                             ([-x], True)):
+        assert ctx.check(assumptions).sat is sat, assumptions
+    assert _each_variable_once(ctx)
 
 
 def test_contradiction_is_unsat():
@@ -46,13 +75,13 @@ def test_pinned_real_value():
     ctx.assert_formula(ctx.le(0, g, -2))  # g >= 2
     ctx.assert_formula(ctx.le(g, 0, 2))  # g <= 2
     res = ctx.check()
-    assert res.sat and res.model.real(g) == Fraction(2)
+    assert res.sat and res.model.real(g) == 2
 
 
 def test_strict_inequalities_separate():
     ctx = S.Context()
     a, b = ctx.new_real(), ctx.new_real()
-    ctx.assert_formula(ctx.le(a, b, Fraction(-1)))  # a <= b - 1
+    ctx.assert_formula(ctx.le(a, b, -1))  # a <= b - 1
     ctx.assert_formula(ctx.le(b, 0, 3))
     res = ctx.check()
     assert res.sat
@@ -342,11 +371,21 @@ def test_minimize_from_last_optimum_lists_models_by_cost():
 
 # --- difference theory against a Fraction reference -------------------------
 #
-# The theory works on integers: bounds scaled by the LCM of their
-# denominators, and a potential kept while literals come and go.  These
-# references run a from-scratch Bellman-Ford on Fractions over the same
-# edges: a true atom gives its edge, and a false atom none, since atoms occur
-# only positively.
+# The theory works on int bounds, with a potential kept while literals come
+# and go.  These tests draw rational bounds and hand the theory their
+# multiples by SCALE, which makes each whole, as a caller scales its
+# quantities.  The references run a from-scratch Bellman-Ford on the
+# Fractions over the same edges: a true atom gives its edge, and a false
+# atom none, since atoms occur only positively.
+
+SCALE = 21 * 2 ** 52  # thirds, sevenths and the binary values of floats
+
+
+def _scaled(c):
+    """The rational bound c as the int bound the theory takes."""
+    assert (c * SCALE).denominator == 1
+    return int(c * SCALE)
+
 
 def _ref_edge(ctx, lit):
     """(u, v, weight) of the edge lit gives, or None."""
@@ -354,7 +393,7 @@ def _ref_edge(ctx, lit):
     if atom is None:
         return None
     u, v, c = atom
-    return (v, u, Fraction(c))
+    return (v, u, Fraction(c, SCALE))
 
 
 def _ref_edges(ctx, lits):
@@ -390,6 +429,11 @@ def reference_real_values(ctx, lits):
     return [dist[x] - dist[0] for x in dist]
 
 
+def _model_reals(m, n):
+    """The values of reals 0..n-1 in model m, as the rational values."""
+    return [Fraction(m.real(x), SCALE) for x in range(n)]
+
+
 def _random_bound(rng):
     return rng.choice([
         Fraction(rng.randint(-12, 12), 3),
@@ -401,7 +445,7 @@ def _random_bound(rng):
 
 def _random_atom(rng, ctx, xs):
     kind = rng.randrange(4)
-    c = _random_bound(rng)
+    c = _scaled(_random_bound(rng))
     if kind == 0:
         return ctx.le(rng.choice(xs), 0, c)  # x <= c
     if kind == 1:
@@ -451,21 +495,24 @@ def test_integer_theory_matches_fraction_reference():
                 val = [None] * (2 * ctx._sat.nvars + 1)
                 for lit in trail:
                     val[lit], val[-lit] = True, False
-                assert (S._real_values(g, val)
+                assert ([Fraction(r, SCALE) for r in S._real_values(g, val)]
                         == reference_real_values(ctx, trail))
     assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_model_values_are_exact_fractions():
+    # in units of 1/210, the bounds 1/3, 7/10 and 2/7 are whole, and the
+    # model's int values read back as exact Fractions
     ctx = S.Context()
     a, b = ctx.new_real(), ctx.new_real()
-    ctx.assert_formula(ctx.le(a, b, -Fraction(1, 3)))  # b - a >= 1/3
-    ctx.assert_formula(ctx.le(b, 0, Fraction(7, 10)))  # b <= 7/10
-    ctx.assert_formula(ctx.le(0, a, -Fraction(2, 7)))  # a >= 2/7
+    ctx.assert_formula(ctx.le(a, b, -70))  # b - a >= 1/3
+    ctx.assert_formula(ctx.le(b, 0, 147))  # b <= 7/10
+    ctx.assert_formula(ctx.le(0, a, -60))  # a >= 2/7
     res = ctx.check()
     assert res.sat
-    va, vb = res.model.real(a), res.model.real(b)
-    assert isinstance(va, Fraction) and isinstance(vb, Fraction)
+    ia, ib = res.model.real(a), res.model.real(b)
+    assert isinstance(ia, int) and isinstance(ib, int)
+    va, vb = Fraction(ia, 210), Fraction(ib, 210)
     assert va >= Fraction(2, 7) and vb - va >= Fraction(1, 3)
     assert vb <= Fraction(7, 10)
 
@@ -500,7 +547,7 @@ def _holds(lit, bools, atoms, m):
     a, b, c = atoms[i]
     va = m.real(a) if a is not None else 0
     vb = m.real(b) if b is not None else 0
-    return (va - vb <= c) is pos
+    return (Fraction(va - vb, SCALE) <= c) is pos
 
 
 def _solver_lit(ctx, lit, bools, atoms):
@@ -509,7 +556,7 @@ def _solver_lit(ctx, lit, bools, atoms):
         x = bools[i]
     else:
         a, b, c = atoms[i]  # val(a) - val(b) <= c, None is the zero node
-        x = ctx.le(a or 0, b or 0, c)
+        x = ctx.le(a or 0, b or 0, _scaled(c))
     return x if pos else -x
 
 
@@ -622,20 +669,16 @@ def _model_satisfies(ctx, res, log, assumptions):
     true_lits = [l for v in range(1, ctx._sat.nvars + 1)
                  for l in (v, -v) if m.value(l)]
     reals = reference_real_values(ctx, true_lits)
-    assert [m.real(x) for x in range(ctx._nreals + 1)] == reals
+    assert _model_reals(m, ctx._nreals + 1) == reals
     for lit, (x, y, c) in ctx._atom_by_lit.items():
         if m.value(lit):
-            assert reals[x] - reals[y] <= c
+            assert reals[x] - reals[y] <= Fraction(c, SCALE)
 
 
 def _random_le_args(rng, ctx):
-    """(x, y, c) of a random atom over the context's reals; an integral
-    bound comes as a Fraction or an int."""
+    """(x, y, c) of a random atom over the context's reals."""
     x, y = rng.sample(range(ctx._nreals + 1), 2)
-    c = _random_bound(rng)
-    if c.denominator == 1:
-        c = rng.choice((c, int(c)))
-    return x, y, c
+    return x, y, _scaled(_random_bound(rng))
 
 
 def test_incremental_context_matches_fresh_context():
@@ -734,18 +777,18 @@ def test_incremental_context_matches_fresh_context():
 
 
 def test_equal_bounds_share_one_atom():
-    # An integral bound keys its atom by the int, whatever its type; a float
-    # bound is refused, since its binary value is not the decimal written.
+    # Equal int bounds share an atom; any other bound is refused, a Fraction
+    # as a float: the caller scales its quantities to whole units first.
     ctx = S.Context()
     x = ctx.new_real()
-    assert ctx.le(x, 0, 2) == ctx.le(x, 0, Fraction(2))
-    assert ctx.le(x, 0, Fraction(5, 2)) == ctx.le(x, 0, Fraction(10, 4))
+    assert ctx.le(x, 0, 2) == ctx.le(x, 0, 2)
+    assert ctx.le(x, 0, 5) == ctx.le(x, 0, 10 // 2)
     assert ctx.le(0, x, -3) != ctx.le(x, 0, 3)
-    for c in (2.0, 2.5, 0.7):
+    for c in (2.0, 2.5, 0.7, Fraction(2), Fraction(5, 2)):
         with pytest.raises(TypeError):
             ctx.le(x, 0, c)
     assert sorted(type(c).__name__ for _, _, c in ctx._atom_by_lit.values()) \
-        == ["Fraction", "int", "int", "int"]
+        == ["int", "int", "int", "int"]
 
 
 def test_unsat_without_assumptions_stays_unsat():
@@ -787,7 +830,8 @@ def test_model_is_a_snapshot():
     xs = [ctx.new_real() for _ in range(3)]
     bools = [ctx.new_bool() for _ in range(4)]
     for i, b in enumerate(bools):
-        ctx.assert_formula(-b, ctx.le(0, xs[i % 3], -(i + 1)))  # b -> x >= i+1
+        # b -> x >= i+1
+        ctx.assert_formula(-b, ctx.le(0, xs[i % 3], -_scaled(i + 1)))
     ctx.assert_formula(*bools)
     models = []
     while len(models) < 16 and (res := ctx.check()).sat:
@@ -798,13 +842,14 @@ def test_model_is_a_snapshot():
         assert any(lits[v] for v in bools)
         reals = reference_real_values(ctx, [l for l, t in lits.items() if t])
         if len(models) % 2:
-            assert [m.real(x) for x in range(len(reals))] == reals
+            assert _model_reals(m, len(reals)) == reals
         models.append((m, lits, reals))
         ctx.block_model(bools, m)
-        ctx.assert_formula(ctx.le(xs[0], 0, 10 + len(models)))  # a new atom
+        # a new atom
+        ctx.assert_formula(ctx.le(xs[0], 0, _scaled(10 + len(models))))
         for m, lits, reals in models:
             assert {l: m.value(l) for l in lits} == lits
-            assert [m.real(x) for x in range(len(reals))] == reals
+            assert _model_reals(m, len(reals)) == reals
     assert len(models) == 15
 
 

@@ -18,7 +18,7 @@ from cfevrp.driver import comsat_solve, shortest_path_map
 from cfevrp.errors import MalformedSchedule, TooLarge
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
-    FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
+    FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
 )
 from cfevrp.routing import Route, RouteSet
 from cfevrp.validator import (
@@ -39,7 +39,7 @@ def _manual_schedule(inst, orders):
         locs = [depot] + [inst.tasks[t].location for t in tasks] + [depot]
         legs = tuple(sp[(a, b)] for a, b in zip(locs, locs[1:]))
         routes.append(Route(depot, tuple(tasks), legs))
-    cr = RouteSet(tuple(routes))
+    cr = RouteSet(tuple(routes), Ticks(inst))
     ca = next(assignments(cr, inst), None)
     assert ca is not None
     cvs, _ = verify_capacity(ca, cr, inst)
