@@ -36,7 +36,6 @@ ABORTED = "aborted"
 @dataclass(frozen=True)
 class Limits:
     max_path_sets: int = 50          # alternative path combinations per assignment
-    max_route_sets: int | None = None
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,6 @@ def _solve(inst, limits, conflicts):
     clock = _Clock([])
     tried = 0
     while True:
-        if limits.max_route_sets is not None and tried >= limits.max_route_sets:
-            return SolveOutcome(ABORTED, None, clock.events, "route set limit reached")
         cr = clock.run("router", lambda: solve_routing(routes))
         if cr is None:
             reason = "no route set serves all tasks"
@@ -183,7 +180,7 @@ def _capacity_phase(inst, cr, ca, limits, clock, conflicts):
                 continue  # the legs the first check refused
             rvf = clock.run(
                 "routes_check",
-                lambda: verify_routes(np, inst),
+                lambda: verify_routes(np),
                 ok=bool)
             if rvf:
                 current = np

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import GenerationFailed
+from .errors import GenerationFailed, NotStronglyConnected
 from .graph import PlantGraph, validate_graph
 from .instance import (
     FleetParams, Instance, Job, Task, TimeWindow, Vehicle, build_instance,
@@ -54,21 +54,6 @@ def _grid_segments(n: int) -> tuple[list[tuple[int, int]], int, int]:
     return segs, cols, math.ceil(n / cols)
 
 
-def _connected(n: int, segs: list[tuple[int, int]]) -> bool:
-    adj: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    for a, b in segs:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == n
-
-
 def generate_instance(seed: int, params: GenParams) -> Instance:
     """Deterministic random instance for the given seed and parameters."""
     rng = random.Random(seed)
@@ -83,9 +68,13 @@ def generate_instance(seed: int, params: GenParams) -> Instance:
             rng_local = random.Random(rng.random())
             rng_local.shuffle(trial)
             trial = trial[drop:]
-            if _connected(n, trial):
-                segs = sorted(trial)
-                break
+            try:
+                validate_graph(list(range(1, n + 1)), [],
+                               [(a, b, 1, 1) for a, b in trial])
+            except NotStronglyConnected:
+                continue
+            segs = sorted(trial)
+            break
         else:
             raise GenerationFailed(
                 f"could not drop {drop} segments and stay connected")

@@ -73,12 +73,11 @@ class PlantGraph:
     hubs: frozenset[NodeId]
     edges: dict[tuple[NodeId, NodeId], Edge] = field(hash=False)
 
-    # Out- and in-edges per node, each in (src, dst) key order.  Built in
+    # Out-edges per node, in (src, dst) key order.  Built in
     # __post_init__, not cached on first use: adding a key to a built
     # instance's __dict__ makes every later attribute read on it slower,
     # and the oracle reads g.edges in its inner loops.
     _out: dict[NodeId, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
-    _in: dict[NodeId, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
     # `unit` is the longest length that divides every edge's, and units[key]
     # an edge's length in units.  _steps is Dijkstra's view: per node its
     # out-edges as (dst, units), in the order of _out.
@@ -90,13 +89,10 @@ class PlantGraph:
 
     def __post_init__(self) -> None:
         outs: dict[NodeId, list[Edge]] = {}
-        ins: dict[NodeId, list[Edge]] = {}
         for key in sorted(self.edges):
             e = self.edges[key]
             outs.setdefault(e.src, []).append(e)
-            ins.setdefault(e.dst, []).append(e)
         object.__setattr__(self, "_out", {n: tuple(es) for n, es in outs.items()})
-        object.__setattr__(self, "_in", {n: tuple(es) for n, es in ins.items()})
         lengths = [e.length for e in self.edges.values()]
         num = math.gcd(*(x.numerator for x in lengths)) or 1  # 1: no edge
         den = math.lcm(*(x.denominator for x in lengths))
@@ -110,9 +106,6 @@ class PlantGraph:
 
     def out_edges(self, n: NodeId) -> tuple[Edge, ...]:
         return self._out.get(n, ())
-
-    def in_edges(self, n: NodeId) -> tuple[Edge, ...]:
-        return self._in.get(n, ())
 
     def path_between(self, nodes: tuple[NodeId, ...]) -> Path:
         """Build a Path from an explicit node sequence, summing edge lengths."""

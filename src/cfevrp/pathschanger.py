@@ -34,8 +34,9 @@ def _fewest_hops(g: PlantGraph, root: Nodes, dst: NodeId,
     last node of `root` to `dst` that avoid the other `root` nodes and do
     not step first to a node of `cut`.
 
-    A breadth-first search back from `dst` gives each node its distance,
-    and the walk forward takes the smallest next node one step closer.
+    A breadth-first search from `dst` gives each node its distance to
+    `dst` (every segment runs both ways with one length), and the walk
+    forward takes the smallest next node one step closer.
     """
     banned = set(root)
     dist = {dst: 0}
@@ -43,10 +44,10 @@ def _fewest_hops(g: PlantGraph, root: Nodes, dst: NodeId,
     while frontier:
         reached = []
         for n in frontier:
-            for e in g.in_edges(n):
-                if e.src not in dist and e.src not in banned:
-                    dist[e.src] = dist[n] + 1
-                    reached.append(e.src)
+            for e in g.out_edges(n):
+                if e.dst not in dist and e.dst not in banned:
+                    dist[e.dst] = dist[n] + 1
+                    reached.append(e.dst)
         frontier = reached
     firsts = [(dist[e.dst], e.dst) for e in g.out_edges(root[-1])
               if e.dst in dist and e.dst not in cut]

@@ -6,13 +6,12 @@ its travelled distance is checked against the charge budget.
 from __future__ import annotations
 
 from .capacity import replay
-from .instance import Instance
 from .routing import RouteSet
 
 
-def verify_routes(cr: RouteSet, inst: Instance) -> bool:
+def verify_routes(cr: RouteSet) -> bool:
     """True iff every route still meets windows, horizon and range with its
-    legs.  The numbers of `inst` are read from `cr.ticks`."""
+    legs, in the numbers of `cr.ticks`."""
     ticks = cr.ticks
     return all(
         replay(r, ticks) is not None and r.length * ticks.charge <= ticks.full

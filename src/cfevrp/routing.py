@@ -252,9 +252,7 @@ def route_sets(inst: Instance, cp: PathMap, ticks: Ticks) -> Iterator[RouteSet]:
     model = RoutingModel(inst, cp, ticks)
     ctx = model.ctx
     starts = model.start_indicators
-    # blocking clauses list the travel literals by the names of their ends
-    theta_vars = [model.theta[p]
-                  for p in sorted(model.theta, key=lambda p: tuple(map(str, p)))]
+    theta_vars = list(model.theta.values())
     lower = 0
     while (res := ctx.minimize(starts, lower=lower)).sat:
         k = len(res.model.true_vars(starts))

@@ -41,10 +41,11 @@ in only the clauses added since; the decisions are not kept.  The theory
 adds one edge at a time against a potential, and looks for a negative
 cycle with a Dijkstra over reduced costs from the new edge's head (Cotton
 and Maler, 2006); backjumps drop edges and keep the potential, and so do
-later checks, until new atoms or new reals rebuild the theory's graph,
-which then takes the whole trail.  Bounds and real values are ints, so
-the theory compares exactly; real values in models are computed when a
-model's reals are first read.
+later checks.  The theory's graph is made with its context and grows with
+each new real and atom; it is never rebuilt.  Bounds and real values are
+ints, so the theory compares exactly.  A model's real values are computed
+when its reals are first read, by the same check run again from potential
+0 over the model's true atoms.
 """
 
 from __future__ import annotations
@@ -125,8 +126,7 @@ class _SatCore:
     asserted after a backjump, with several it is analysed like a
     conflict, and on level 0 it ends the search unsat.  A complete
     assignment reached this way is theory-consistent, so it is the answer.
-    `checked` is kept between calls too; whoever gives the theory a new
-    state sets it to 0, so that the new state takes the whole trail.
+    `checked` is kept between calls too.
 
     Assumptions are handled as forced decisions on their own levels, so
     every learned clause is a consequence of the clause database and the
@@ -427,12 +427,10 @@ class Context:
 
     def __init__(self) -> None:
         self._sat = _SatCore()
-        self._nreals = 0
         # difference atoms: key (x, y, c) meaning  val(x) - val(y) <= c
         self._atom_lit: dict[tuple[int, int, int], int] = {}
-        self._atom_by_lit: dict[int, tuple[int, int, int]] = {}
         self._totalizer_cache: dict[tuple[int, ...], list[int]] = {}
-        self._graph: _DiffGraph | None = None
+        self._graph = _DiffGraph()
 
     # -- building ---------------------------------------------------------
 
@@ -441,8 +439,7 @@ class Context:
 
     def new_real(self) -> int:
         """A nonnegative real, as its node in the difference graph."""
-        self._nreals += 1
-        return self._nreals
+        return self._graph.new_node()
 
     def le(self, x: int, y: int, c: int) -> int:
         """The literal of the atom x - y <= c (0 is the zero node), to be
@@ -458,7 +455,7 @@ class Context:
         lit = self._atom_lit.get(key)
         if lit is None:
             lit = self._atom_lit[key] = self._sat.new_var()
-            self._atom_by_lit[lit] = key
+            self._graph.edge[lit] = (y, x, c)
         return lit
 
     def assert_formula(self, *lits: int) -> None:
@@ -515,23 +512,25 @@ class Context:
 
     def _require_positive(self, lits: Iterable[int]) -> None:
         """Raise ValueError if an atom occurs negated among lits."""
-        atoms = self._atom_by_lit
+        edge = self._graph.edge
         for l in lits:
-            if l < 0 and -l in atoms:
-                raise ValueError(f"the atom {atoms[-l]} occurs negated; "
+            if l < 0 and -l in edge:
+                y, x, c = edge[-l]
+                raise ValueError(f"the atom {(x, y, c)} occurs negated; "
                                  "atoms may occur only positively")
 
     # -- solving ----------------------------------------------------------
 
     def check(self, assumptions: Sequence[int] = ()) -> SolveResult:
         self._require_positive(assumptions)
-        # atoms added after this check must not change this model's reals
-        g = self._diff_graph()
+        # the model's reals see only the nodes and atoms made before now,
+        # newest atom first: the stages make a route's atoms front to back
+        g, n, nvars = self._graph, self._graph.n, self._sat.nvars
         assignment = self._sat.solve(assumptions, self._theory_conflict)
         if assignment is None:
             return SolveResult(False, None)
-        return SolveResult(
-            True, Model(assignment, lambda: _real_values(g, assignment)))
+        return SolveResult(True, Model(assignment, lambda: g.values(
+            [l for l in reversed(g.edge) if l <= nvars and assignment[l]], n)))
 
     def minimize(self, indicators: Sequence[int],
                  lower: int = 0) -> SolveResult:
@@ -627,16 +626,6 @@ class Context:
 
     # -- theory -----------------------------------------------------------
 
-    def _diff_graph(self) -> _DiffGraph:
-        """The atoms in integer form, rebuilt only after atoms or reals are
-        added.  A rebuilt graph has taken no literal yet, so the core hands
-        it the whole trail."""
-        key = (len(self._atom_by_lit), self._nreals)
-        if self._graph is None or self._graph.key != key:
-            self._graph = _DiffGraph(key, self._atom_by_lit, self._nreals)
-            self._sat.checked = 0
-        return self._graph
-
     def _theory_conflict(self, trail: Sequence[int], start: int) -> list[int] | None:
         """Take in the difference constraints of trail[start:].
 
@@ -647,35 +636,11 @@ class Context:
         return self._graph.assert_trail(trail, start)
 
 
-def _shortest_paths(n: int, edges: Sequence[tuple[int, int, int]]) -> list[int]:
-    """Bellman-Ford from a virtual source with a 0 edge to each of n nodes.
-
-    The edges (u, v, weight) must form no negative cycle: the result is then
-    the shortest distance to each node, a potential that every edge keeps.
-    """
-    dist = [0] * n
-    for _ in range(n):
-        changed = False
-        for u, v, w in edges:
-            cand = dist[u] + w
-            if cand < dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            break
-    return dist
-
-
-def _real_values(g: _DiffGraph, assignment: Sequence[bool | None]) -> list[int]:
-    """The value of every node of g under a theory-consistent assignment."""
-    r = _shortest_paths(g.n, g.edges(assignment))
-    return [r[x] - r[0] for x in range(g.n)]
-
-
 class _DiffGraph:
     """The difference atoms of a context as an integer constraint graph,
     and the incremental negative-cycle check over it, whose state is kept
-    from one check() to the next while the graph is not rebuilt.
+    from one check() to the next.  The graph is made with its context and
+    grows with each new real (a node) and each new atom (an edge).
 
     Node x is the context's real x, and node 0 the zero node.  An edge
     u -> v with weight w encodes val(v) - val(u) <= w.  A true atom
@@ -684,32 +649,38 @@ class _DiffGraph:
     x -> 0 of weight 0.
     """
 
-    def __init__(self, key: tuple[int, int],
-                 atoms: dict[int, tuple[int, int, int]], nreals: int) -> None:
-        self.key = key
-        self.n = nreals + 1
+    def __init__(self, n: int = 1) -> None:
+        """n nodes, no edge but nonnegativity, and the potential 0."""
+        self.n = n
         # edge[lit] = (u, v, weight) of the edge that atom lit gives when true
-        self.edge: dict[int, tuple[int, int, int]] = {
-            lit: (v, u, c) for lit, (u, v, c) in atoms.items()}
-        self.reset()
-
-    def edges(self, assignment: Sequence[bool | None]) -> list[tuple[int, int, int]]:
-        """(u, v, weight) of every edge under a complete assignment."""
-        out = [e for lit, e in self.edge.items() if assignment[lit]]
-        out += [(x, 0, 0) for x in range(1, self.n)]
-        return out
-
-    # -- the incremental check ------------------------------------------------
-
-    def reset(self) -> None:
-        """No edge but nonnegativity, and the potential 0 everywhere."""
-        self.pot = [0] * self.n
+        self.edge: dict[int, tuple[int, int, int]] = {}
+        self.pot = [0] * n
         # out[u]: (v, weight, literal) per active edge u -> v, oldest first;
         # the nonnegativity edges carry literal 0
         self.out: list[list[tuple[int, int, int]]] = [[]]
-        self.out += [[(0, 0, 0)] for _ in range(1, self.n)]
+        self.out += [[(0, 0, 0)] for _ in range(1, n)]
         # (trail index, tail) per edge taken from the trail, oldest first
         self.taken: list[tuple[int, int]] = []
+
+    def new_node(self) -> int:
+        """A new node; potential 0 keeps its nonnegativity edge."""
+        self.pot.append(0)
+        self.out.append([(0, 0, 0)])
+        self.n += 1
+        return self.n - 1
+
+    def values(self, lits: Sequence[int], n: int) -> list[int]:
+        """The values of nodes 0..n-1 under the edges of lits, which close
+        no negative cycle and use only those nodes.  The check runs on a
+        new graph from potential 0, and each lowering is the least one
+        needed, so the potential ends as the greatest solution with every
+        value <= 0, which is unique; node 0 is then shifted to 0."""
+        h = _DiffGraph(n)
+        h.edge = self.edge
+        h.assert_trail(lits, 0)
+        return [p - h.pot[0] for p in h.pot]
+
+    # -- the incremental check ------------------------------------------------
 
     def assert_trail(self, trail: Sequence[int], start: int) -> list[int] | None:
         """Drop the edges of trail[start:], then add those of its literals.

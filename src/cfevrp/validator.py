@@ -34,6 +34,8 @@ from .instance import Instance
 # trip exactly.  The oracle below decides on exact numbers and uses none.
 _TOL = 1e-6
 
+_MAX_CANDIDATES = 2_000_000  # the oracle gives up after this many
+
 NODE_CAPACITY = "NodeCapacity"
 EDGE_CAPACITY_DIRECT = "EdgeCapacityDirect"
 EDGE_CAPACITY_OPPOSITE = "EdgeCapacityOpposite"
@@ -44,12 +46,6 @@ ELIGIBILITY = "Eligibility"
 CHARGING_GAP = "ChargingGap"
 JOB_CONTIGUITY = "JobContiguity"
 HORIZON = "Horizon"
-
-ALL_KINDS = (
-    NODE_CAPACITY, EDGE_CAPACITY_DIRECT, EDGE_CAPACITY_OPPOSITE, TIME_WINDOW,
-    PRECEDENCE, OPERATING_RANGE, ELIGIBILITY, CHARGING_GAP, JOB_CONTIGUITY,
-    HORIZON,
-)
 
 
 @dataclass(frozen=True)
@@ -436,7 +432,7 @@ def _ordered_partitions(items: list[str]):
                 yield new
 
 
-def brute_force_feasible(inst: Instance, max_candidates: int = 2_000_000) -> OracleVerdict:
+def brute_force_feasible(inst: Instance) -> OracleVerdict:
     """Exhaustive feasibility check for tiny instances.
 
     Enumerates ordered task partitions x depot anchors x vehicle maps x
@@ -497,7 +493,7 @@ def brute_force_feasible(inst: Instance, max_candidates: int = 2_000_000) -> Ora
                 flat = [opts for route_opts in leg_options for opts in route_opts]
                 for combo in product(*flat):
                     stats.candidates += 1
-                    if stats.candidates > max_candidates:
+                    if stats.candidates > _MAX_CANDIDATES:
                         raise TooLarge("oracle candidate budget exhausted")
                     total = sum([leg_len[leg] for leg in combo])
                     if best is not None and total >= best:

@@ -33,7 +33,7 @@ def _report(num: int, desc: str, ok: bool) -> None:
 @lru_cache(maxsize=None)
 def _solved_tiny(seed: int):
     inst = random_tiny_instance(seed)
-    out = comsat_solve(inst, Limits(max_route_sets=2000, max_path_sets=2000))
+    out = comsat_solve(inst, Limits(max_path_sets=2000))
     return inst, out
 
 
@@ -139,7 +139,7 @@ def test_criterion_6_relaxation_ordering():
         inst, out = _solved_tiny(seed)
         if out.status == FEASIBLE:
             relaxed = c_comsat_solve(
-                inst, Limits(max_route_sets=2000, max_path_sets=2000))
+                inst, Limits(max_path_sets=2000))
             if relaxed.status != FEASIBLE:
                 violations.append(seed)
             elif total_distance(relaxed) > total_distance(out):

@@ -98,7 +98,7 @@ def test_co_located_tasks_are_served_at_one_instant():
     schedule, _ = verify_capacity(Assignment(("v1",)), cr, inst, False)
     assert schedule is None
     assert replay(cr.routes[0], cr.ticks) is None
-    assert not verify_routes(cr, inst)
+    assert not verify_routes(cr)
     # one stop serves both within [0, 6] for 3 + 1 units: the latest start
     # is 6 minus one unit of travel, and from time 0 the route is back at
     # 1 + 4 + 1 = 6

@@ -113,11 +113,6 @@ def test_zero_path_budget_aborts(corridor):
     assert "path set" in out.reason
 
 
-def test_route_set_limit_aborts(swap_deadlock):
-    out = comsat_solve(swap_deadlock, Limits(max_route_sets=1))
-    assert out.status == ABORTED
-
-
 def test_routing_impossible_is_infeasible_in_both_modes():
     g = validate_graph([1, 2, 3], [1], [(1, 2, 1.0, 1), (2, 3, 1.0, 1)])
     fleet = FleetParams(10, 1, 1, 1, 1, 10)

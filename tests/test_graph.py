@@ -135,5 +135,3 @@ def test_adjacency_matches_sort_and_filter():
         for n in sorted(g.nodes) + [max(g.nodes) + 1]:
             assert list(g.out_edges(n)) == [
                 g.edges[k] for k in sorted(g.edges) if k[0] == n]
-            assert list(g.in_edges(n)) == [
-                g.edges[k] for k in sorted(g.edges) if k[1] == n]

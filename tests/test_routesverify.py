@@ -24,14 +24,14 @@ def detour_route_set(inst):
 def test_shortest_paths_after_routing_verify(corridor):
     sp = shortest_path_map(corridor)
     cr = next(route_sets(corridor, sp, Ticks(corridor)), None)
-    assert verify_routes(cr, corridor)
+    assert verify_routes(cr)
 
 
 def test_detour_route_still_verifies(corridor):
     cr = detour_route_set(corridor)
     assert cr.routes[0].length == 8.0  # within the operating range of 10
     # arrival at j21: t = 4, inside [2, 5]
-    assert verify_routes(cr, corridor)
+    assert verify_routes(cr)
 
 
 def test_late_arrival_fails(corridor):
@@ -42,7 +42,7 @@ def test_late_arrival_fails(corridor):
         g.path_between((4, 7, 6)),
     )
     cr = RouteSet((Route(6, ("j21", "j31"), legs),), Ticks(corridor))
-    assert not verify_routes(cr, corridor)
+    assert not verify_routes(cr)
 
 
 def test_detour_back_after_the_horizon_fails(corridor):
@@ -56,8 +56,8 @@ def test_detour_back_after_the_horizon_fails(corridor):
         inst.graph.path_between((4, 7, 6)),
     )
     assert verify_routes(
-        RouteSet((Route(6, ("j21", "j31"), legs),), Ticks(inst)), inst)
-    assert not verify_routes(detour_route_set(inst), inst)
+        RouteSet((Route(6, ("j21", "j31"), legs),), Ticks(inst)))
+    assert not verify_routes(detour_route_set(inst))
 
 
 def test_charge_budget_exceeded_fails(corridor):
@@ -68,7 +68,7 @@ def test_charge_budget_exceeded_fails(corridor):
         Path((4, 7, 6), 5),  # total 11 > operating range 10
     )
     cr = RouteSet((Route(6, ("j21", "j31"), legs),), Ticks(corridor))
-    assert not verify_routes(cr, corridor)
+    assert not verify_routes(cr)
 
 
 def test_waiting_for_a_window_is_allowed(corridor):
@@ -77,12 +77,12 @@ def test_waiting_for_a_window_is_allowed(corridor):
     # stand-in it would arrive at 1 and must wait until the window opens
     legs = (Path((1, 5), 1), Path((5, 1), 1))
     cr = RouteSet((Route(1, ("j11",), legs),), Ticks(corridor))
-    assert verify_routes(cr, corridor)
+    assert verify_routes(cr)
 
 
 def test_monotone_in_leg_lengths(corridor):
     base = detour_route_set(corridor)
-    assert verify_routes(base, corridor)
+    assert verify_routes(base)
     # shrinking any leg can only help
     for i in range(3):
         legs = list(base.routes[0].legs)
@@ -90,4 +90,4 @@ def test_monotone_in_leg_lengths(corridor):
         legs[i] = Path(old.nodes, old.length // 2)
         cr = RouteSet((Route(6, ("j21", "j31"), tuple(legs)),),
                       Ticks(corridor))
-        assert verify_routes(cr, corridor)
+        assert verify_routes(cr)

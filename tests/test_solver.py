@@ -381,6 +381,11 @@ def test_minimize_from_last_optimum_lists_models_by_cost():
 SCALE = 21 * 2 ** 52  # thirds, sevenths and the binary values of floats
 
 
+def _atoms(ctx):
+    """The atoms of ctx: literal -> (x, y, c) for the atom x - y <= c."""
+    return {lit: (x, y, c) for lit, (y, x, c) in ctx._graph.edge.items()}
+
+
 def _scaled(c):
     """The rational bound c as the int bound the theory takes."""
     assert (c * SCALE).denominator == 1
@@ -389,7 +394,7 @@ def _scaled(c):
 
 def _ref_edge(ctx, lit):
     """(u, v, weight) of the edge lit gives, or None."""
-    atom = ctx._atom_by_lit.get(lit)
+    atom = _atoms(ctx).get(lit)
     if atom is None:
         return None
     u, v, c = atom
@@ -398,7 +403,7 @@ def _ref_edge(ctx, lit):
 
 def _ref_edges(ctx, lits):
     edges = [(*e, lit) for lit in lits if (e := _ref_edge(ctx, lit)) is not None]
-    for x in range(1, ctx._nreals + 1):  # node 0 is zero
+    for x in range(1, ctx._graph.n):  # node 0 is zero
         edges.append((x, 0, Fraction(0), 0))
     return edges
 
@@ -419,12 +424,12 @@ def _ref_relax(dist, edges, passes):
 
 
 def reference_has_negative_cycle(ctx, lits):
-    dist = dict.fromkeys(range(ctx._nreals + 1), Fraction(0))
+    dist = dict.fromkeys(range(ctx._graph.n), Fraction(0))
     return _ref_relax(dist, _ref_edges(ctx, lits), len(dist)) is not None
 
 
 def reference_real_values(ctx, lits):
-    dist = dict.fromkeys(range(ctx._nreals + 1), Fraction(0))
+    dist = dict.fromkeys(range(ctx._graph.n), Fraction(0))
     _ref_relax(dist, _ref_edges(ctx, lits), len(dist))
     return [dist[x] - dist[0] for x in dist]
 
@@ -465,20 +470,21 @@ def test_integer_theory_matches_fraction_reference():
     for _ in range(60):
         ctx = S.Context()
         xs = [ctx.new_real() for _ in range(rng.randint(2, 5))]
-        for _batch in range(2):  # new atoms must rebuild the integer graph
+        for _batch in range(2):  # the second batch adds atoms to the first
             for _ in range(rng.randint(2, 6)):
                 _random_atom(rng, ctx, xs)
-            atoms = sorted(ctx._atom_by_lit)
+            atoms = sorted(_atoms(ctx))
             for _ in range(5):
-                g = ctx._diff_graph()
-                g.reset()
+                # each trial on a fresh graph over the context's edges
+                g = S._DiffGraph(ctx._graph.n)
+                g.edge = ctx._graph.edge
                 trail, checked = [], 0
                 for atom in rng.sample(atoms, len(atoms)):
                     if trail and rng.random() < 0.25:
                         del trail[rng.randrange(len(trail)):]
                         checked = min(checked, len(trail))
                     trail.append(atom if rng.random() < 0.5 else -atom)
-                    cycle = ctx._theory_conflict(trail, checked)
+                    cycle = g.assert_trail(trail, checked)
                     expected = reference_has_negative_cycle(ctx, trail)
                     assert (cycle is not None) == expected, trail
                     if cycle is None:
@@ -492,10 +498,7 @@ def test_integer_theory_matches_fraction_reference():
                     assert reference_has_negative_cycle(ctx, cycle)
                     trail.pop()
                     checked = min(checked, len(trail))
-                val = [None] * (2 * ctx._sat.nvars + 1)
-                for lit in trail:
-                    val[lit], val[-lit] = True, False
-                assert ([Fraction(r, SCALE) for r in S._real_values(g, val)]
+                assert ([Fraction(r, SCALE) for r in g.values(trail, g.n)]
                         == reference_real_values(ctx, trail))
     assert min(outcomes.values()) >= 50, outcomes
 
@@ -669,15 +672,15 @@ def _model_satisfies(ctx, res, log, assumptions):
     true_lits = [l for v in range(1, ctx._sat.nvars + 1)
                  for l in (v, -v) if m.value(l)]
     reals = reference_real_values(ctx, true_lits)
-    assert _model_reals(m, ctx._nreals + 1) == reals
-    for lit, (x, y, c) in ctx._atom_by_lit.items():
+    assert _model_reals(m, ctx._graph.n) == reals
+    for lit, (x, y, c) in _atoms(ctx).items():
         if m.value(lit):
             assert reals[x] - reals[y] <= Fraction(c, SCALE)
 
 
 def _random_le_args(rng, ctx):
     """(x, y, c) of a random atom over the context's reals."""
-    x, y = rng.sample(range(ctx._nreals + 1), 2)
+    x, y = rng.sample(range(ctx._graph.n), 2)
     return x, y, _scaled(_random_bound(rng))
 
 
@@ -685,7 +688,7 @@ def test_incremental_context_matches_fresh_context():
     rng = random.Random(19)
     seen = dict.fromkeys(
         ("sat", "unsat", "dead", "level0 unit", "level0 true", "level0 false",
-         "rebuilt", "assumption failed then sat"), 0)
+         "grew", "assumption failed then sat"), 0)
     for _ in range(150):
         ctx = S.Context()
         log = []
@@ -701,15 +704,16 @@ def test_incremental_context_matches_fresh_context():
         atoms = []
         dead = failed = False
         assumptions = []
+        checked_size = None  # (reals, atoms) at the last check
         for _step in range(10):
             # atoms occur only positively: a level-0 literal may go into a
             # clause as it is unless it negates an atom, and negated unless
             # it is an atom
             level0 = list(ctx._sat.trail)
-            level0_true = [l for l in level0 if -l not in ctx._atom_by_lit]
-            level0_false = [l for l in level0 if l not in ctx._atom_by_lit]
-            bools = [v for v in range(1, ctx._sat.nvars + 1)
-                     if v not in ctx._atom_by_lit]
+            known = _atoms(ctx)
+            level0_true = [l for l in level0 if -l not in known]
+            level0_false = [l for l in level0 if l not in known]
+            bools = [v for v in range(1, ctx._sat.nvars + 1) if v not in known]
 
             def boolean():
                 return rng.choice(bools) * rng.choice((1, -1))
@@ -721,7 +725,10 @@ def test_incremental_context_matches_fresh_context():
 
             for _ in range(rng.randint(1, 3)):
                 kind = rng.randrange(10)
-                if kind == 0:  # a new atom, sometimes in a clause at once
+                if kind == 0:  # a new atom, sometimes over a new real, and
+                    # sometimes in a clause at once
+                    if rng.random() < 0.3:
+                        add(("real",))
                     atoms.append(add(("le", *_random_le_args(rng, ctx))))
                     if rng.random() < 0.5:
                         add(("clause", [atoms[-1], lit()]))
@@ -746,11 +753,12 @@ def test_incremental_context_matches_fresh_context():
                 assumptions = [lit() for _ in range(rng.randint(0, 2))]
                 if atoms and rng.random() < 0.3:
                     assumptions.append(rng.choice(atoms))
-            graph = ctx._graph
+            size = (ctx._graph.n, len(ctx._graph.edge))
+            if checked_size is not None and size != checked_size:
+                seen["grew"] += 1  # the graph grew since the last check
+            checked_size = size
             trail = len(ctx._sat.trail)
             res = ctx.check(assumptions)
-            if graph is not None and ctx._graph is not graph and trail:
-                seen["rebuilt"] += 1
             seen["level0 unit"] += len(ctx._sat.trail) > trail
             fresh = S.Context()
             for entry in log:
@@ -787,7 +795,7 @@ def test_equal_bounds_share_one_atom():
     for c in (2.0, 2.5, 0.7, Fraction(2), Fraction(5, 2)):
         with pytest.raises(TypeError):
             ctx.le(x, 0, c)
-    assert sorted(type(c).__name__ for _, _, c in ctx._atom_by_lit.values()) \
+    assert sorted(type(c).__name__ for _, _, c in _atoms(ctx).values()) \
         == ["int", "int", "int", "int"]
 
 
@@ -824,8 +832,9 @@ def test_failed_assumption_does_not_poison_a_later_check():
 
 
 def test_model_is_a_snapshot():
-    # Later checks, blocked models and new atoms must not change what a
-    # model reads, whether its reals are first read at once or only later.
+    # Later checks, blocked models, new atoms and new reals must not change
+    # what a model reads, whether its reals are first read at once or only
+    # later; a real made after a check has no value in its model.
     ctx = S.Context()
     xs = [ctx.new_real() for _ in range(3)]
     bools = [ctx.new_bool() for _ in range(4)]
@@ -845,11 +854,15 @@ def test_model_is_a_snapshot():
             assert _model_reals(m, len(reals)) == reals
         models.append((m, lits, reals))
         ctx.block_model(bools, m)
-        # a new atom
+        # a new atom, and a new real with an atom over it
         ctx.assert_formula(ctx.le(xs[0], 0, _scaled(10 + len(models))))
+        y = ctx.new_real()
+        ctx.assert_formula(ctx.le(xs[1], y, -_scaled(len(models))))
         for m, lits, reals in models:
             assert {l: m.value(l) for l in lits} == lits
             assert _model_reals(m, len(reals)) == reals
+            with pytest.raises(IndexError):
+                m.real(y)
     assert len(models) == 15
 
 
@@ -865,7 +878,7 @@ def test_negated_atom_is_refused_at_every_entry_point():
     ctx.assert_formula(high)
     m = ctx.check().model
     assert m.value(high) and m.value(b) and not m.value(low)
-    size = (ctx._sat.nvars, len(ctx._sat.clauses), len(ctx._atom_by_lit))
+    size = (ctx._sat.nvars, len(ctx._sat.clauses), len(_atoms(ctx)))
     refused = [
         lambda: ctx.assert_formula(b, -high),
         lambda: ctx.block_model([b, high], m),
@@ -878,7 +891,7 @@ def test_negated_atom_is_refused_at_every_entry_point():
         with pytest.raises(ValueError, match="negated"):
             call()
         assert (ctx._sat.nvars, len(ctx._sat.clauses),
-                len(ctx._atom_by_lit)) == size
+                len(_atoms(ctx))) == size
         res = ctx.check()
         assert res.sat and res.model.value(b) and res.model.value(high)
         assert res.model.real(x) <= 1
