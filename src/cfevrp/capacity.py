@@ -5,10 +5,12 @@ its visited node and edge sequences, and entry times are scheduled so that
 non-hub nodes hold at most one vehicle, unit-capacity edges are used one
 vehicle at a time (with a one-time-unit separation that also forbids
 position swapping), and opposite traversals of a unit-capacity segment
-never overlap.  A route starts when its windows allow; the routes of one
-vehicle run in whichever order keeps their charging gaps.  Without the
-three conflict families the same model times the routes of the relaxed
-mode; `replay` times one route alone.  Both run on the route set's ticks.
+never overlap.  The model has one real per visit position, its arrival:
+a segment is entered its travel time before its end is reached.  A route
+starts when its windows allow; the routes of one vehicle run in whichever
+order keeps their charging gaps.  Without the three conflict families the
+same model times the routes of the relaxed mode; `replay` times one route
+alone.  Both run on the route set's ticks.
 """
 
 from __future__ import annotations
@@ -170,36 +172,38 @@ def verify_capacity(
 
     Every time is decided here: a route starts whenever its windows allow,
     and the charging-gap disjunction orders the routes of one vehicle.
-    With `conflicts` false, the shared-node, same-direction and opposite
-    edge clauses are left out: routes keep their windows, travel times,
-    horizon and charging gaps, but not the occupancy limits.
+    The reals are the arrivals x at the visit positions; each segment
+    traversal is one atom x[q] + service + travel <= x[q + 1], and the
+    segment from position q is entered at x[q + 1] - travel.  With
+    `conflicts` false, the shared-node, same-direction and opposite edge
+    clauses are left out: routes keep their windows, travel times, horizon
+    and charging gaps, but not the occupancy limits.
     """
     ticks = cr.ticks
+    T = ticks.horizon
     visit_lists = build_visit_lists(cr, inst)
     ctx = S.Context()
     stats = CapacityStats()
     n_routes = len(visit_lists)
-    x: list[list[int]] = []  # entry time per position
-    y: list[list[int]] = []  # entry time per edge
+    x: list[list[int]] = []  # arrival per visit position
+    d: list[list[int]] = []  # travel time per edge
     for r, vl in enumerate(visit_lists):
         x.append([ctx.new_real() for _ in vl.positions])
-        y.append([ctx.new_real() for _ in vl.edges])
-        for q, ekey in enumerate(vl.edges):
-            # enter the edge after the service, reach its end d later
+        d.append([inst.graph.units[e] * ticks.travel for e in vl.edges])
+        for q, dq in enumerate(d[r]):  # serve, then travel dq
             ctx.assert_formula(ctx.le(
-                x[r][q], y[r][q], -vl.positions[q].service))
-            d = inst.graph.units[ekey] * ticks.travel
-            ctx.assert_formula(ctx.le(x[r][q + 1], y[r][q], d))
-            ctx.assert_formula(ctx.le(y[r][q], x[r][q + 1], -d))
+                x[r][q], x[r][q + 1], -(vl.positions[q].service + dq)))
         for p, pos in enumerate(vl.positions):
             # x >= c is the atom 0 - x <= -c (node 0 is zero); every real is
-            # already >= 0
+            # already >= 0.  Arrivals only grow along a route, so the last
+            # position's bound keeps every earlier one below T.
             if pos.lower > 0:
                 ctx.assert_formula(ctx.le(0, x[r][p], -pos.lower))
-            ctx.assert_formula(ctx.le(x[r][p], 0, pos.upper))
+            if p == len(d[r]) or pos.upper < T:
+                ctx.assert_formula(ctx.le(x[r][p], 0, pos.upper))
 
     if conflicts:
-        _assert_conflicts(ctx, visit_lists, x, y, inst, ticks, stats)
+        _assert_conflicts(ctx, visit_lists, x, d, inst, ticks, stats)
 
     # same-vehicle routes keep their charging gaps under the actual times
     for r1 in range(n_routes):
@@ -219,10 +223,11 @@ def verify_capacity(
     m, scale = res.model, ticks.scale
     routes = []
     for r, vl in enumerate(visit_lists):
-        node_in = tuple(Fraction(m.real(var), scale) for var in x[r])
-        edge_in = tuple(Fraction(m.real(var), scale) for var in y[r])
-        end = m.real(x[r][-1]) + vl.positions[-1].service
-        node_out = edge_in + (Fraction(end, scale),)
+        xs = [m.real(var) for var in x[r]]
+        node_in = tuple(Fraction(t, scale) for t in xs)
+        edge_in = tuple(Fraction(t - dq, scale) for t, dq in zip(xs[1:], d[r]))
+        node_out = edge_in + (
+            Fraction(xs[-1] + vl.positions[-1].service, scale),)
         routes.append(RouteSchedule(
             vehicle=ca.vehicle_of[r],
             depot=vl.depot,
@@ -239,9 +244,9 @@ def verify_capacity(
     return Schedule(tuple(routes)), stats
 
 
-def _assert_conflicts(ctx, visit_lists, x, y, inst, ticks, stats) -> None:
-    """The occupancy limits over position entry times x and edge entry
-    times y, in ticks, counted into stats."""
+def _assert_conflicts(ctx, visit_lists, x, d, inst, ticks, stats) -> None:
+    """The occupancy limits over the arrivals x, in ticks, counted into
+    stats; the edge from position q is entered at x[q + 1] - d[q]."""
     one = ticks.scale  # the 1-unit separation
     g = inst.graph
     n_routes = len(visit_lists)
@@ -255,36 +260,31 @@ def _assert_conflicts(ctx, visit_lists, x, y, inst, ticks, stats) -> None:
                     if pos1.node in g.hubs:
                         stats.hub_exempt_pairs += 1
                         continue
-                    have1 = p1 < len(visit_lists[r1].edges)
-                    have2 = p2 < len(visit_lists[r2].edges)
-                    # one enters a unit after the other has left
-                    parts = []
-                    if have2:
-                        parts.append(ctx.le(y[r2][p2], x[r1][p1], -one))
-                    if have1:
-                        parts.append(ctx.le(y[r1][p1], x[r2][p2], -one))
+                    # one enters a unit after the other has left it
+                    parts = [ctx.le(x[a][pa + 1], x[b][pb], d[a][pa] - one)
+                             for a, pa, b, pb in ((r2, p2, r1, p1),
+                                                  (r1, p1, r2, p2))
+                             if pa < len(d[a])]
                     if parts:
                         ctx.assert_formula(*parts)
                         stats.node_conflict_constraints += 1
 
-    # shared edges
+    # shared edges, each named by its end's arrival
     for r1 in range(n_routes):
         for r2 in range(r1 + 1, n_routes):
             for q1, e1 in enumerate(visit_lists[r1].edges):
                 for q2, e2 in enumerate(visit_lists[r2].edges):
-                    if e1 == e2:
-                        if g.edges[e1].capacity != 1:
-                            stats.capacity2_exempt_pairs += 1
-                            continue
-                        ctx.assert_formula(ctx.le(y[r2][q2], y[r1][q1], -one),
-                                           ctx.le(y[r1][q1], y[r2][q2], -one))
+                    if e1 != e2 and e1 != (e2[1], e2[0]):
+                        continue
+                    if g.edges[e1].capacity != 1:
+                        stats.capacity2_exempt_pairs += 1
+                        continue
+                    a1, a2 = x[r1][q1 + 1], x[r2][q2 + 1]
+                    if e1 == e2:  # same travel time on both
+                        ctx.assert_formula(ctx.le(a2, a1, -one),
+                                           ctx.le(a1, a2, -one))
                         stats.edge_direct_constraints += 1
-                    elif e1 == (e2[1], e2[0]):
-                        if g.edges[e1].capacity != 1:
-                            stats.capacity2_exempt_pairs += 1
-                            continue
-                        d1 = g.units[e1] * ticks.travel
-                        d2 = g.units[e2] * ticks.travel
-                        ctx.assert_formula(ctx.le(y[r2][q2], y[r1][q1], -d2),
-                                           ctx.le(y[r1][q1], y[r2][q2], -d1))
+                    else:  # one enters after the other has arrived
+                        ctx.assert_formula(ctx.le(a2, a1, -d[r1][q1]),
+                                           ctx.le(a1, a2, -d[r2][q2]))
                         stats.edge_opposite_constraints += 1

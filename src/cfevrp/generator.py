@@ -61,6 +61,9 @@ def generate_instance(seed: int, params: GenParams) -> Instance:
     grid, cols, rows = _grid_segments(n)
 
     drop = round(params.edge_reduction * len(grid))
+    if len(grid) - drop < n - 1:  # fewer segments than a spanning tree
+        raise GenerationFailed(
+            f"could not drop {drop} segments and stay connected")
     segs = list(grid)
     if drop:
         for _ in range(_THINNING_RETRIES):

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +11,11 @@ from cfevrp.assignment import Assignment, assignments, compute_route_attributes
 from cfevrp.capacity import (
     CapacityStats, build_visit_lists, replay, verify_capacity,
 )
-from cfevrp.driver import shortest_path_map
+from cfevrp.driver import (
+    FEASIBLE, c_comsat_solve, comsat_solve, shortest_path_map,
+)
 from cfevrp.errors import BrokenChain
+from cfevrp.fileio import parse_instance
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
@@ -22,8 +26,11 @@ from cfevrp.validator import (
 )
 from cfevrp.routesverify import verify_routes
 from conftest import (
-    random_tiny_instance, routes_from_task_orders, swap_deadlock_instance,
+    corridor_graph, random_tiny_instance, routes_from_task_orders,
+    swap_deadlock_instance,
 )
+
+GRID = Path(__file__).resolve().parent.parent / "bench" / "instances" / "grid"
 
 
 def partial_routes(inst, orders):
@@ -252,3 +259,64 @@ def test_same_vehicle_routes_respect_charging_gap():
     first, second = (a, b) if a.node_in[0] <= b.node_in[0] else (b, a)
     gap = inst.fleet.charge_coeff * second.length
     assert second.node_in[0] >= first.node_out[-1] + gap
+
+
+def test_edge_entry_is_arrival_minus_travel():
+    """Every schedule enters a segment exactly its travel time before it
+    reaches the segment's end, the instant it leaves the position before:
+    exact equalities, where the validator allows 1e-6."""
+    insts = [parse_instance(path.read_text())
+             for path in sorted(GRID.glob("g*.json"))]
+    insts += [random_tiny_instance(seed, unit=seed % 2 == 0)
+              for seed in range(60)]
+    checked = 0
+    for inst in insts:
+        for solve in (comsat_solve, c_comsat_solve):
+            out = solve(inst)
+            if out.status != FEASIBLE:
+                continue
+            for rs in out.schedule.routes:
+                for q, e in enumerate(rs.edges):
+                    travel = inst.graph.edges[e].length / inst.fleet.speed
+                    assert isinstance(rs.edge_in[q], Fraction)
+                    assert rs.edge_in[q] + travel == rs.node_in[q + 1]
+                    assert rs.node_out[q] == rs.edge_in[q]
+                    checked += 1
+    assert checked >= 400  # 434 segment traversals
+
+
+def corridor_route(horizon, window=(2, 2), home_service=None):
+    """One vehicle's route 1-2-5-2-1 on the corridor graph at horizon T:
+    task j11 at node 5 in `window` (service 2), and, with `home_service`,
+    a task h1 served on the return to depot 1.  Node 2 is a task-free
+    position both ways; from j11 pinned at 2 the route is back at 6."""
+    fleet = FleetParams(10, 1, 1, 1, 1, horizon)
+    tasks = [Task("j11", "j1", 5, TimeWindow(*window), 2)]
+    jobs = [Job("j1", ("j11",), frozenset({"v1"}))]
+    if home_service is not None:
+        tasks.append(Task("h1", "h", 1, TimeWindow(0, 6), home_service))
+        jobs.append(Job("h", ("h1",), frozenset({"v1"})))
+    inst = build_instance(corridor_graph(), [1, 6], fleet,
+                          [Vehicle("v1", 1)], jobs, tasks)
+    cr = partial_routes(inst, [(1, [t.id for t in tasks])])
+    return verify_capacity(Assignment(("v1",)), cr, inst)[0], cr.ticks
+
+
+def test_horizon_binds_through_the_last_stop():
+    """Only the last position carries the horizon, and it bounds the
+    route's end: feasible when T is the return time plus the last service,
+    infeasible one tick below.  A window below T binds wherever it is."""
+    for home_service in (None, Fraction(1, 2)):
+        T = 6 + (home_service or 0)
+        schedule, ticks = corridor_route(T, home_service=home_service)
+        assert schedule is not None
+        rs = schedule.routes[0]
+        assert rs.nodes == (1, 2, 5, 2, 1)
+        assert rs.node_in[-1] == 6 and rs.node_out[-1] == T
+        tick = Fraction(1, ticks.scale)
+        schedule, below = corridor_route(T - tick, home_service=home_service)
+        assert below.scale == ticks.scale
+        assert schedule is None, home_service
+    # j11 is reached at 2 at the earliest, far below T
+    assert corridor_route(13, window=(0, 2))[0] is not None
+    assert corridor_route(13, window=(0, 1))[0] is None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cfevrp import generator
 from cfevrp.errors import GenerationFailed
 from cfevrp.fileio import dumps_canonical, instance_to_json
 from cfevrp.generator import GenParams, _grid_segments, generate_instance
@@ -72,3 +73,14 @@ def test_excessive_reduction_fails_cleanly():
     with pytest.raises(GenerationFailed):
         generate_instance(1, GenParams(nodes=16, vehicles=2, jobs=2,
                                        horizon=20, edge_reduction=0.9))
+
+
+def test_too_few_segments_left_fails_without_thinning(monkeypatch):
+    # 40 nodes have 67 grid segments; dropping 34 leaves 33 of the 39 that
+    # a spanning tree needs, so no thinning is tried
+    def no_thinning(*args, **kwargs):
+        raise AssertionError("validate_graph called")
+    monkeypatch.setattr(generator, "validate_graph", no_thinning)
+    with pytest.raises(GenerationFailed, match="could not drop 34 segments"):
+        generate_instance(1, GenParams(nodes=40, vehicles=2, jobs=2,
+                                       horizon=20, edge_reduction=0.5))
