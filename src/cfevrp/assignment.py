@@ -4,7 +4,10 @@ Routes behave like jobs in a job-shop: each needs exactly one vehicle,
 eligible vehicles are the intersection of the route's jobs' fleets (further
 restricted to vehicles stationed at the route's depot), and two routes on
 one vehicle must be separated by the charging time of the route about to
-start.
+start.  The model has a Boolean only for a route and a vehicle eligible
+for it, and a charging gap only for two routes that one vehicle may both
+take.  Each route's latest start and earliest end come from
+`capacity.replay`.
 
 `assignments` yields the vehicle maps of one route set from one model,
 blocking each map in place, exactly those that the capacity model times
@@ -24,41 +27,8 @@ from .routing import RouteSet
 
 
 @dataclass(frozen=True)
-class RouteAttributes:
-    length: int  # in graph units; the times in ticks
-    cum_service: int
-    latest_start: int | None
-    earliest_end: int | None
-    eligible: frozenset[str]
-
-
-@dataclass(frozen=True)
 class Assignment:
     vehicle_of: tuple[str, ...]  # indexed like the route set
-
-
-def compute_route_attributes(
-    cr: RouteSet, inst: Instance
-) -> list[RouteAttributes]:
-    """Length, cumulative service, latest start, earliest end, and eligible
-    vehicles per route, from the legs the routes currently carry.  The
-    times are `capacity.replay`'s, None if the route cannot be timed alone.
-    """
-    ticks = cr.ticks
-    out = []
-    for r in cr.routes:
-        eligible = set(inst.vehicles_at(r.depot))
-        for t in r.tasks:
-            eligible &= inst.job_of(t).eligible_vehicles
-        latest_start, earliest_end = replay(r, ticks) or (None, None)
-        out.append(RouteAttributes(
-            length=r.length,
-            cum_service=sum(ticks.service[t] for t in r.tasks),
-            latest_start=latest_start,
-            earliest_end=earliest_end,
-            eligible=frozenset(eligible),
-        ))
-    return out
 
 
 def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
@@ -75,48 +45,56 @@ def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
     Each map is blocked as it is yielded, together with every model that
     puts the same routes on the same vehicles.
     """
-    attrs = compute_route_attributes(cr, inst)
-    if any(a.latest_start is None for a in attrs):
+    ticks = cr.ticks
+    times = [replay(r, ticks) for r in cr.routes]
+    if None in times:
         return  # some route cannot be timed even alone
     n = len(cr.routes)
     vehicles = sorted(inst.vehicles)
+    # a route may take a vehicle stationed at its depot and eligible for
+    # all its jobs
+    eligible = []
+    for r in cr.routes:
+        fleet = set(inst.vehicles_at(r.depot))
+        for t in r.tasks:
+            fleet &= inst.job_of(t).eligible_vehicles
+        eligible.append(fleet)
     ctx = S.Context()
     alpha: dict[tuple[str, int], int] = {
-        (v, r): ctx.new_bool() for v in vehicles for r in range(n)
+        (v, r): ctx.new_bool()
+        for v in vehicles for r in range(n) if v in eligible[r]
     }
     s_var = [ctx.new_real() for _ in range(n)]
     e_var = [ctx.new_real() for _ in range(n)]
-    C = cr.ticks.charging
+    C = ticks.charging
 
-    for r in range(n):
-        ctx.exactly([alpha[(v, r)] for v in vehicles], 1)
-        if len(attrs[r].eligible) < len(vehicles):  # else exactly covers it
-            ctx.assert_formula(*[alpha[(v, r)] for v in sorted(attrs[r].eligible)])
+    for r, route in enumerate(cr.routes):
+        ctx.exactly([alpha[(v, r)] for v in sorted(eligible[r])], 1)
         # e >= s + dur, e >= the earliest end, s <= the latest start
-        dur = attrs[r].length * cr.ticks.travel + attrs[r].cum_service
+        latest_start, earliest_end = times[r]
+        dur = route.length * ticks.travel + sum(
+            ticks.service[t] for t in route.tasks)
         ctx.assert_formula(ctx.le(s_var[r], e_var[r], -dur))
-        ctx.assert_formula(ctx.le(0, e_var[r], -attrs[r].earliest_end))
-        ctx.assert_formula(ctx.le(s_var[r], 0, attrs[r].latest_start))
+        ctx.assert_formula(ctx.le(0, e_var[r], -earliest_end))
+        ctx.assert_formula(ctx.le(s_var[r], 0, latest_start))
 
-    # on one vehicle, r1 starts after r2 has ended and r1's charging gap
-    # has passed, or the other way round
-    apart = {
-        (r1, r2): (ctx.le(e_var[r2], s_var[r1], -attrs[r1].length * C),
-                   ctx.le(e_var[r1], s_var[r2], -attrs[r2].length * C))
-        for r1 in range(n) for r2 in range(r1 + 1, n)
-    }
-    for v in vehicles:
-        for (r1, r2), (after, before) in apart.items():
-            ctx.assert_formula(-alpha[(v, r1)], -alpha[(v, r2)], after, before)
+    # on a vehicle both may take, r1 starts after r2 has ended and r1's
+    # charging gap has passed, or the other way round
+    for r1 in range(n):
+        for r2 in range(r1 + 1, n):
+            shared = sorted(eligible[r1] & eligible[r2])
+            if not shared:
+                continue
+            after = ctx.le(e_var[r2], s_var[r1], -cr.routes[r1].length * C)
+            before = ctx.le(e_var[r1], s_var[r2], -cr.routes[r2].length * C)
+            for v in shared:
+                ctx.assert_formula(-alpha[(v, r1)], -alpha[(v, r2)],
+                                   after, before)
 
     alpha_vars = list(alpha.values())
     while (res := ctx.check()).sat:
         m = res.model
-        vehicle_of = []
-        for r in range(n):
-            chosen = [v for v in vehicles if m.value(alpha[(v, r)])]
-            assert len(chosen) == 1
-            vehicle_of.append(chosen[0])
+        vehicle_of = {r: v for (v, r), var in alpha.items() if m.value(var)}
         ctx.block_true_subset(alpha_vars, m)
-        yield Assignment(tuple(vehicle_of))
+        yield Assignment(tuple(vehicle_of[r] for r in range(n)))
 

@@ -156,26 +156,21 @@ def validate_graph(
 
 
 def _check_strongly_connected(g: PlantGraph) -> None:
+    """One search from the least node: every segment is stored both ways,
+    so a node that it reaches also reaches it back."""
     if not g.nodes:
         raise NotStronglyConnected("empty node set")
     start = min(g.nodes)
-    fwd: dict[NodeId, list[NodeId]] = {n: [] for n in g.nodes}
-    bwd: dict[NodeId, list[NodeId]] = {n: [] for n in g.nodes}
-    for (s, d) in g.edges:
-        fwd[s].append(d)
-        bwd[d].append(s)
-    for adj in (fwd, bwd):
-        seen = {start}
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            for m in adj[n]:
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        if seen != g.nodes:
-            missing = sorted(g.nodes - seen)
-            raise NotStronglyConnected(f"nodes {missing} not mutually reachable")
+    seen = {start}
+    stack = [start]
+    while stack:
+        for e in g.out_edges(stack.pop()):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    if seen != g.nodes:
+        missing = sorted(g.nodes - seen)
+        raise NotStronglyConnected(f"nodes {missing} not mutually reachable")
 
 
 def single_source_paths(g: PlantGraph, src: NodeId,

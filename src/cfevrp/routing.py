@@ -1,9 +1,11 @@
 """Route construction: serve every task within its window, minimize routes.
 
 Builds a task-successor model: Boolean travel indicators on the links
-between stops that some route can use, arrival-time and remaining-charge
-reals per task, and a start and an end anchor per depot that every route
-leaves from and returns to.
+between stops that some route can use, and per task two reals, its
+arrival time and the charge used so far.  Every route leaves a depot's
+start anchor and returns to its end anchor.  An anchor has no reals: a
+route leaves at time 0 with nothing used and is back by T having used at
+most a full charge, so a link to or from an anchor bounds the task's own.
 One model serves a whole solve: `route_sets` yields its route sets by
 route count, then by total distance, and blocks each one in place, so none
 is returned twice.
@@ -70,8 +72,6 @@ class RoutingModel:
         self.ctx = S.Context()
         self.theta: dict[tuple[Stop, Stop], int] = {}  # travel a -> b
         self.dist: dict[tuple[Stop, Stop], int] = {}  # its length
-        self.gamma: dict[Stop, int] = {}  # arrival time
-        self.eps: dict[Stop, int] = {}  # remaining charge
         self.start_indicators: list[int] = []
         self._build()
 
@@ -114,26 +114,41 @@ class RoutingModel:
                 self.theta[(a, b)] = ctx.new_bool()
                 self.dist[(a, b)] = d
 
-        for stop in real + starts + ends:
-            gamma = self.gamma[stop] = ctx.new_real()
-            eps = self.eps[stop] = ctx.new_real()
+        # per task its arrival time and the charge used so far
+        gamma: dict[str, int] = {}
+        used: dict[str, int] = {}
+        for k in real:
+            gamma[k], used[k] = ctx.new_real(), ctx.new_real()
             # x <= c is the atom x - 0 <= c, and x >= c is 0 - x <= -c
-            ctx.assert_formula(ctx.le(eps, 0, full))
-            _, early, _, late, _ = stops[stop]
-            if not isinstance(stop, Anchor):
-                ctx.assert_formula(ctx.le(0, gamma, -early))
-            ctx.assert_formula(ctx.le(gamma, 0, late))
-        for s in starts:
-            # vehicles leave the depot at full charge (at most full: above)
-            ctx.assert_formula(ctx.le(0, self.eps[s], -full))
+            ctx.assert_formula(ctx.le(0, gamma[k], -ticks.lower[k]))
+            ctx.assert_formula(ctx.le(gamma[k], 0, ticks.upper[k]))
+        # no time passes on a link from a task without service to a task at
+        # its node, so such links could close a cycle with no depot: ranks
+        # that grow along them forbid it
+        rank: dict[str, int] = {}
 
-        # travel propagates time forward and charge downward
+        def rank_of(k: str) -> int:
+            if k not in rank:
+                rank[k] = ctx.new_real()
+            return rank[k]
+
+        # travel propagates time forward and the charge used upward; an
+        # anchor is the zero node plus a constant, 0 at a start and T or a
+        # full charge at an end
         for (a, b), var in self.theta.items():
             d = self.dist[(a, b)]
-            ctx.assert_formula(-var, ctx.le(
-                self.gamma[a], self.gamma[b], -(stops[a][2] + d * ticks.travel)))
-            ctx.assert_formula(-var, ctx.le(
-                self.eps[b], self.eps[a], -d * ticks.charge))
+            step, drain = stops[a][2] + d * ticks.travel, d * ticks.charge
+            if isinstance(a, Anchor):
+                ctx.assert_formula(-var, ctx.le(0, gamma[b], -step))
+                ctx.assert_formula(-var, ctx.le(0, used[b], -drain))
+            elif isinstance(b, Anchor):
+                ctx.assert_formula(-var, ctx.le(gamma[a], 0, ticks.horizon - step))
+                ctx.assert_formula(-var, ctx.le(used[a], 0, full - drain))
+            else:
+                ctx.assert_formula(-var, ctx.le(gamma[a], gamma[b], -step))
+                ctx.assert_formula(-var, ctx.le(used[a], used[b], -drain))
+                if step == 0:
+                    ctx.assert_formula(-var, ctx.le(rank_of(a), rank_of(b), -1))
 
         def links(pairs) -> list[int]:
             return [self.theta[p] for p in pairs if p in self.theta]
@@ -185,7 +200,7 @@ class RoutingModel:
         # precedence within a job
         for k in real:
             for k_prev in sorted(inst.tasks[k].predecessors):
-                ctx.assert_formula(ctx.le(self.gamma[k_prev], self.gamma[k], 0))
+                ctx.assert_formula(ctx.le(gamma[k_prev], gamma[k], 0))
 
         self.start_indicators = links((s, k) for s in starts for k in real)
 

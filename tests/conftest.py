@@ -3,6 +3,7 @@ and helpers that build paths and routes by hand."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -46,6 +47,15 @@ def routes_from_task_orders(
     if served != set(inst.task_ids()):
         raise InvariantViolation("forced routes must cover every task exactly once")
     return RouteSet(tuple(routes), Ticks(inst))
+
+
+def eligible_vehicles(inst: Instance, route: Route) -> frozenset[str]:
+    """The vehicles that may run `route`, as the validator checks them:
+    eligible for every job on it and stationed at its depot."""
+    return frozenset(
+        v.id for v in inst.vehicles.values() if v.depot == route.depot
+        and all(v.id in inst.job_of(t).eligible_vehicles for t in route.tasks))
+
 
 CORRIDOR_SEGMENTS = [
     (1, 2, 1.0, 1), (2, 3, 1.0, 1), (2, 5, 1.0, 1), (3, 4, 1.0, 1),
@@ -197,3 +207,12 @@ def random_tiny_instance(seed: int, unit: bool = True) -> Instance:
                                         rng.randint(1, n_vehicles)))
         jobs.append(Job(jid, (f"{jid}t",), eligible))
     return build_instance(g, depots, fleet, vehicles, jobs, tasks)
+
+
+def short_range_tiny_instance(seed: int, unit: bool = True) -> Instance:
+    """random_tiny_instance(seed, unit) with an operating range of 2 to 6,
+    so that a vehicle runs several routes."""
+    inst = random_tiny_instance(seed, unit)
+    reach = random.Random(seed * 7919 + 1).randint(2, 6)
+    return dataclasses.replace(
+        inst, fleet=dataclasses.replace(inst.fleet, operating_range=reach))

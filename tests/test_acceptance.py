@@ -7,7 +7,7 @@ Each criterion is a separate test so a failure pinpoints what broke.
 import time
 from functools import lru_cache
 
-from cfevrp.assignment import assignments, compute_route_attributes
+from cfevrp.assignment import assignments
 from cfevrp.driver import (
     FEASIBLE, INFEASIBLE, Limits, c_comsat_solve, comsat_solve,
     shortest_path_map, total_distance,
@@ -95,8 +95,7 @@ def test_criterion_4_exhaustive_enumeration():
     inst_a = three_vehicle_fixture()
     cr_a = routes_from_task_orders(inst_a, shortest_path_map(inst_a),
                                    [(1, ["t1"]), (1, ["t2"])])
-    attrs = compute_route_attributes(cr_a, inst_a)
-    expected_a = set(brute_force_vehicle_maps(cr_a, attrs, inst_a))
+    expected_a = set(brute_force_vehicle_maps(cr_a, inst_a))
     seen_a = set()
     for ca in assignments(cr_a, inst_a):
         seen_a.add(ca.vehicle_of)

@@ -1,9 +1,9 @@
-"""Vehicle assignment: attributes, feasibility, blocking-based enumeration."""
+"""Vehicle assignment: eligibility, feasibility, blocking-based enumeration."""
 
 from itertools import permutations, product
 
-from cfevrp.assignment import assignments, compute_route_attributes
-from cfevrp.capacity import verify_capacity
+from cfevrp.assignment import assignments
+from cfevrp.capacity import replay, verify_capacity
 from cfevrp.driver import shortest_path_map
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
@@ -11,28 +11,30 @@ from cfevrp.instance import (
 )
 from cfevrp.routing import RouteSet
 from cfevrp.validator import CHARGING_GAP, validate_schedule
-from conftest import corridor_instance, routes_from_task_orders
+from conftest import corridor_instance, eligible_vehicles, routes_from_task_orders
 
 
 def test_attribute_computation_on_corridor_route():
     inst = corridor_instance()
     sp = shortest_path_map(inst)
     cr = routes_from_task_orders(inst, sp, [(1, ["j11"]), (6, ["j21", "j31"])])
-    attrs = compute_route_attributes(cr, inst)
-    a = attrs[0]  # depot 1, task j11 at node 5, distance 2 each way
-    assert a.length == 4.0
-    assert a.cum_service == 2.0
-    assert a.latest_start == 0.0  # u=2 minus travel time 2
-    assert a.eligible == frozenset({"v1"})
+    r = cr.routes[0]  # depot 1, task j11 at node 5, distance 2 each way
+    assert r.length == 4
+    # latest start: u=2 minus travel time 2; earliest end: 2 + service 2 + 2
+    assert replay(r, cr.ticks) == (0, 6 * cr.ticks.scale)
+    assert eligible_vehicles(inst, r) == frozenset({"v1"})
+    assert {ca.vehicle_of[0] for ca in assignments(cr, inst)} == {"v1"}
 
 
 def test_eligibility_restricted_to_route_depot():
     inst = corridor_instance()
     sp = shortest_path_map(inst)
-    # j21/j31 are v2's jobs, but the route leaves from v1's depot
-    cr = routes_from_task_orders(inst, sp, [(1, ["j21", "j31", "j11"])])
-    attrs = compute_route_attributes(cr, inst)
-    assert attrs[0].eligible == frozenset()
+    # j21/j31 are v2's jobs, but their route leaves from v1's depot; each
+    # route can be timed alone, so only eligibility refuses every map
+    cr = routes_from_task_orders(inst, sp, [(1, ["j11"]), (1, ["j21", "j31"])])
+    assert [eligible_vehicles(inst, r) for r in cr.routes] == [
+        frozenset({"v1"}), frozenset()]
+    assert all(replay(r, cr.ticks) is not None for r in cr.routes)
     assert next(assignments(cr, inst), None) is None
 
 
@@ -69,13 +71,19 @@ def three_vehicle_fixture():
     return build_instance(g, [1], fleet, vehicles, jobs, tasks)
 
 
-def brute_force_vehicle_maps(cr, attrs, inst):
-    """All eligibility-respecting maps admitting a sequential timing."""
+def brute_force_vehicle_maps(cr, inst):
+    """All eligibility-respecting maps admitting a sequential timing, with
+    each route's latest start from `replay`."""
     vehicles = sorted(inst.vehicles)
     n = len(cr.routes)
+    eligible = [eligible_vehicles(inst, r) for r in cr.routes]
+    latest_start = [replay(r, cr.ticks)[0] / cr.ticks.scale for r in cr.routes]
+    length = [r.length * inst.graph.unit for r in cr.routes]
+    service = [sum(inst.tasks[t].service_time for t in r.tasks)
+               for r in cr.routes]
     feasible = []
     for combo in product(vehicles, repeat=n):
-        if any(combo[r] not in attrs[r].eligible for r in range(n)):
+        if any(combo[r] not in eligible[r] for r in range(n)):
             continue
         ok = True
         for v in set(combo):
@@ -90,12 +98,11 @@ def brute_force_vehicle_maps(cr, attrs, inst):
                 for pos, r in enumerate(order):
                     start = t
                     if pos > 0:  # charge for the route about to start
-                        start += inst.fleet.charge_coeff * attrs[r].length
-                    if start > attrs[r].latest_start + 1e-9:
+                        start += inst.fleet.charge_coeff * length[r]
+                    if start > latest_start[r] + 1e-9:
                         fits = False
                         break
-                    t = start + attrs[r].length / inst.fleet.speed \
-                        + attrs[r].cum_service
+                    t = start + length[r] / inst.fleet.speed + service[r]
                 if fits:
                     orderings = True
                     break
@@ -109,8 +116,7 @@ def test_blocking_enumerates_all_vehicle_maps_then_infeasible():
     inst = three_vehicle_fixture()
     sp = shortest_path_map(inst)
     cr = routes_from_task_orders(inst, sp, [(1, ["t1"]), (1, ["t2"])])
-    attrs = compute_route_attributes(cr, inst)
-    expected = set(brute_force_vehicle_maps(cr, attrs, inst))
+    expected = set(brute_force_vehicle_maps(cr, inst))
     assert expected  # fixture admits at least one assignment
     seen = set()
     for ca in assignments(cr, inst):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cfevrp.assignment import Assignment, assignments, compute_route_attributes
+from cfevrp.assignment import Assignment, assignments
 from cfevrp.capacity import (
     CapacityStats, build_visit_lists, replay, verify_capacity,
 )
@@ -110,7 +110,6 @@ def test_co_located_tasks_are_served_at_one_instant():
     # is 6 minus one unit of travel, and from time 0 the route is back at
     # 1 + 4 + 1 = 6
     inst, cr = co_located_instance([(0, 10), (0, 6)], [3, 1])
-    assert compute_route_attributes(cr, inst)[0].latest_start == 5
     assert replay(cr.routes[0], cr.ticks) == (5, 6)
     schedule, _ = verify_capacity(Assignment(("v1",)), cr, inst, False)
     assert schedule.routes[0].position_tasks == ((), ("a", "b"), ())

@@ -1,6 +1,5 @@
 """End-to-end solve loop: outcomes, backtracking, event log, relaxed mode."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import islice, product
@@ -8,10 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from cfevrp.assignment import (
-    Assignment, assignments, compute_route_attributes,
-)
-from cfevrp.capacity import verify_capacity
+from cfevrp.assignment import Assignment, assignments
+from cfevrp.capacity import replay, verify_capacity
 from cfevrp.driver import (
     ABORTED, FEASIBLE, INFEASIBLE, Limits, _Clock, _route_set_phase,
     c_comsat_solve, comsat_solve, shortest_path_map, total_distance,
@@ -28,7 +25,10 @@ from cfevrp.validator import (
     EDGE_CAPACITY_DIRECT, EDGE_CAPACITY_OPPOSITE, NODE_CAPACITY,
     brute_force_feasible, validate_schedule,
 )
-from conftest import random_tiny_instance, routes_from_task_orders
+from conftest import (
+    eligible_vehicles, random_tiny_instance, routes_from_task_orders,
+    short_range_tiny_instance,
+)
 
 BENCH_INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances"
 
@@ -81,10 +81,10 @@ def test_timing_refuted_on_shortest_legs_is_refuted_on_every_path_set():
                        + [(s, False) for s in range(100, 150)]):
         inst = random_tiny_instance(seed, unit=unit)
         for cr in route_sets(inst, shortest_path_map(inst), Ticks(inst)):
-            attrs = compute_route_attributes(cr, inst)
-            alone = all(a.latest_start is not None for a in attrs)
+            alone = all(replay(r, cr.ticks) is not None for r in cr.routes)
             yielded = {ca.vehicle_of for ca in assignments(cr, inst)}
-            eligible = list(product(*(sorted(a.eligible) for a in attrs)))
+            eligible = list(product(
+                *(sorted(eligible_vehicles(inst, r)) for r in cr.routes)))
             assert yielded <= set(eligible), seed
             for vehicle_of in eligible:
                 ca = Assignment(vehicle_of)
@@ -287,15 +287,16 @@ def test_routes_of_one_vehicle_run_in_the_order_their_windows_need():
             assert first.tasks == ("b",)
 
 
-def _co_located_instance():
+def _co_located_instance(service=2):
     """Tasks a (job A) and b (job B) both at node 2 of the line 1-2, each
-    with window [5, 5] and service 2: one stop serves both at instant 5."""
+    with window [5, 5] and the given service: one stop serves both at
+    instant 5."""
     g = validate_graph([1, 2], [1], [(1, 2, 1.0, 1)])
     return build_instance(
         g, [1], FleetParams(100, 1, 1, 1, 1, 20), [Vehicle("v1", 1)],
         [Job("A", ("a",), frozenset({"v1"})), Job("B", ("b",), frozenset({"v1"}))],
-        [Task("a", "A", 2, TimeWindow(5, 5), 2),
-         Task("b", "B", 2, TimeWindow(5, 5), 2)])
+        [Task("a", "A", 2, TimeWindow(5, 5), service),
+         Task("b", "B", 2, TimeWindow(5, 5), service)])
 
 
 def test_co_located_tasks_are_feasible_for_the_oracle():
@@ -313,13 +314,49 @@ def test_co_located_tasks_are_served_at_one_arrival(solve):
     assert total_distance(out) == 2
 
 
-def short_range_tiny_instance(seed):
-    """random_tiny_instance(seed) with an operating range of 2 to 6, so
-    that a vehicle runs several routes."""
-    inst = random_tiny_instance(seed)
-    reach = random.Random(seed * 7919 + 1).randint(2, 6)
-    return dataclasses.replace(
-        inst, fleet=dataclasses.replace(inst.fleet, operating_range=reach))
+@pytest.mark.parametrize("solve", [comsat_solve, c_comsat_solve])
+def test_co_located_tasks_without_service_close_no_cycle(solve):
+    """Time does not advance on a link between two tasks at one node when
+    the first takes no service, so the router once linked a and b to each
+    other in a cycle with no depot, and extracting its routes raised."""
+    inst = _co_located_instance(service=0)
+    assert brute_force_feasible(inst).best_total_distance == 2
+    out = solve(inst)
+    assert out.status == FEASIBLE, [(e.phase, e.sat) for e in out.events]
+    assert total_distance(out) == 2
+
+
+def _shared_node_instance(seed):
+    """Two or three single-task jobs without service on the line 1-2-3,
+    each task at node 2 or 3, served by one or two vehicles at depot 1."""
+    rng = random.Random(seed)
+    g = validate_graph([1, 2, 3], [1], [(1, 2, 1.0, 1), (2, 3, 1.0, 1)])
+    T = 10
+    vehicles = [Vehicle(f"v{i + 1}", 1) for i in range(rng.randint(1, 2))]
+    fleet = frozenset(v.id for v in vehicles)
+    jobs, tasks = [], []
+    for j in range(rng.randint(2, 3)):
+        lower = rng.randint(0, T - 2)
+        upper = rng.randint(lower, T - 2)
+        tasks.append(Task(f"t{j}", f"j{j}", rng.choice([2, 3]),
+                          TimeWindow(lower, upper), 0))
+        jobs.append(Job(f"j{j}", (f"t{j}",), fleet))
+    return build_instance(g, [1], FleetParams(100, 1, 1, 1, 1, T),
+                          vehicles, jobs, tasks)
+
+
+def test_tasks_without_service_on_shared_nodes_agree_with_the_oracle():
+    wrong = []
+    for seed in range(200):
+        inst = _shared_node_instance(seed)
+        feasible = brute_force_feasible(inst).feasible
+        out = comsat_solve(inst)
+        if (out.status == FEASIBLE) != feasible or (
+                feasible and not validate_schedule(out.schedule, inst).ok):
+            wrong.append((seed, out.status, feasible))
+        if feasible and c_comsat_solve(inst).status != FEASIBLE:
+            wrong.append((seed, "relaxed mode refuses a feasible instance"))
+    assert not wrong
 
 
 def test_short_range_tiny_instances_agree_with_the_oracle():

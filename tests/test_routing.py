@@ -6,7 +6,10 @@ from cfevrp.instance import (
 )
 from cfevrp.driver import shortest_path_map
 from cfevrp.routing import Anchor, RoutingModel, route_sets
-from conftest import corridor_graph, random_tiny_instance, shortest_path
+from conftest import (
+    corridor_graph, random_tiny_instance, short_range_tiny_instance,
+    shortest_path,
+)
 
 
 def enumerate_route_partitions(inst):
@@ -29,8 +32,8 @@ def route_partitions(inst):
     budget = fleet.operating_range / fleet.charge_to_range * fleet.speed \
         / fleet.discharge_coeff
 
-    def dist(a, b):
-        return shortest_path(g, a, b).length
+    def dist(a, b):  # a plant length: the path's units times the unit
+        return shortest_path(g, a, b).length * g.unit
 
     def vehicles(tid):
         return inst.job_of(tid).eligible_vehicles
@@ -151,8 +154,9 @@ def two_depot_instance_with_an_unserved_depot():
 
 
 def _check_enumeration_against_reference(inst):
+    """The router yields every brute-force route set once, by route count
+    and then by distance; returns how many it yields."""
     expected = route_partitions(inst)
-    assert expected
     sp = shortest_path_map(inst)
     seen = []
     for cr in route_sets(inst, sp, Ticks(inst)):
@@ -160,16 +164,18 @@ def _check_enumeration_against_reference(inst):
         assert key in expected and key not in seen
         seen.append(key)
     assert len(seen) == len(expected)
-    assert expected[seen[0]] == min(expected.values())
+    order = [expected[key] for key in seen]
+    assert order == sorted(order)
+    return len(seen)
 
 
 def test_blocking_enumerates_all_partitions_then_infeasible():
-    _check_enumeration_against_reference(three_task_instance())
+    assert _check_enumeration_against_reference(three_task_instance())
 
 
 def test_router_skips_depots_that_host_no_eligible_vehicle():
     inst = two_depot_instance_with_an_unserved_depot()
-    _check_enumeration_against_reference(inst)
+    assert _check_enumeration_against_reference(inst)
     for cr in route_sets(inst, shortest_path_map(inst), Ticks(inst)):
         for r in cr.routes:
             assert "t1" not in r.tasks or r.depot == 1
@@ -255,3 +261,14 @@ def test_router_has_exactly_the_links_a_route_can_use():
             n, d = len(inst.tasks), len(inst.depots)
             dropped += 2 * n * d + n * (n - 1) - len(links)
     assert dropped > 0
+
+
+def test_router_enumerates_the_brute_force_route_sets_of_tiny_instances():
+    """Unit and decimal data, each with its own range and with a short
+    one under which a vehicle runs several routes."""
+    found = 0
+    for seed in range(75):
+        for unit in (True, False):
+            for make in (random_tiny_instance, short_range_tiny_instance):
+                found += _check_enumeration_against_reference(make(seed, unit))
+    assert found > 400
