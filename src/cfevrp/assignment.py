@@ -69,7 +69,7 @@ def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
     C = ticks.charging
 
     for r, route in enumerate(cr.routes):
-        ctx.exactly([alpha[(v, r)] for v in sorted(eligible[r])], 1)
+        ctx.exactly_one([alpha[(v, r)] for v in sorted(eligible[r])])
         # e >= s + dur, e >= the earliest end, s <= the latest start
         latest_start, earliest_end = times[r]
         dur = route.length * ticks.travel + sum(

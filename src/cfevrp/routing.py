@@ -1,11 +1,14 @@
 """Route construction: serve every task within its window, minimize routes.
 
 Builds a task-successor model: Boolean travel indicators on the links
-between stops that some route can use, and per task two reals, its
-arrival time and the charge used so far.  Every route leaves a depot's
-start anchor and returns to its end anchor.  An anchor has no reals: a
-route leaves at time 0 with nothing used and is back by T having used at
-most a full charge, so a link to or from an anchor bounds the task's own.
+between stops that some route can use, and per task its arrival time and
+the charge used so far, as reals.  The charge real is made only where it
+can bind: a route back by T has travelled at most T / travel graph units,
+so when a full charge lasts that long (D * T <= OR/rho) the time chain
+alone keeps every route within it.  Every route leaves a depot's start
+anchor and returns to its end anchor.  An anchor has no reals: a route
+leaves at time 0 with nothing used and is back by T having used at most a
+full charge, so a link to or from an anchor bounds the task's own.
 One model serves a whole solve: `route_sets` yields its route sets by
 route count, then by total distance, and blocks each one in place, so none
 is returned twice.
@@ -114,11 +117,15 @@ class RoutingModel:
                 self.theta[(a, b)] = ctx.new_bool()
                 self.dist[(a, b)] = d
 
-        # per task its arrival time and the charge used so far
+        # per task its arrival time and, only where a full charge can run
+        # out before T, the charge used so far
+        charge_binds = ticks.horizon * ticks.charge > full * ticks.travel
         gamma: dict[str, int] = {}
         used: dict[str, int] = {}
         for k in real:
-            gamma[k], used[k] = ctx.new_real(), ctx.new_real()
+            gamma[k] = ctx.new_real()
+            if charge_binds:
+                used[k] = ctx.new_real()
             # x <= c is the atom x - 0 <= c, and x >= c is 0 - x <= -c
             ctx.assert_formula(ctx.le(0, gamma[k], -ticks.lower[k]))
             ctx.assert_formula(ctx.le(gamma[k], 0, ticks.upper[k]))
@@ -132,21 +139,24 @@ class RoutingModel:
                 rank[k] = ctx.new_real()
             return rank[k]
 
-        # travel propagates time forward and the charge used upward; an
-        # anchor is the zero node plus a constant, 0 at a start and T or a
-        # full charge at an end
+        # travel propagates time forward and, where it binds, the charge
+        # used upward; an anchor is the zero node plus a constant, 0 at a
+        # start and T or a full charge at an end
         for (a, b), var in self.theta.items():
             d = self.dist[(a, b)]
             step, drain = stops[a][2] + d * ticks.travel, d * ticks.charge
             if isinstance(a, Anchor):
                 ctx.assert_formula(-var, ctx.le(0, gamma[b], -step))
-                ctx.assert_formula(-var, ctx.le(0, used[b], -drain))
+                if charge_binds:
+                    ctx.assert_formula(-var, ctx.le(0, used[b], -drain))
             elif isinstance(b, Anchor):
                 ctx.assert_formula(-var, ctx.le(gamma[a], 0, ticks.horizon - step))
-                ctx.assert_formula(-var, ctx.le(used[a], 0, full - drain))
+                if charge_binds:
+                    ctx.assert_formula(-var, ctx.le(used[a], 0, full - drain))
             else:
                 ctx.assert_formula(-var, ctx.le(gamma[a], gamma[b], -step))
-                ctx.assert_formula(-var, ctx.le(used[a], used[b], -drain))
+                if charge_binds:
+                    ctx.assert_formula(-var, ctx.le(used[a], used[b], -drain))
                 if step == 0:
                     ctx.assert_formula(-var, ctx.le(rank_of(a), rank_of(b), -1))
 
@@ -155,8 +165,8 @@ class RoutingModel:
 
         # every task has exactly one successor and one predecessor
         for k in real:
-            ctx.exactly(links((k, b) for b in real + ends), 1)
-            ctx.exactly(links((a, k) for a in real + starts), 1)
+            ctx.exactly_one(links((k, b) for b in real + ends))
+            ctx.exactly_one(links((a, k) for a in real + starts))
 
         # depot coherence: every chain stays anchored to one depot, which
         # also forces each start anchor's chain to close at its own end
@@ -165,7 +175,7 @@ class RoutingModel:
             for k in real:
                 for o in inst.depots:
                     delta[(k, o)] = ctx.new_bool()
-                ctx.exactly([delta[(k, o)] for o in inst.depots], 1)
+                ctx.exactly_one([delta[(k, o)] for o in inst.depots])
             for (a, b), link in self.theta.items():
                 if isinstance(a, Anchor):
                     ctx.assert_formula(-link, delta[(b, a.depot)])

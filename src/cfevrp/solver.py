@@ -11,16 +11,21 @@ sub-problem models of this package write in:
 - ``le(x, y, c)`` is the literal of the atom ``x - y <= c``, for an int
   bound ``c``: callers scale their quantities to whole units first;
 - ``assert_formula(*lits)`` asserts one clause over such literals;
-- atoms occur only positively: a clause, an assumption or a blocking
-  clause that negates one raises ValueError, and so does a counter over
-  one.  A false atom then constrains nothing, since flipping it to true
-  satisfies every clause that holds it, so the theory takes the true
-  atoms only;
-- ``exactly`` and ``at_most`` count literals through a totalizer
-  (Bailleux and Boufkhad, 2003) and hold whenever all their guard
-  literals are true.  The totalizer is truncated: it counts only up to the
-  bound that is read (n + 1 outputs for a bound n), in O(n * len) clauses,
-  and is kept per literal list until a larger bound asks for a new one.
+- atoms occur only positively: a clause, an assumption, a blocking
+  clause or a counter that negates one raises ValueError, and so does
+  ``exactly_one`` over one.  A false atom then constrains nothing, since
+  flipping it to true satisfies every clause that holds it, so the theory
+  takes the true atoms only;
+- ``exactly_one`` is one clause plus pairwise exclusions, split past four
+  literals by fresh Booleans (Heule's at-most-one encoding), with no
+  counter;
+- ``at_most`` counts literals through a totalizer (Bailleux and
+  Boufkhad, 2003) and holds whenever all its guard literals are true.
+  The totalizer is one-sided, since its outputs are only read negated:
+  k + 1 true inputs force output k.  It is truncated: it counts only up
+  to the bound that is read (n + 1 outputs for a bound n), in
+  O(n * len) clauses, and is kept per literal list until a larger bound
+  asks for a new one.
 
 A CDCL SAT core searches the Boolean skeleton and hands the true atoms to
 a difference-logic theory solver (negative-cycle detection over integer
@@ -461,22 +466,37 @@ class Context:
     def assert_formula(self, *lits: int) -> None:
         """Assert the clause lits[0] or lits[1] or ... (no lits: unsat).
 
-        The one clause method: the stages and exactly/at_most assert their
-        clauses here, so that bench/tracing.py, which times this method as
-        a stage's `encode_s`, sees them.  Only the totalizer's own clauses
-        and the blocking clauses are added below it.
+        The one clause method: the stages, exactly_one's at-least-one
+        clause and at_most's bound are asserted here, so that
+        bench/tracing.py, which times this method as a stage's `encode_s`,
+        sees them.  Only exactly_one's exclusions, the totalizer's own
+        clauses and the blocking clauses are added below it.
         """
         self._require_positive(lits)
         self._add_clause(lits)
 
-    def exactly(self, lits: Sequence[int], n: int, *guards: int) -> None:
-        """Exactly n of lits are true whenever every guard is true."""
-        unless = [-g for g in guards]
-        if n > len(lits):
-            self.assert_formula(*unless)
-        elif n >= 1:  # at least n
-            self.assert_formula(*unless, self._totalizer(lits, n + 1)[n - 1])
-        self.at_most(lits, n, *guards)
+    def exactly_one(self, lits: Sequence[int]) -> None:
+        """Exactly one of lits is true (no lits: unsat; none may be an
+        atom), with no counter: one clause for at least one, and pairwise
+        exclusions (-a, -b) up to four literals.  Past four, Heule's split
+        excludes pairs among the first three and a fresh y, then goes on
+        with -y and the rest.  A repeated literal counts per occurrence.
+        """
+        # every literal occurs in both polarities below
+        self._require_positive([-abs(l) for l in lits])
+        self.assert_formula(*lits)
+        lits = list(lits)
+        while len(lits) > 4:
+            y = self._sat.new_var()
+            self._exclude_pairs(lits[:3] + [y])
+            lits = [-y] + lits[3:]
+        self._exclude_pairs(lits)
+
+    def _exclude_pairs(self, lits: Sequence[int]) -> None:
+        """No two of lits are true: a clause (-a, -b) per pair."""
+        for i, a in enumerate(lits):
+            for b in lits[i + 1:]:
+                self._add_clause((-a, -b))
 
     def at_most(self, lits: Sequence[int], n: int, *guards: int) -> None:
         """At most n of lits are true whenever every guard is true."""
@@ -570,20 +590,21 @@ class Context:
 
     def _totalizer(self, lits: Sequence[int], size: int) -> list[int]:
         """Sorted-output counter cut at `size` outputs (all of them when
-        size >= len(lits)): outs[k] is true iff > k inputs are true.
+        size >= len(lits)), one-sided: k+1 true inputs force outs[k].
 
-        outs[k] <=> (#true >= k+1), for every k < len(outs).  Both
-        implication directions are encoded so the outputs can be used
-        under either polarity.  Each node keeps only its first `size`
-        outputs, so the clauses number O(n * size) instead of O(n^2).  A
-        larger size than the cached one builds a new counter beside it;
-        the old one's clauses stay, and still hold.
+        Only that direction is encoded, (#true >= k+1) => outs[k], since
+        every reader takes an output negated: at_most asserts -outs[n] and
+        minimize assumes -outs[k-1], each of which then bounds the count.
+        An output may be true with fewer inputs true.  Each node keeps
+        only its first `size` outputs, so the clauses number O(n * size)
+        instead of O(n^2).  A larger size than the cached one builds a
+        new counter beside it; the old one's clauses stay, and still hold.
         """
         key = tuple(lits)
         outs = self._totalizer_cache.get(key)
         if outs is None or len(outs) < min(size, len(lits)):
-            # the clauses below hold every input under both polarities
-            self._require_positive([-abs(l) for l in lits])
+            # the clauses below hold every input negated
+            self._require_positive([-l for l in lits])
             outs = self._totalizer_node(list(lits), size)
             self._totalizer_cache[key] = outs
         return outs
@@ -595,6 +616,8 @@ class Context:
 
         A child cut at `size` never needs its missing outputs: every sum
         i + j that reaches past them reaches past this node's outputs too.
+        Its clauses only push outputs up: i true outputs of one child and
+        j of the other force the node's first i + j.
         """
         if len(ls) <= 1:
             return list(ls)
@@ -614,13 +637,6 @@ class Context:
                         clause.append(-a[i - 1])
                     if j >= 1:
                         clause.append(-b[j - 1])
-                    add(clause)
-                if i + j < len(r):
-                    clause = [-r[i + j]]
-                    if i < p:
-                        clause.append(a[i])
-                    if j < q:
-                        clause.append(b[j])
                     add(clause)
         return r
 

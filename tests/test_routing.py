@@ -1,11 +1,16 @@
 """Route construction: minimality, blocking-based enumeration, edge cases."""
 
+from fractions import Fraction
+
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
     FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
 )
-from cfevrp.driver import shortest_path_map
+from cfevrp.driver import (
+    FEASIBLE, INFEASIBLE, c_comsat_solve, comsat_solve, shortest_path_map,
+)
 from cfevrp.routing import Anchor, RoutingModel, route_sets
+from cfevrp.validator import brute_force_feasible
 from conftest import (
     corridor_graph, random_tiny_instance, short_range_tiny_instance,
     shortest_path,
@@ -272,3 +277,45 @@ def test_router_enumerates_the_brute_force_route_sets_of_tiny_instances():
             for make in (random_tiny_instance, short_range_tiny_instance):
                 found += _check_enumeration_against_reference(make(seed, unit))
     assert found > 400
+
+
+def _charge_boundary_instance(unit, short):
+    """The line 1-2-3 with depot 1 and one vehicle serving tasks at 2 and
+    3; the one route that serves both is 4 units of time long and T = 4,
+    so it uses D * T of charge.  A full charge OR/rho is exactly D * T, or
+    one tick of the solve's clock less when `short`."""
+    # segment length, speed, C and D; a tick is 1, or 1/20 from C * length
+    half = Fraction(1, 2)
+    length, speed, c, d = ((1, 1, 1, 1) if unit
+                           else (half, half, Fraction(7, 10), 3 * half))
+    tick = 1 if unit else Fraction(1, 20)
+    g = validate_graph([1, 2, 3], [1], [(1, 2, length, 1), (2, 3, length, 1)])
+    fleet = FleetParams(4 * d - (tick if short else 0), c, d, 1, speed, 4)
+    shared = frozenset({"v1"})
+    inst = build_instance(
+        g, [1], fleet, [Vehicle("v1", 1)],
+        [Job("a", ("a1",), shared), Job("b", ("b1",), shared)],
+        [Task("a1", "a", 2, TimeWindow(0, 4), 0),
+         Task("b1", "b", 3, TimeWindow(0, 4), 0)])
+    assert Ticks(inst).scale * tick == 1
+    return inst
+
+
+def test_router_makes_charge_reals_only_where_a_full_charge_can_run_out():
+    """At D * T = OR/rho the time chain alone keeps every route within a
+    full charge, so the router has one real per task (its arrival time);
+    one tick short, a second one per task carries the charge used, and
+    only it refuses the route that is back at T."""
+    for unit in (True, False):
+        for short in (False, True):
+            inst = _charge_boundary_instance(unit, short)
+            model = RoutingModel(inst, shortest_path_map(inst), Ticks(inst))
+            reals = model.ctx._graph.n - 1  # node 0 is the zero node
+            assert reals == (2 if short else 1) * len(inst.tasks), (unit, short)
+            feasible = brute_force_feasible(inst).feasible
+            assert feasible is not short, (unit, short)
+            for solve in (comsat_solve, c_comsat_solve):
+                # raises MalformedChain on a route past the range
+                out = solve(inst)
+                assert out.status == (FEASIBLE if feasible else INFEASIBLE), (
+                    unit, short, solve.__name__, out.reason)

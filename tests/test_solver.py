@@ -54,7 +54,7 @@ def test_counter_over_repeated_inputs():
     ctx = S.Context()
     x, z = ctx.new_bool(), ctx.new_bool()
     ctx.at_most([z, z], 1)
-    ctx.exactly([x, -x], 1)
+    ctx.exactly_one([x, -x])
     for assumptions, sat in (([], True), ([z], False), ([x], True),
                              ([-x], True)):
         assert ctx.check(assumptions).sat is sat, assumptions
@@ -175,10 +175,6 @@ def _cardinality_matches_brute_force(add, holds):
                 assert found == expected, (nv, n, guard)
 
 
-def test_exactly_n():
-    _cardinality_matches_brute_force(S.Context.exactly, lambda k, n: k == n)
-
-
 def test_context_with_totalizer_is_freed_without_gc():
     # Path changer contexts are large; a reference cycle would keep each one
     # alive until a full collection.
@@ -186,7 +182,7 @@ def test_context_with_totalizer_is_freed_without_gc():
     try:
         ctx = S.Context()
         vars_ = [ctx.new_bool() for _ in range(5)]
-        ctx.exactly(vars_, 2)
+        ctx.at_most(vars_, 2)
         assert ctx.check().sat
         ref = weakref.ref(ctx)
         del ctx
@@ -263,8 +259,7 @@ def test_minimize_matches_brute_force():
 
 
 def test_cardinality_over_no_variables():
-    for add, sat in ((lambda c: c.exactly([], 0), True),
-                     (lambda c: c.exactly([], 1), False),
+    for add, sat in ((lambda c: c.exactly_one([]), False),
                      (lambda c: c.at_most([], 0), True),
                      (lambda c: c.at_most([], 1), True),
                      (lambda c: c.at_most([], -1), False)):
@@ -284,30 +279,54 @@ def _random_literals(rng, vars_, size):
     return [rng.choice(vars_) * rng.choice((1, -1)) for _ in range(size)]
 
 
+def test_exactly_one_matches_brute_force():
+    # Random literal lists of 0-8 literals over five variables, repeats and
+    # complements included; a list past four literals goes through the
+    # split, and its fresh variables must not change the projection.
+    rng = random.Random(26)
+    for size in range(9):
+        for _ in range(6):
+            ctx = S.Context()
+            vars_ = [ctx.new_bool() for _ in range(5)]
+            lits = _random_literals(rng, vars_, size)
+            ctx.exactly_one(lits)
+            assert (ctx._sat.nvars > len(vars_)) is (size > 4)
+            found = set()
+            while (res := ctx.check()).sat:
+                model = tuple(res.model.value(v) for v in vars_)
+                assert model not in found
+                found.add(model)
+                ctx.block_model(vars_, res.model)
+            expected = set()
+            for bits in itertools.product([False, True], repeat=len(vars_)):
+                value = dict(zip(vars_, bits))
+                if sum(value[l] if l > 0 else not value[-l] for l in lits) == 1:
+                    expected.add(bits)
+            assert found == expected, lits
+
+
 def test_truncated_cardinality_matches_brute_force_at_every_bound():
     # One context per literal list holds every bound at once, each under its
     # own guard and asked in a random order, so the totalizer is cut at one
     # bound and rebuilt for a larger one in the same context.
     rng = random.Random(16)
-    for add, holds in ((S.Context.exactly, lambda k, n: k == n),
-                       (S.Context.at_most, lambda k, n: k <= n)):
-        for size in range(11):
-            ctx = S.Context()
-            vars_ = [ctx.new_bool() for _ in range(6)]
-            lits = _random_literals(rng, vars_, size)
-            bounds = list(range(-1, size + 2))
-            rng.shuffle(bounds)
-            guard = {}
+    for size in range(11):
+        ctx = S.Context()
+        vars_ = [ctx.new_bool() for _ in range(6)]
+        lits = _random_literals(rng, vars_, size)
+        bounds = list(range(-1, size + 2))
+        rng.shuffle(bounds)
+        guard = {}
+        for n in bounds:
+            guard[n] = ctx.new_bool()
+            ctx.at_most(lits, n, guard[n])
+        for bits in itertools.product([False, True], repeat=len(vars_)):
+            fixed = [v if b else -v for v, b in zip(vars_, bits)]
+            value = dict(zip(vars_, bits))
+            count = sum(value[l] if l > 0 else not value[-l] for l in lits)
             for n in bounds:
-                guard[n] = ctx.new_bool()
-                add(ctx, lits, n, guard[n])
-            for bits in itertools.product([False, True], repeat=len(vars_)):
-                fixed = [v if b else -v for v, b in zip(vars_, bits)]
-                value = dict(zip(vars_, bits))
-                count = sum(value[l] if l > 0 else not value[-l] for l in lits)
-                for n in bounds:
-                    res = ctx.check([guard[n], *fixed])
-                    assert res.sat is holds(count, n), (size, lits, n, bits)
+                res = ctx.check([guard[n], *fixed])
+                assert res.sat is (count <= n), (size, lits, n, bits)
 
 
 def test_truncated_minimize_matches_brute_force_from_every_lower_bound():
@@ -335,13 +354,16 @@ def test_truncated_minimize_matches_brute_force_from_every_lower_bound():
 
 
 def test_exactly_one_over_many_literals_adds_linear_clauses():
-    # A bound n reads n + 1 outputs, so the totalizer needs O(n * len)
-    # clauses, not the O(len^2) of a full one.
-    ctx = S.Context()
-    lits = [ctx.new_bool() for _ in range(64)]
-    before = len(ctx._sat.clauses)
-    ctx.exactly(lits, 1)
-    assert len(ctx._sat.clauses) - before < 8 * 64
+    # Exactly one needs no counter: up to four literals it is one clause and
+    # the pairwise exclusions, with no new variable, and past four Heule's
+    # split adds one variable per two literals and six clauses per variable,
+    # not the O(len^2) exclusions of all pairs.
+    for size, clauses, new_vars in ((4, 1 + 6, 0), (64, 8 * 64, 64 // 2)):
+        ctx = S.Context()
+        lits = [ctx.new_bool() for _ in range(size)]
+        ctx.exactly_one(lits)
+        assert len(ctx._sat.clauses) <= clauses, size
+        assert ctx._sat.nvars - size <= new_vars, size
 
 
 def test_minimize_from_last_optimum_lists_models_by_cost():
@@ -885,7 +907,7 @@ def test_negated_atom_is_refused_at_every_entry_point():
         lambda: ctx.block_true_subset([high], m),
         lambda: ctx.check([b, -low]),
         lambda: ctx.at_most([b, low], 1),
-        lambda: ctx.exactly([high, b], 1),
+        lambda: ctx.exactly_one([high, b]),
     ]
     for call in refused:
         with pytest.raises(ValueError, match="negated"):
