@@ -10,14 +10,14 @@ take.  Each route's latest start and earliest end come from
 `capacity.replay`.
 
 `assignments` yields the vehicle maps of one route set from one model,
-blocking each map in place, exactly those that the capacity model times
-without its occupancy limits.  The model's times are not passed on: the
+each a tuple of vehicle ids indexed like the route set, blocking each map
+in place: exactly those that the capacity model times without its
+occupancy limits.  The model's times are not passed on: the
 capacity stage fixes every time, the order of a vehicle's routes included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import solver as S
@@ -26,9 +26,7 @@ from .instance import Instance
 from .routing import RouteSet
 
 
-@dataclass(frozen=True)
-class Assignment:
-    vehicle_of: tuple[str, ...]  # indexed like the route set
+Assignment = tuple[str, ...]  # a vehicle per route, indexed like the route set
 
 
 def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
@@ -45,16 +43,16 @@ def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
     Each map is blocked as it is yielded, together with every model that
     puts the same routes on the same vehicles.
     """
-    ticks = cr.ticks
-    times = [replay(r, ticks) for r in cr.routes]
+    ticks = inst.ticks
+    times = [replay(r, ticks) for r in cr]
     if None in times:
         return  # some route cannot be timed even alone
-    n = len(cr.routes)
+    n = len(cr)
     vehicles = sorted(inst.vehicles)
     # a route may take a vehicle stationed at its depot and eligible for
     # all its jobs
     eligible = []
-    for r in cr.routes:
+    for r in cr:
         fleet = set(inst.vehicles_at(r.depot))
         for t in r.tasks:
             fleet &= inst.job_of(t).eligible_vehicles
@@ -68,7 +66,7 @@ def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
     e_var = [ctx.new_real() for _ in range(n)]
     C = ticks.charging
 
-    for r, route in enumerate(cr.routes):
+    for r, route in enumerate(cr):
         ctx.exactly_one([alpha[(v, r)] for v in sorted(eligible[r])])
         # e >= s + dur, e >= the earliest end, s <= the latest start
         latest_start, earliest_end = times[r]
@@ -85,16 +83,15 @@ def assignments(cr: RouteSet, inst: Instance) -> Iterator[Assignment]:
             shared = sorted(eligible[r1] & eligible[r2])
             if not shared:
                 continue
-            after = ctx.le(e_var[r2], s_var[r1], -cr.routes[r1].length * C)
-            before = ctx.le(e_var[r1], s_var[r2], -cr.routes[r2].length * C)
+            after = ctx.le(e_var[r2], s_var[r1], -cr[r1].length * C)
+            before = ctx.le(e_var[r1], s_var[r2], -cr[r2].length * C)
             for v in shared:
                 ctx.assert_formula(-alpha[(v, r1)], -alpha[(v, r2)],
                                    after, before)
 
     alpha_vars = list(alpha.values())
-    while (res := ctx.check()).sat:
-        m = res.model
+    while (m := ctx.check()) is not None:
         vehicle_of = {r: v for (v, r), var in alpha.items() if m.value(var)}
-        ctx.block_true_subset(alpha_vars, m)
-        yield Assignment(tuple(vehicle_of[r] for r in range(n)))
+        ctx.block_model(alpha_vars, m)
+        yield tuple(vehicle_of[r] for r in range(n))
 

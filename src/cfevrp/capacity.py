@@ -10,23 +10,19 @@ a segment is entered its travel time before its end is reached.  A route
 starts when its windows allow; the routes of one vehicle run in whichever
 order keeps their charging gaps.  Without the three conflict families the
 same model times the routes of the relaxed mode; `replay` times one route
-alone.  Both run on the route set's ticks.
+alone.  Both run on the instance's ticks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import solver as S
 from .errors import BrokenChain
 from .graph import NodeId
 from .instance import Instance, Ticks
 from .routing import Route, RouteSet
-
-if TYPE_CHECKING:  # assignment imports replay from here
-    from .assignment import Assignment
 
 
 @dataclass(frozen=True)
@@ -90,10 +86,10 @@ def build_visit_lists(cr: RouteSet, inst: Instance) -> list[VisitList]:
     intersection and whose service time is the sum.  The service at the
     last position ends by the horizon T.  Times are in ticks.
     """
-    ticks = cr.ticks
+    ticks = inst.ticks
     T = ticks.horizon
     out = []
-    for r in cr.routes:
+    for r in cr:
         positions = [VisitPosition(r.depot, 0, T, 0, ())]
         edges: list[tuple[NodeId, NodeId]] = []
         for i, leg in enumerate(r.legs):
@@ -163,7 +159,7 @@ def replay(route: Route, ticks: Ticks) -> tuple[int, int] | None:
 
 
 def verify_capacity(
-    ca: Assignment,
+    ca: tuple[str, ...],  # a vehicle per route of cr
     cr: RouteSet,
     inst: Instance,
     conflicts: bool = True,
@@ -179,7 +175,7 @@ def verify_capacity(
     clauses are left out: routes keep their windows, travel times, horizon
     and charging gaps, but not the occupancy limits.
     """
-    ticks = cr.ticks
+    ticks = inst.ticks
     T = ticks.horizon
     visit_lists = build_visit_lists(cr, inst)
     ctx = S.Context()
@@ -208,7 +204,7 @@ def verify_capacity(
     # same-vehicle routes keep their charging gaps under the actual times
     for r1 in range(n_routes):
         for r2 in range(r1 + 1, n_routes):
-            if ca.vehicle_of[r1] != ca.vehicle_of[r2]:
+            if ca[r1] != ca[r2]:
                 continue
             end1 = (x[r1][-1], visit_lists[r1].positions[-1].service)
             end2 = (x[r2][-1], visit_lists[r2].positions[-1].service)
@@ -217,10 +213,10 @@ def verify_capacity(
             ctx.assert_formula(ctx.le(end2[0], x[r1][0], -(end2[1] + gap1)),
                                ctx.le(end1[0], x[r2][0], -(end1[1] + gap2)))
 
-    res = ctx.check()
-    if not res.sat:
+    m = ctx.check()
+    if m is None:
         return None, stats
-    m, scale = res.model, ticks.scale
+    scale = ticks.scale
     routes = []
     for r, vl in enumerate(visit_lists):
         xs = [m.real(var) for var in x[r]]
@@ -229,7 +225,7 @@ def verify_capacity(
         node_out = edge_in + (
             Fraction(xs[-1] + vl.positions[-1].service, scale),)
         routes.append(RouteSchedule(
-            vehicle=ca.vehicle_of[r],
+            vehicle=ca[r],
             depot=vl.depot,
             tasks=vl.route_tasks,
             nodes=tuple(p.node for p in vl.positions),

@@ -22,7 +22,7 @@ from typing import Iterator
 from .assignment import Assignment, assignments
 from .capacity import Schedule, verify_capacity
 from .graph import all_pairs_task_paths
-from .instance import Instance, Ticks
+from .instance import Instance
 from .pathschanger import path_sets
 from .routesverify import verify_routes
 from .routing import PathMap, RouteSet, route_sets
@@ -111,7 +111,7 @@ def _solve(inst, limits, conflicts):
 
     `conflicts` says whether the capacity model keeps its occupancy limits.
     """
-    routes = route_sets(inst, shortest_path_map(inst), Ticks(inst))
+    routes = route_sets(inst, shortest_path_map(inst))
     clock = _Clock([])
     tried = 0
     while True:
@@ -165,7 +165,7 @@ def _capacity_phase(inst, cr, ca, limits, clock, conflicts):
             return SolveOutcome(FEASIBLE, cvs, clock.events)
         if not conflicts:
             raise InvariantViolation(
-                f"the assignment stage yielded untimable map {ca.vehicle_of}")
+                f"the assignment stage yielded untimable map {ca}")
         while True:
             if tried >= limits.max_path_sets:
                 return SolveOutcome(
@@ -180,7 +180,7 @@ def _capacity_phase(inst, cr, ca, limits, clock, conflicts):
                 continue  # the legs the first check refused
             rvf = clock.run(
                 "routes_check",
-                lambda: verify_routes(np),
+                lambda: verify_routes(np, inst),
                 ok=bool)
             if rvf:
                 current = np

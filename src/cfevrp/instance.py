@@ -5,7 +5,8 @@ fleet description.
 
 Every number of an instance is an exact Fraction: the constructors below
 pass their numbers through `graph.exact` once, so all later arithmetic is
-exact and needs no tolerance; a solve decides on them as ints, `Ticks`.
+exact and needs no tolerance; a solve decides on them as ints, the
+instance's `ticks`.
 """
 
 from __future__ import annotations
@@ -95,6 +96,11 @@ class Instance:
     vehicles: dict[str, Vehicle] = field(hash=False)
     jobs: dict[str, Job] = field(hash=False)
     tasks: dict[str, Task] = field(hash=False)
+    # The numbers a solve decides on, worked out once per instance.
+    ticks: Ticks = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ticks", Ticks(self))
 
     def task_ids(self) -> list[str]:
         return sorted(self.tasks)

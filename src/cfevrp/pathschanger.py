@@ -119,7 +119,7 @@ def path_sets(cr: RouteSet, inst: Instance) -> Iterator[RouteSet]:
     """
     legs: list[_Leg] = []
     shared: dict[tuple[NodeId, NodeId], _Leg] = {}
-    for route in cr.routes:
+    for route in cr:
         locs = route.locations(inst)
         for ends in zip(locs, locs[1:]):
             if ends not in shared:
@@ -135,9 +135,9 @@ def path_sets(cr: RouteSet, inst: Instance) -> Iterator[RouteSet]:
     while frontier:
         _, index = heappop(frontier)
         paths = (leg.path(k) for leg, k in zip(legs, index))
-        yield RouteSet(tuple(
+        yield tuple(
             Route(r.depot, r.tasks, tuple(islice(paths, len(r.legs))))
-            for r in cr.routes), cr.ticks)
+            for r in cr)
         for j, leg in enumerate(legs):
             nxt = index[:j] + (index[j] + 1,) + index[j + 1:]
             if nxt not in seen and leg.path(nxt[j]) is not None:

@@ -9,21 +9,22 @@ alone keeps every route within it.  Every route leaves a depot's start
 anchor and returns to its end anchor.  An anchor has no reals: a route
 leaves at time 0 with nothing used and is back by T having used at most a
 full charge, so a link to or from an anchor bounds the task's own.
-One model serves a whole solve: `route_sets` yields its route sets by
-route count, then by total distance, and blocks each one in place, so none
-is returned twice.
+One model serves a whole solve: `route_sets` yields its route sets, each
+a plain tuple of routes, by route count, then by total distance, and
+blocks each one in place, so none is returned twice.  Every number comes
+from the instance's ticks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
 from . import solver as S
 from .errors import MalformedChain
 from .graph import NodeId, Path
-from .instance import Instance, Ticks
+from .instance import Instance
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,7 @@ class Route:
         ) + (self.depot,)
 
 
-@dataclass(frozen=True)
-class RouteSet:
-    routes: tuple[Route, ...]
-    ticks: Ticks = field(compare=False, repr=False)  # the solve's numbers
-
-
+RouteSet = tuple[Route, ...]
 PathMap = dict[tuple[NodeId, NodeId], Path]
 
 
@@ -68,10 +64,9 @@ Stop = str | Anchor  # a task id or an anchor
 class RoutingModel:
     """Model plus the variable maps needed for extraction."""
 
-    def __init__(self, inst: Instance, cp: PathMap, ticks: Ticks):
+    def __init__(self, inst: Instance, cp: PathMap):
         self.inst = inst
         self.cp = cp
-        self.ticks = ticks
         self.ctx = S.Context()
         self.theta: dict[tuple[Stop, Stop], int] = {}  # travel a -> b
         self.dist: dict[tuple[Stop, Stop], int] = {}  # its length
@@ -79,7 +74,7 @@ class RoutingModel:
         self._build()
 
     def _build(self) -> None:
-        inst, ctx, ticks = self.inst, self.ctx, self.ticks
+        inst, ctx, ticks = self.inst, self.ctx, self.inst.ticks
         real = inst.task_ids()
         starts = [Anchor(o, end=False) for o in inst.depots]
         ends = [Anchor(o, end=True) for o in inst.depots]
@@ -254,19 +249,19 @@ def extract_routes(m: S.Model, model: RoutingModel) -> RouteSet:
             routes.append(Route(o, tuple(chain), legs))
     if served != real:
         raise MalformedChain(f"tasks {sorted(real - served)} not on any route")
-    ticks = model.ticks
+    ticks = inst.ticks
     for r in routes:
         if r.length * ticks.charge > ticks.full:
             raise MalformedChain(
                 f"route at depot {r.depot} exceeds the charge budget")
-    return RouteSet(tuple(routes), ticks)
+    return tuple(routes)
 
 
 def _model_distance(m: S.Model, model: RoutingModel) -> int:
     return sum(model.dist[p] for p, var in model.theta.items() if m.value(var))
 
 
-def route_sets(inst: Instance, cp: PathMap, ticks: Ticks) -> Iterator[RouteSet]:
+def route_sets(inst: Instance, cp: PathMap) -> Iterator[RouteSet]:
     """Every route set of the instance, fewest routes first, then shortest.
 
     At each route count, the route sets of that count are enumerated once
@@ -274,20 +269,20 @@ def route_sets(inst: Instance, cp: PathMap, ticks: Ticks) -> Iterator[RouteSet]:
     total distance, ties in the order found.  Blocking only removes route
     sets, so the next count is searched from one above the last.
     """
-    model = RoutingModel(inst, cp, ticks)
+    model = RoutingModel(inst, cp)
     ctx = model.ctx
     starts = model.start_indicators
     theta_vars = list(model.theta.values())
     lower = 0
-    while (res := ctx.minimize(starts, lower=lower)).sat:
-        k = len(res.model.true_vars(starts))
+    while (m := ctx.minimize(starts, lower=lower)) is not None:
+        k = len(m.true_vars(starts))
         cap = ctx.new_bool()
         ctx.at_most(starts, k, cap)
         found = []
-        while res.sat:
-            found.append((_model_distance(res.model, model), res.model))
-            ctx.block_model(theta_vars, res.model)
-            res = ctx.check([cap])
+        while m is not None:
+            found.append((_model_distance(m, model), m))
+            ctx.block_model(theta_vars, m)
+            m = ctx.check([cap])
         found.sort(key=lambda dm: dm[0])  # stable: ties stay in found order
         for _, m in found:
             yield extract_routes(m, model)

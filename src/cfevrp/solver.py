@@ -11,6 +11,7 @@ sub-problem models of this package write in:
 - ``le(x, y, c)`` is the literal of the atom ``x - y <= c``, for an int
   bound ``c``: callers scale their quantities to whole units first;
 - ``assert_formula(*lits)`` asserts one clause over such literals;
+- ``check()`` and ``minimize()`` return a ``Model``, or None if unsat;
 - atoms occur only positively: a clause, an assumption, a blocking
   clause or a counter that negates one raises ValueError, and so does
   ``exactly_one`` over one.  A false atom then constrains nothing, since
@@ -55,13 +56,12 @@ when its reals are first read, by the same check run again from potential
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence
 
 
 # ---------------------------------------------------------------------------
-# Models and results
+# Models
 # ---------------------------------------------------------------------------
 
 class Model:
@@ -88,12 +88,6 @@ class Model:
 
     def true_vars(self, lits: Iterable[int]) -> frozenset[int]:
         return frozenset(l for l in lits if self._lits[l])
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    sat: bool
-    model: Model | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +506,6 @@ class Context:
         self._require_positive(clause)
         self._add_clause(clause)
 
-    def block_true_subset(self, lits: Sequence[int], m: Model) -> None:
-        """Forbid every model where all lits true in m are true again.
-
-        Stronger than block_model: also rules out supersets.
-        """
-        clause = [-l for l in lits if m.value(l)]
-        self._require_positive(clause)
-        self._add_clause(clause)
-
     def _add_clause(self, lits: Sequence[int]) -> None:
         """Add the clause lits with repeated literals merged, or not at all
         if it holds a complementary pair."""
@@ -541,20 +526,22 @@ class Context:
 
     # -- solving ----------------------------------------------------------
 
-    def check(self, assumptions: Sequence[int] = ()) -> SolveResult:
+    def check(self, assumptions: Sequence[int] = ()) -> Model | None:
+        """A model of the clauses under the assumptions, or None if unsat."""
         self._require_positive(assumptions)
         # the model's reals see only the nodes and atoms made before now,
         # newest atom first: the stages make a route's atoms front to back
         g, n, nvars = self._graph, self._graph.n, self._sat.nvars
         assignment = self._sat.solve(assumptions, self._theory_conflict)
         if assignment is None:
-            return SolveResult(False, None)
-        return SolveResult(True, Model(assignment, lambda: g.values(
-            [l for l in reversed(g.edge) if l <= nvars and assignment[l]], n)))
+            return None
+        return Model(assignment, lambda: g.values(
+            [l for l in reversed(g.edge) if l <= nvars and assignment[l]], n))
 
     def minimize(self, indicators: Sequence[int],
-                 lower: int = 0) -> SolveResult:
-        """Minimize the number of true literals among `indicators`.
+                 lower: int = 0) -> Model | None:
+        """A model with the fewest true literals among `indicators`, or
+        None if unsat.
 
         Descending linear search over totalizer outputs, which are built
         only up to the first model's count + 1: the descent reads no
@@ -568,23 +555,23 @@ class Context:
         optimum capped assert at_most themselves.
         """
         if 0 < lower < len(indicators):
-            res = self.check(
+            m = self.check(
                 assumptions=[-self._totalizer(indicators, lower + 1)[lower]])
-            if res.sat:
-                return res
+            if m is not None:
+                return m
             lower += 1
-        res = self.check()
-        if not res.sat or not indicators:
-            return res
-        k = len(res.model.true_vars(indicators))
+        m = self.check()
+        if m is None or not indicators:
+            return m
+        k = len(m.true_vars(indicators))
         outs = self._totalizer(indicators, k + 1)
         while k > lower:
             tighter = self.check(assumptions=[-outs[k - 1]])
-            if not tighter.sat:
+            if tighter is None:
                 break
-            res = tighter
-            k = len(res.model.true_vars(indicators))
-        return res
+            m = tighter
+            k = len(m.true_vars(indicators))
+        return m
 
     # -- cardinality ------------------------------------------------------
 

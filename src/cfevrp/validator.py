@@ -46,6 +46,7 @@ ELIGIBILITY = "Eligibility"
 CHARGING_GAP = "ChargingGap"
 JOB_CONTIGUITY = "JobContiguity"
 HORIZON = "Horizon"
+SERVICE_TIME = "ServiceTime"
 
 
 @dataclass(frozen=True)
@@ -102,16 +103,21 @@ def validate_schedule(cvs: Schedule, inst: Instance) -> ValidationReport:
                 ELIGIBILITY, ri, None,
                 f"{rs.vehicle} is stationed at {veh.depot}, route leaves {rs.depot}"))
 
-        # time windows at served positions
+        # time windows and service times at served positions
         for p, tids in enumerate(rs.position_tasks):
+            arr = rs.node_in[p]
             for t in tids:
                 w = inst.tasks[t].window
-                arr = rs.node_in[p]
                 if arr < w.lower - _TOL or arr > w.upper + _TOL:
                     bad.append(Violation(
                         TIME_WINDOW, ri, arr,
                         f"task {t} served at {float(arr)}, "
                         f"window [{float(w.lower)},{float(w.upper)}]"))
+            service = sum(inst.tasks[t].service_time for t in tids)
+            if rs.node_out[p] < arr + service - _TOL:  # node_out is edge_in
+                bad.append(Violation(
+                    SERVICE_TIME, ri, rs.node_out[p],
+                    f"route {ri} leaves node {rs.nodes[p]} before its service ends"))
 
         # jobs must run contiguously inside one route
         job_seq = [inst.tasks[t].job for t in rs.tasks]
@@ -180,12 +186,21 @@ def _check_structure(cvs: Schedule, inst: Instance) -> None:
             if abs(rs.node_in[q + 1] - (rs.edge_in[q] + d)) > _TOL:
                 raise MalformedSchedule(
                     f"route {ri}: transit time over {e} is not {float(d)}")
-            if rs.edge_in[q] < rs.node_in[q] - _TOL:
-                raise MalformedSchedule(
-                    f"route {ri}: leaves node {rs.nodes[q]} before arriving")
             if rs.node_out[q] != rs.edge_in[q]:
                 raise MalformedSchedule(
                     f"route {ri}: node_out disagrees with the next edge entry")
+        for p, node in enumerate(rs.nodes):
+            if rs.node_out[p] < rs.node_in[p] - _TOL:
+                raise MalformedSchedule(
+                    f"route {ri}: leaves node {node} before arriving")
+        length = sum(g.edges[e].length for e in rs.edges)
+        if abs(rs.length - length) > _TOL:
+            raise MalformedSchedule(
+                f"route {ri}: length {float(rs.length)}, its edges' {float(length)}")
+        served = tuple(t for tids in rs.position_tasks for t in tids)
+        if tuple(rs.tasks) != served:
+            raise MalformedSchedule(
+                f"route {ri}: task order {rs.tasks}, served order {served}")
 
 
 def _capacity_violations(

@@ -11,7 +11,7 @@ import pytest
 from cfevrp.errors import InvariantViolation
 from cfevrp.graph import NodeId, Path, PlantGraph, single_source_paths, validate_graph
 from cfevrp.instance import (
-    FleetParams, Instance, Job, Task, TimeWindow, Ticks, Vehicle,
+    FleetParams, Instance, Job, Task, TimeWindow, Vehicle,
     build_instance,
 )
 from cfevrp.routing import PathMap, Route, RouteSet
@@ -46,7 +46,7 @@ def routes_from_task_orders(
         served.update(tasks)
     if served != set(inst.task_ids()):
         raise InvariantViolation("forced routes must cover every task exactly once")
-    return RouteSet(tuple(routes), Ticks(inst))
+    return tuple(routes)
 
 
 def eligible_vehicles(inst: Instance, route: Route) -> frozenset[str]:

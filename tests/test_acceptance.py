@@ -12,7 +12,6 @@ from cfevrp.driver import (
     FEASIBLE, INFEASIBLE, Limits, c_comsat_solve, comsat_solve,
     shortest_path_map, total_distance,
 )
-from cfevrp.instance import Ticks
 from cfevrp.routing import route_sets
 from cfevrp.validator import brute_force_feasible, validate_schedule
 
@@ -88,7 +87,7 @@ def test_criterion_4_exhaustive_enumeration():
     expected_r = enumerate_route_partitions(inst_r)
     sp = shortest_path_map(inst_r)
     seen_r = 0
-    for _cr in route_sets(inst_r, sp, Ticks(inst_r)):
+    for _cr in route_sets(inst_r, sp):
         seen_r += 1
         assert seen_r <= expected_r
     # vehicle maps: same, against the permutation oracle
@@ -98,7 +97,7 @@ def test_criterion_4_exhaustive_enumeration():
     expected_a = set(brute_force_vehicle_maps(cr_a, inst_a))
     seen_a = set()
     for ca in assignments(cr_a, inst_a):
-        seen_a.add(ca.vehicle_of)
+        seen_a.add(ca)
     # path combinations: product of simple-path counts per leg
     inst_p = corridor_instance()
     g = inst_p.graph

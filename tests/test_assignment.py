@@ -7,9 +7,8 @@ from cfevrp.capacity import replay, verify_capacity
 from cfevrp.driver import shortest_path_map
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
-    FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
+    FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
-from cfevrp.routing import RouteSet
 from cfevrp.validator import CHARGING_GAP, validate_schedule
 from conftest import corridor_instance, eligible_vehicles, routes_from_task_orders
 
@@ -18,12 +17,12 @@ def test_attribute_computation_on_corridor_route():
     inst = corridor_instance()
     sp = shortest_path_map(inst)
     cr = routes_from_task_orders(inst, sp, [(1, ["j11"]), (6, ["j21", "j31"])])
-    r = cr.routes[0]  # depot 1, task j11 at node 5, distance 2 each way
+    r = cr[0]  # depot 1, task j11 at node 5, distance 2 each way
     assert r.length == 4
     # latest start: u=2 minus travel time 2; earliest end: 2 + service 2 + 2
-    assert replay(r, cr.ticks) == (0, 6 * cr.ticks.scale)
+    assert replay(r, inst.ticks) == (0, 6 * inst.ticks.scale)
     assert eligible_vehicles(inst, r) == frozenset({"v1"})
-    assert {ca.vehicle_of[0] for ca in assignments(cr, inst)} == {"v1"}
+    assert {ca[0] for ca in assignments(cr, inst)} == {"v1"}
 
 
 def test_eligibility_restricted_to_route_depot():
@@ -32,9 +31,9 @@ def test_eligibility_restricted_to_route_depot():
     # j21/j31 are v2's jobs, but their route leaves from v1's depot; each
     # route can be timed alone, so only eligibility refuses every map
     cr = routes_from_task_orders(inst, sp, [(1, ["j11"]), (1, ["j21", "j31"])])
-    assert [eligible_vehicles(inst, r) for r in cr.routes] == [
+    assert [eligible_vehicles(inst, r) for r in cr] == [
         frozenset({"v1"}), frozenset()]
-    assert all(replay(r, cr.ticks) is not None for r in cr.routes)
+    assert all(replay(r, inst.ticks) is not None for r in cr)
     assert next(assignments(cr, inst), None) is None
 
 
@@ -44,14 +43,12 @@ def test_corridor_assignment_picks_the_only_eligible_vehicles():
     cr = routes_from_task_orders(inst, sp, [(1, ["j11"]), (6, ["j31", "j21"])])
     ca = next(assignments(cr, inst), None)
     assert ca is not None
-    assert ca.vehicle_of == ("v1", "v2")
+    assert ca == ("v1", "v2")
 
 
 def test_zero_routes_is_trivially_sat():
     inst = corridor_instance()
-    cr = RouteSet((), Ticks(inst))
-    ca = next(assignments(cr, inst), None)
-    assert ca is not None and ca.vehicle_of == ()
+    assert next(assignments((), inst), None) == ()
 
 
 def three_vehicle_fixture():
@@ -75,12 +72,12 @@ def brute_force_vehicle_maps(cr, inst):
     """All eligibility-respecting maps admitting a sequential timing, with
     each route's latest start from `replay`."""
     vehicles = sorted(inst.vehicles)
-    n = len(cr.routes)
-    eligible = [eligible_vehicles(inst, r) for r in cr.routes]
-    latest_start = [replay(r, cr.ticks)[0] / cr.ticks.scale for r in cr.routes]
-    length = [r.length * inst.graph.unit for r in cr.routes]
+    n = len(cr)
+    eligible = [eligible_vehicles(inst, r) for r in cr]
+    latest_start = [replay(r, inst.ticks)[0] / inst.ticks.scale for r in cr]
+    length = [r.length * inst.graph.unit for r in cr]
     service = [sum(inst.tasks[t].service_time for t in r.tasks)
-               for r in cr.routes]
+               for r in cr]
     feasible = []
     for combo in product(vehicles, repeat=n):
         if any(combo[r] not in eligible[r] for r in range(n)):
@@ -120,9 +117,9 @@ def test_blocking_enumerates_all_vehicle_maps_then_infeasible():
     assert expected  # fixture admits at least one assignment
     seen = set()
     for ca in assignments(cr, inst):
-        assert ca.vehicle_of in expected
-        assert ca.vehicle_of not in seen
-        seen.add(ca.vehicle_of)
+        assert ca in expected
+        assert ca not in seen
+        seen.add(ca)
         assert len(seen) <= len(expected)
     assert seen == expected
 
@@ -151,7 +148,7 @@ def test_charging_gap_separates_same_vehicle_routes():
         for ca in assignments(cr, inst):
             cvs, _ = verify_capacity(ca, cr, inst)
             assert cvs is not None
-            for v in set(ca.vehicle_of):
+            for v in set(ca):
                 rs = sorted((rs for rs in cvs.routes if rs.vehicle == v),
                             key=lambda rs: rs.start)
                 for prev, nxt in zip(rs, rs[1:]):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cfevrp.assignment import Assignment, assignments
+from cfevrp.assignment import assignments
 from cfevrp.capacity import (
     CapacityStats, build_visit_lists, replay, verify_capacity,
 )
@@ -18,9 +18,9 @@ from cfevrp.errors import BrokenChain
 from cfevrp.fileio import parse_instance
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
-    FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
+    FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
-from cfevrp.routing import Route, RouteSet
+from cfevrp.routing import Route
 from cfevrp.validator import (
     EDGE_CAPACITY_OPPOSITE, NODE_CAPACITY, validate_schedule,
 )
@@ -41,7 +41,7 @@ def partial_routes(inst, orders):
         locs = [depot] + [inst.tasks[t].location for t in tasks] + [depot]
         legs = tuple(sp[(a, b)] for a, b in zip(locs, locs[1:]))
         routes.append(Route(depot, tuple(tasks), legs))
-    return RouteSet(tuple(routes), Ticks(inst))
+    return tuple(routes)
 
 
 def test_visit_list_concatenates_legs(corridor):
@@ -58,7 +58,7 @@ def test_visit_list_concatenates_legs(corridor):
 
 
 def test_empty_route_set_gives_empty_lists(corridor):
-    assert build_visit_lists(RouteSet((), Ticks(corridor)), corridor) == []
+    assert build_visit_lists((), corridor) == []
 
 
 def test_task_at_depot_collapses_to_single_position():
@@ -83,7 +83,7 @@ def test_broken_chain_detected(corridor):
         corridor.graph.path_between((2, 1)),  # starts at the wrong node
     ))
     with pytest.raises(BrokenChain):
-        build_visit_lists(RouteSet((r,), Ticks(corridor)), corridor)
+        build_visit_lists((r,), corridor)
 
 
 def co_located_instance(windows, services):
@@ -102,16 +102,16 @@ def co_located_instance(windows, services):
 def test_co_located_tasks_are_served_at_one_instant():
     # the windows do not meet, so no instant serves both tasks
     inst, cr = co_located_instance([(0, 5), (6, 8)], [1, 1])
-    schedule, _ = verify_capacity(Assignment(("v1",)), cr, inst, False)
+    schedule, _ = verify_capacity(("v1",), cr, inst, False)
     assert schedule is None
-    assert replay(cr.routes[0], cr.ticks) is None
-    assert not verify_routes(cr)
+    assert replay(cr[0], inst.ticks) is None
+    assert not verify_routes(cr, inst)
     # one stop serves both within [0, 6] for 3 + 1 units: the latest start
     # is 6 minus one unit of travel, and from time 0 the route is back at
     # 1 + 4 + 1 = 6
     inst, cr = co_located_instance([(0, 10), (0, 6)], [3, 1])
-    assert replay(cr.routes[0], cr.ticks) == (5, 6)
-    schedule, _ = verify_capacity(Assignment(("v1",)), cr, inst, False)
+    assert replay(cr[0], inst.ticks) == (5, 6)
+    schedule, _ = verify_capacity(("v1",), cr, inst, False)
     assert schedule.routes[0].position_tasks == ((), ("a", "b"), ())
 
 
@@ -132,16 +132,16 @@ def test_replay_times_a_lone_route_as_the_capacity_model_does():
         for _ in range(5):
             tasks = rng.sample(inst.task_ids(), rng.randint(1, len(inst.tasks)))
             cr = partial_routes(inst, [(rng.choice(inst.depots), tasks)])
-            bounds = replay(cr.routes[0], cr.ticks)
+            bounds = replay(cr[0], inst.ticks)
             schedule, _ = verify_capacity(
-                Assignment(("v1",)), cr, inst, conflicts=False)
+                ("v1",), cr, inst, conflicts=False)
             assert (bounds is None) == (schedule is None), seed
             if bounds is None:
                 untimed += 1
                 continue
             timed += 1
             rs = schedule.routes[0]
-            late, early = (Fraction(b, cr.ticks.scale) for b in bounds)
+            late, early = (Fraction(b, inst.ticks.scale) for b in bounds)
             assert rs.start <= late and rs.node_out[-1] >= early, seed
     assert timed >= 50 and untimed >= 50
 
@@ -298,7 +298,7 @@ def corridor_route(horizon, window=(2, 2), home_service=None):
     inst = build_instance(corridor_graph(), [1, 6], fleet,
                           [Vehicle("v1", 1)], jobs, tasks)
     cr = partial_routes(inst, [(1, [t.id for t in tasks])])
-    return verify_capacity(Assignment(("v1",)), cr, inst)[0], cr.ticks
+    return verify_capacity(("v1",), cr, inst)[0], inst.ticks
 
 
 def test_horizon_binds_through_the_last_stop():

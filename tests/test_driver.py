@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cfevrp.assignment import Assignment, assignments
+from cfevrp.assignment import assignments
 from cfevrp.capacity import replay, verify_capacity
 from cfevrp.driver import (
     ABORTED, FEASIBLE, INFEASIBLE, Limits, _Clock, _route_set_phase,
@@ -17,7 +17,7 @@ from cfevrp.errors import InvariantViolation
 from cfevrp.fileio import parse_instance
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
-    FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
+    FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
 from cfevrp.pathschanger import path_sets
 from cfevrp.routing import route_sets
@@ -80,20 +80,19 @@ def test_timing_refuted_on_shortest_legs_is_refuted_on_every_path_set():
     for seed, unit in ([(s, True) for s in range(100)]
                        + [(s, False) for s in range(100, 150)]):
         inst = random_tiny_instance(seed, unit=unit)
-        for cr in route_sets(inst, shortest_path_map(inst), Ticks(inst)):
-            alone = all(replay(r, cr.ticks) is not None for r in cr.routes)
-            yielded = {ca.vehicle_of for ca in assignments(cr, inst)}
+        for cr in route_sets(inst, shortest_path_map(inst)):
+            alone = all(replay(r, inst.ticks) is not None for r in cr)
+            yielded = set(assignments(cr, inst))
             eligible = list(product(
-                *(sorted(eligible_vehicles(inst, r)) for r in cr.routes)))
+                *(sorted(eligible_vehicles(inst, r)) for r in cr)))
             assert yielded <= set(eligible), seed
-            for vehicle_of in eligible:
-                ca = Assignment(vehicle_of)
+            for ca in eligible:
                 timed = verify_capacity(ca, cr, inst, False)[0] is not None
-                assert timed == (vehicle_of in yielded), (seed, unit)
+                assert timed == (ca in yielded), (seed, unit)
                 if timed:
                     continue
                 refused += 1
-                assert len(set(vehicle_of)) < len(vehicle_of) or not alone
+                assert len(set(ca)) < len(ca) or not alone
                 for np in islice(path_sets(cr, inst), 10):
                     combinations += 1
                     for conflicts in (True, False):
@@ -150,14 +149,19 @@ def test_single_trivial_route():
 
 
 def test_zero_jobs_feasible_with_empty_schedule():
+    # the empty route set and the empty vehicle map are falsy candidates:
+    # each stage must pass them on, not take them for "ran dry"
     g = validate_graph([1, 2], [1], [(1, 2, 1.0, 1)])
     inst = build_instance(g, [1], FleetParams(10, 1, 1, 1, 1, 10),
                           [Vehicle("v1", 1)], [], [])
-    out = comsat_solve(inst)
-    assert out.status == FEASIBLE
-    assert out.schedule.routes == ()
-    assert total_distance(out) == 0
-    assert isinstance(total_distance(out), Fraction)
+    for solve in (comsat_solve, c_comsat_solve):
+        out = solve(inst)
+        assert out.status == FEASIBLE, solve.__name__
+        assert [(e.phase, e.sat) for e in out.events] == [
+            ("router", True), ("assign", True), ("capacity", True)]
+        assert out.schedule.routes == ()
+        assert total_distance(out) == 0
+        assert isinstance(total_distance(out), Fraction)
 
 
 def test_total_distance_of_an_outcome_without_schedule_is_refused(

@@ -1,5 +1,7 @@
 """Instance construction and validation."""
 
+import dataclasses
+
 import pytest
 
 from cfevrp.errors import InvariantViolation
@@ -70,3 +72,16 @@ def test_predecessor_outside_job_rejected():
 def test_time_window_ordering_enforced():
     with pytest.raises(InvariantViolation):
         TimeWindow(3, 2)
+
+
+def test_ticks_follow_a_replaced_horizon_and_take_no_part_in_equality():
+    inst = corridor_instance()
+    later = dataclasses.replace(
+        inst, fleet=dataclasses.replace(inst.fleet, horizon=25))
+    assert later.ticks is not inst.ticks
+    assert later.ticks.horizon == 25 * later.ticks.scale
+    assert inst.ticks.horizon != later.ticks.horizon
+    # an instance equals its copy with other ticks, and hashes alike
+    twin = dataclasses.replace(inst)
+    object.__setattr__(twin, "ticks", later.ticks)
+    assert twin == inst and hash(twin) == hash(inst)

@@ -10,10 +10,10 @@ from cfevrp import solver as S
 from cfevrp.driver import comsat_solve, shortest_path_map, solve_paths_changing
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
-    FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
+    FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
 from cfevrp.pathschanger import path_sets, simple_paths
-from cfevrp.routing import Route, RouteSet
+from cfevrp.routing import Route
 from conftest import corridor_instance, random_tiny_instance
 from test_graph import random_connected_graph
 
@@ -42,7 +42,7 @@ def route_set(inst, depot, tasks):
     sp = shortest_path_map(inst)
     locs = [depot] + [inst.tasks[t].location for t in tasks] + [depot]
     legs = tuple(sp[(a, b)] for a, b in zip(locs, locs[1:]))
-    return RouteSet((Route(depot, tuple(tasks), legs),), Ticks(inst))
+    return (Route(depot, tuple(tasks), legs),)
 
 
 def test_two_node_graph_single_leg():
@@ -55,8 +55,8 @@ def test_two_node_graph_single_leg():
     cr = route_set(inst, 1, ["t1"])
     np = solve_paths_changing(path_sets(cr, inst))
     assert np is not None
-    assert np.routes[0].legs[0].nodes == (1, 2)
-    assert np.routes[0].legs[1].nodes == (2, 1)
+    assert np[0].legs[0].nodes == (1, 2)
+    assert np[0].legs[1].nodes == (2, 1)
 
 
 def test_first_solution_uses_shortest_paths():
@@ -65,8 +65,8 @@ def test_first_solution_uses_shortest_paths():
     np = solve_paths_changing(path_sets(cr, inst))
     assert np is not None
     # minimal used-node count: both legs on the two-edge corridor paths
-    assert np.routes[0].legs[0].length == 2.0
-    assert np.routes[0].legs[1].length == 2.0
+    assert np[0].legs[0].length == 2.0
+    assert np[0].legs[1].length == 2.0
 
 
 def test_blocked_shortest_leg_takes_the_detour():
@@ -78,7 +78,7 @@ def test_blocked_shortest_leg_takes_the_detour():
         np = solve_paths_changing(changer)
         if np is None:
             break
-        if np.routes[0].legs[0].nodes == (6, 7, 4, 3, 2):
+        if np[0].legs[0].nodes == (6, 7, 4, 3, 2):
             seen_detour = True
     assert seen_detour
 
@@ -91,10 +91,10 @@ def enumerate_combinations(inst, cr):
         np = solve_paths_changing(changer)
         if np is None:
             break
-        assert [(r.depot, r.tasks) for r in np.routes] == [
-            (r.depot, r.tasks) for r in cr.routes]
+        assert [(r.depot, r.tasks) for r in np] == [
+            (r.depot, r.tasks) for r in cr]
         combo = tuple(tuple(p.nodes for p in route.legs)
-                      for route in np.routes)
+                      for route in np)
         assert combo not in seen
         seen.add(combo)
         count += 1
@@ -130,7 +130,7 @@ def test_enumeration_count_multi_route():
     sp = shortest_path_map(inst)
     r1 = Route(1, ("j11",), (sp[(1, 5)], sp[(5, 1)]))
     r2 = Route(6, ("j31",), (sp[(6, 4)], sp[(4, 6)]))
-    cr = RouteSet((r1, r2), Ticks(inst))
+    cr = (r1, r2)
     expected = (
         len(dfs_simple_paths(g, 1, 5)) * len(dfs_simple_paths(g, 5, 1))
         * len(dfs_simple_paths(g, 6, 4)) * len(dfs_simple_paths(g, 4, 6))
@@ -149,8 +149,8 @@ def test_degenerate_leg_has_exactly_one_combination():
     changer = path_sets(cr, inst)
     np = solve_paths_changing(changer)
     assert np is not None
-    assert np.routes[0].legs[0].nodes == (1,)
-    assert np.routes[0].legs[1].nodes == (1,)
+    assert np[0].legs[0].nodes == (1,)
+    assert np[0].legs[1].nodes == (1,)
     assert solve_paths_changing(changer) is None
 
 
@@ -162,9 +162,9 @@ def test_every_decoded_path_is_simple_and_connects():
         np = solve_paths_changing(changer)
         if np is None:
             break
-        locs = cr.routes[0].locations(inst)
+        locs = cr[0].locations(inst)
         for i, (a, b) in enumerate(zip(locs, locs[1:])):
-            p = np.routes[0].legs[i]
+            p = np[0].legs[i]
             assert p.nodes[0] == a and p.nodes[-1] == b
             assert len(set(p.nodes)) == len(p.nodes)
 
@@ -183,7 +183,7 @@ def _random_plant(seed, n_routes, max_nodes):
     sp = shortest_path_map(inst)
     routes = tuple(Route(1, (f"t{k}",), (sp[(1, x)], sp[(x, 1)]))
                    for k, x in enumerate(locs))
-    return inst, RouteSet(routes, Ticks(inst))
+    return inst, routes
 
 
 def test_changer_lists_every_combination_in_node_count_order():
@@ -193,7 +193,7 @@ def test_changer_lists_every_combination_in_node_count_order():
             inst, cr = _random_plant(seed, n_routes, max_nodes)
             per_leg = [
                 dfs_simple_paths(inst.graph, a, b)
-                for route in cr.routes
+                for route in cr
                 for a, b in zip(route.locations(inst),
                                 route.locations(inst)[1:])
             ]
@@ -201,8 +201,8 @@ def test_changer_lists_every_combination_in_node_count_order():
             changer = path_sets(cr, inst)
             got = []
             while (np := solve_paths_changing(changer)) is not None:
-                got.append(tuple(np.routes[r].legs[i].nodes
-                                 for r, route in enumerate(cr.routes)
+                got.append(tuple(np[r].legs[i].nodes
+                                 for r, route in enumerate(cr)
                                  for i in range(len(route.legs))))
                 assert len(got) <= len(expected)
             assert len(got) == len(expected)
@@ -218,7 +218,7 @@ def test_leg_paths_come_in_node_count_then_sequence_order():
     nontrivial = 0
     for seed in range(40):
         inst, cr = _random_plant(seed, 2, 8)
-        for route in cr.routes:
+        for route in cr:
             locs = route.locations(inst)
             for a, b in zip(locs, locs[1:]):
                 expected = sorted(dfs_simple_paths(inst.graph, a, b),
@@ -228,7 +228,7 @@ def test_leg_paths_come_in_node_count_then_sequence_order():
 
         def combinations():
             return [tuple(tuple(p.nodes for p in route.legs)
-                          for route in np.routes)
+                          for route in np)
                     for np in itertools.islice(path_sets(cr, inst), 200)]
 
         assert combinations() == combinations()

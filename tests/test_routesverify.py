@@ -5,9 +5,8 @@ import dataclasses
 
 from cfevrp.driver import shortest_path_map
 from cfevrp.graph import Path
-from cfevrp.instance import Ticks
 from cfevrp.routesverify import verify_routes
-from cfevrp.routing import Route, RouteSet, route_sets
+from cfevrp.routing import Route, route_sets
 
 
 def detour_route_set(inst):
@@ -18,20 +17,20 @@ def detour_route_set(inst):
         g.path_between((2, 3, 4)),
         g.path_between((4, 7, 6)),
     )
-    return RouteSet((Route(6, ("j21", "j31"), legs),), Ticks(inst))
+    return (Route(6, ("j21", "j31"), legs),)
 
 
 def test_shortest_paths_after_routing_verify(corridor):
     sp = shortest_path_map(corridor)
-    cr = next(route_sets(corridor, sp, Ticks(corridor)), None)
-    assert verify_routes(cr)
+    cr = next(route_sets(corridor, sp), None)
+    assert verify_routes(cr, corridor)
 
 
 def test_detour_route_still_verifies(corridor):
     cr = detour_route_set(corridor)
-    assert cr.routes[0].length == 8.0  # within the operating range of 10
+    assert cr[0].length == 8.0  # within the operating range of 10
     # arrival at j21: t = 4, inside [2, 5]
-    assert verify_routes(cr)
+    assert verify_routes(cr, corridor)
 
 
 def test_late_arrival_fails(corridor):
@@ -41,8 +40,8 @@ def test_late_arrival_fails(corridor):
         Path((2, 3, 4), 6),  # inflated middle leg: j31 missed
         g.path_between((4, 7, 6)),
     )
-    cr = RouteSet((Route(6, ("j21", "j31"), legs),), Ticks(corridor))
-    assert not verify_routes(cr)
+    cr = (Route(6, ("j21", "j31"), legs),)
+    assert not verify_routes(cr, corridor)
 
 
 def test_detour_back_after_the_horizon_fails(corridor):
@@ -55,9 +54,8 @@ def test_detour_back_after_the_horizon_fails(corridor):
         inst.graph.path_between((2, 3, 4)),
         inst.graph.path_between((4, 7, 6)),
     )
-    assert verify_routes(
-        RouteSet((Route(6, ("j21", "j31"), legs),), Ticks(inst)))
-    assert not verify_routes(detour_route_set(inst))
+    assert verify_routes((Route(6, ("j21", "j31"), legs),), inst)
+    assert not verify_routes(detour_route_set(inst), inst)
 
 
 def test_charge_budget_exceeded_fails(corridor):
@@ -67,8 +65,8 @@ def test_charge_budget_exceeded_fails(corridor):
         Path((2, 3, 4), 2),
         Path((4, 7, 6), 5),  # total 11 > operating range 10
     )
-    cr = RouteSet((Route(6, ("j21", "j31"), legs),), Ticks(corridor))
-    assert not verify_routes(cr)
+    cr = (Route(6, ("j21", "j31"), legs),)
+    assert not verify_routes(cr, corridor)
 
 
 def test_waiting_for_a_window_is_allowed(corridor):
@@ -76,18 +74,17 @@ def test_waiting_for_a_window_is_allowed(corridor):
     # v1 reaches node 5 at t=2 after a distance-2 leg; with a distance-1
     # stand-in it would arrive at 1 and must wait until the window opens
     legs = (Path((1, 5), 1), Path((5, 1), 1))
-    cr = RouteSet((Route(1, ("j11",), legs),), Ticks(corridor))
-    assert verify_routes(cr)
+    cr = (Route(1, ("j11",), legs),)
+    assert verify_routes(cr, corridor)
 
 
 def test_monotone_in_leg_lengths(corridor):
     base = detour_route_set(corridor)
-    assert verify_routes(base)
+    assert verify_routes(base, corridor)
     # shrinking any leg can only help
     for i in range(3):
-        legs = list(base.routes[0].legs)
+        legs = list(base[0].legs)
         old = legs[i]
         legs[i] = Path(old.nodes, old.length // 2)
-        cr = RouteSet((Route(6, ("j21", "j31"), tuple(legs)),),
-                      Ticks(corridor))
-        assert verify_routes(cr)
+        cr = (Route(6, ("j21", "j31"), tuple(legs)),)
+        assert verify_routes(cr, corridor)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
-    FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
+    FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
 from cfevrp.driver import (
     FEASIBLE, INFEASIBLE, c_comsat_solve, comsat_solve, shortest_path_map,
@@ -111,19 +111,19 @@ def three_task_instance():
 
 def test_corridor_first_solution_has_two_routes(corridor):
     sp = shortest_path_map(corridor)
-    cr = next(route_sets(corridor, sp, Ticks(corridor)), None)
+    cr = next(route_sets(corridor, sp), None)
     assert cr is not None
-    assert len(cr.routes) == 2
+    assert len(cr) == 2
     # mutual exclusion keeps j1 apart from j2/j3, so the minimal split is
     # forced; the depot anchors are a tie-break left to the assignment stage
-    groups = sorted(sorted(r.tasks) for r in cr.routes)
+    groups = sorted(sorted(r.tasks) for r in cr)
     assert groups == [["j11"], ["j21", "j31"]]
 
 
 def test_every_route_starts_and_ends_at_its_depot(corridor):
     sp = shortest_path_map(corridor)
-    cr = next(route_sets(corridor, sp, Ticks(corridor)), None)
-    for r in cr.routes:
+    cr = next(route_sets(corridor, sp), None)
+    for r in cr:
         locs = r.locations(corridor)
         assert locs[0] == r.depot and locs[-1] == r.depot
         for leg, (a, b) in zip(r.legs, zip(locs, locs[1:])):
@@ -137,7 +137,7 @@ def test_window_impossible_task_is_infeasible():
         g, [1], fleet, [Vehicle("v1", 1)],
         [Job("j1", ("t1",), frozenset({"v1"}))],
         [Task("t1", "j1", 3, TimeWindow(0, 1), 0.0)])  # distance 2 > upper 1
-    assert next(route_sets(inst, shortest_path_map(inst), Ticks(inst)), None) is None
+    assert next(route_sets(inst, shortest_path_map(inst)), None) is None
 
 
 def two_depot_instance_with_an_unserved_depot():
@@ -164,8 +164,8 @@ def _check_enumeration_against_reference(inst):
     expected = route_partitions(inst)
     sp = shortest_path_map(inst)
     seen = []
-    for cr in route_sets(inst, sp, Ticks(inst)):
-        key = frozenset((r.depot, r.tasks) for r in cr.routes)
+    for cr in route_sets(inst, sp):
+        key = frozenset((r.depot, r.tasks) for r in cr)
         assert key in expected and key not in seen
         seen.append(key)
     assert len(seen) == len(expected)
@@ -181,8 +181,8 @@ def test_blocking_enumerates_all_partitions_then_infeasible():
 def test_router_skips_depots_that_host_no_eligible_vehicle():
     inst = two_depot_instance_with_an_unserved_depot()
     assert _check_enumeration_against_reference(inst)
-    for cr in route_sets(inst, shortest_path_map(inst), Ticks(inst)):
-        for r in cr.routes:
+    for cr in route_sets(inst, shortest_path_map(inst)):
+        for r in cr:
             assert "t1" not in r.tasks or r.depot == 1
             assert "t3" not in r.tasks or r.depot == 6
 
@@ -192,9 +192,9 @@ def test_route_counts_never_decrease_during_enumeration():
     sp = shortest_path_map(inst)
     counts = []
     keys = []
-    for cr in route_sets(inst, sp, Ticks(inst)):
-        counts.append(len(cr.routes))
-        keys.append((len(cr.routes), sum(r.length for r in cr.routes)))
+    for cr in route_sets(inst, sp):
+        counts.append(len(cr))
+        keys.append((len(cr), sum(r.length for r in cr)))
     assert counts == sorted(counts)
     # within a count, the shortest route sets come first
     assert keys == sorted(keys)
@@ -211,9 +211,9 @@ def test_multi_task_job_runs_contiguously():
     shared = frozenset({"v1"})
     jobs = [Job("a", ("a1", "a2"), shared), Job("b", ("b1",), shared)]
     inst = build_instance(g, [1], fleet, [Vehicle("v1", 1)], jobs, tasks)
-    cr = next(route_sets(inst, shortest_path_map(inst), Ticks(inst)), None)
+    cr = next(route_sets(inst, shortest_path_map(inst)), None)
     assert cr is not None
-    for r in cr.routes:
+    for r in cr:
         idx = [i for i, t in enumerate(r.tasks) if t in ("a1", "a2")]
         if len(idx) == 2:
             assert abs(idx[0] - idx[1]) == 1
@@ -223,8 +223,8 @@ def test_zero_job_instance_yields_empty_route_set():
     g = validate_graph([1, 2], [1], [(1, 2, 1.0, 1)])
     inst = build_instance(g, [1], FleetParams(10, 1, 1, 1, 1, 10),
                           [Vehicle("v1", 1)], [], [])
-    cr = next(route_sets(inst, shortest_path_map(inst), Ticks(inst)), None)
-    assert cr is not None and cr.routes == ()
+    cr = next(route_sets(inst, shortest_path_map(inst)), None)
+    assert cr == ()
 
 
 def _expected_links(inst, sp):
@@ -262,7 +262,7 @@ def test_router_has_exactly_the_links_a_route_can_use():
             inst = random_tiny_instance(seed, unit)
             sp = shortest_path_map(inst)
             links = _expected_links(inst, sp)
-            assert set(RoutingModel(inst, sp, Ticks(inst)).theta) == links, (seed, unit)
+            assert set(RoutingModel(inst, sp).theta) == links, (seed, unit)
             n, d = len(inst.tasks), len(inst.depots)
             dropped += 2 * n * d + n * (n - 1) - len(links)
     assert dropped > 0
@@ -297,7 +297,7 @@ def _charge_boundary_instance(unit, short):
         [Job("a", ("a1",), shared), Job("b", ("b1",), shared)],
         [Task("a1", "a", 2, TimeWindow(0, 4), 0),
          Task("b1", "b", 3, TimeWindow(0, 4), 0)])
-    assert Ticks(inst).scale * tick == 1
+    assert inst.ticks.scale * tick == 1
     return inst
 
 
@@ -309,7 +309,7 @@ def test_router_makes_charge_reals_only_where_a_full_charge_can_run_out():
     for unit in (True, False):
         for short in (False, True):
             inst = _charge_boundary_instance(unit, short)
-            model = RoutingModel(inst, shortest_path_map(inst), Ticks(inst))
+            model = RoutingModel(inst, shortest_path_map(inst))
             reals = model.ctx._graph.n - 1  # node 0 is the zero node
             assert reals == (2 if short else 1) * len(inst.tasks), (unit, short)
             feasible = brute_force_feasible(inst).feasible

@@ -13,7 +13,7 @@ from cfevrp import solver as S
 
 def test_empty_context_is_sat():
     res = S.Context().check()
-    assert res.sat
+    assert res is not None
 
 
 def test_two_contexts_are_independent():
@@ -21,15 +21,15 @@ def test_two_contexts_are_independent():
     x = c1.new_bool()
     c1.assert_formula(x)
     c1.assert_formula(-x)
-    assert not c1.check().sat
-    assert c2.check().sat
+    assert c1.check() is None
+    assert c2.check() is not None
 
 
 def test_assert_true_stays_sat():
     ctx = S.Context()
     x = ctx.new_bool()
     ctx.assert_formula(x, -x)  # a tautology
-    assert ctx.check().sat
+    assert ctx.check() is not None
     # a repeated literal counts once, in an asserted and in a blocking
     # clause: y or y or x with x false forces y, and blocking the model's
     # projection onto x, y, y leaves no model
@@ -37,9 +37,9 @@ def test_assert_true_stays_sat():
     ctx.assert_formula(y, y, x)
     ctx.assert_formula(-x)
     res = ctx.check()
-    assert res.sat and res.model.value(y)
-    ctx.block_model([x, y, y], res.model)
-    assert not ctx.check().sat
+    assert res is not None and res.value(y)
+    ctx.block_model([x, y, y], res)
+    assert ctx.check() is None
     assert _each_variable_once(ctx)
 
 
@@ -57,7 +57,7 @@ def test_counter_over_repeated_inputs():
     ctx.exactly_one([x, -x])
     for assumptions, sat in (([], True), ([z], False), ([x], True),
                              ([-x], True)):
-        assert ctx.check(assumptions).sat is sat, assumptions
+        assert (ctx.check(assumptions) is not None) is sat, assumptions
     assert _each_variable_once(ctx)
 
 
@@ -66,7 +66,7 @@ def test_contradiction_is_unsat():
     x = ctx.new_bool()
     ctx.assert_formula(x)
     ctx.assert_formula(-x)
-    assert not ctx.check().sat
+    assert ctx.check() is None
 
 
 def test_pinned_real_value():
@@ -75,7 +75,7 @@ def test_pinned_real_value():
     ctx.assert_formula(ctx.le(0, g, -2))  # g >= 2
     ctx.assert_formula(ctx.le(g, 0, 2))  # g <= 2
     res = ctx.check()
-    assert res.sat and res.model.real(g) == 2
+    assert res is not None and res.real(g) == 2
 
 
 def test_strict_inequalities_separate():
@@ -84,8 +84,8 @@ def test_strict_inequalities_separate():
     ctx.assert_formula(ctx.le(a, b, -1))  # a <= b - 1
     ctx.assert_formula(ctx.le(b, 0, 3))
     res = ctx.check()
-    assert res.sat
-    assert res.model.real(b) - res.model.real(a) >= 1
+    assert res is not None
+    assert res.real(b) - res.real(a) >= 1
 
 
 def test_minimize_at_least_one():
@@ -93,16 +93,16 @@ def test_minimize_at_least_one():
     x, y = ctx.new_bool(), ctx.new_bool()
     ctx.assert_formula(x, y)
     res = ctx.minimize([x, y])
-    assert res.sat
-    assert sum(1 for v in (x, y) if res.model.value(v)) == 1
+    assert res is not None
+    assert sum(1 for v in (x, y) if res.value(v)) == 1
 
 
 def test_minimize_unconstrained_indicators_gives_zero():
     ctx = S.Context()
     vars_ = [ctx.new_bool() for _ in range(4)]
     res = ctx.minimize(vars_)
-    assert res.sat
-    assert all(res.model.value(v) is False for v in vars_)
+    assert res is not None
+    assert all(res.value(v) is False for v in vars_)
 
 
 def test_block_single_model_then_other_survives():
@@ -111,9 +111,9 @@ def test_block_single_model_then_other_survives():
     ctx.assert_formula(x, y)
     ctx.assert_formula(-y)
     res = ctx.check()
-    assert res.sat and res.model.value(x) is True
-    ctx.block_model([x, y], res.model)
-    assert not ctx.check().sat  # y is pinned false, x was the only option
+    assert res is not None and res.value(x) is True
+    ctx.block_model([x, y], res)
+    assert ctx.check() is None  # y is pinned false, x was the only option
 
 
 def test_full_model_enumeration_counts_seven():
@@ -123,26 +123,11 @@ def test_full_model_enumeration_counts_seven():
     seen = set()
     while True:
         res = ctx.check()
-        if not res.sat:
+        if res is None:
             break
-        seen.add(tuple(bool(res.model.value(v)) for v in vars_))
-        ctx.block_model(vars_, res.model)
+        seen.add(tuple(bool(res.value(v)) for v in vars_))
+        ctx.block_model(vars_, res)
     assert len(seen) == 7  # all assignments except all-false
-
-
-def test_positive_subset_blocking_is_coarser():
-    ctx = S.Context()
-    vars_ = [ctx.new_bool() for _ in range(3)]
-    ctx.assert_formula(*vars_)
-    count = 0
-    while True:
-        res = ctx.check()
-        if not res.sat:
-            break
-        count += 1
-        ctx.block_true_subset(vars_, res.model)
-        assert count <= 7
-    assert 1 <= count < 7  # supersets of earlier true-sets are gone too
 
 
 def _cardinality_matches_brute_force(add, holds):
@@ -160,11 +145,11 @@ def _cardinality_matches_brute_force(add, holds):
                 if guard in (True, False):
                     ctx.assert_formula(g if guard else -g)
                 found = set()
-                while (res := ctx.check()).sat:
-                    model = tuple(res.model.value(v) for v in [*lits, g])
+                while (res := ctx.check()) is not None:
+                    model = tuple(res.value(v) for v in [*lits, g])
                     assert model not in found
                     found.add(model)
-                    ctx.block_model([*lits, g], res.model)
+                    ctx.block_model([*lits, g], res)
                 expected = {
                     bits + (gv,)
                     for bits in itertools.product([False, True], repeat=nv)
@@ -183,7 +168,7 @@ def test_context_with_totalizer_is_freed_without_gc():
         ctx = S.Context()
         vars_ = [ctx.new_bool() for _ in range(5)]
         ctx.at_most(vars_, 2)
-        assert ctx.check().sat
+        assert ctx.check() is not None
         ref = weakref.ref(ctx)
         del ctx
         assert ref() is None
@@ -200,8 +185,8 @@ def test_ite_links_boolean_to_arithmetic():
     ctx.assert_formula(c, ctx.le(r, 0, 1))
     ctx.assert_formula(ctx.le(0, r, -2))  # r >= 2
     res = ctx.check()
-    assert res.sat
-    assert res.model.value(c) is True and res.model.real(r) >= 5
+    assert res is not None
+    assert res.value(c) is True and res.real(r) >= 5
 
 
 def _clause_lits(lits):
@@ -220,8 +205,8 @@ def test_models_satisfy_asserted_formulas():
             ctx.assert_formula(*_clause_lits(lits))
         res = ctx.check()
         truth = {}
-        if res.sat:
-            truth = {v: bool(res.model.value(v)) for v in vars_}
+        if res is not None:
+            truth = {v: bool(res.value(v)) for v in vars_}
             for lits in clauses:
                 assert any(truth[v] == pos for v, pos in lits)
         else:
@@ -252,10 +237,10 @@ def test_minimize_matches_brute_force():
                 cost = sum(bits)
                 best = cost if best is None else min(best, cost)
         if best is None:
-            assert not res.sat
+            assert res is None
         else:
-            assert res.sat
-            assert sum(1 for v in vars_ if res.model.value(v)) == best
+            assert res is not None
+            assert sum(1 for v in vars_ if res.value(v)) == best
 
 
 def test_cardinality_over_no_variables():
@@ -265,8 +250,8 @@ def test_cardinality_over_no_variables():
                      (lambda c: c.at_most([], -1), False)):
         ctx = S.Context()
         add(ctx)
-        assert ctx.check().sat is sat
-    assert S.Context().minimize([], lower=1).sat
+        assert (ctx.check() is not None) is sat
+    assert S.Context().minimize([], lower=1) is not None
 
 
 def test_at_most_matches_brute_force():
@@ -292,11 +277,11 @@ def test_exactly_one_matches_brute_force():
             ctx.exactly_one(lits)
             assert (ctx._sat.nvars > len(vars_)) is (size > 4)
             found = set()
-            while (res := ctx.check()).sat:
-                model = tuple(res.model.value(v) for v in vars_)
+            while (res := ctx.check()) is not None:
+                model = tuple(res.value(v) for v in vars_)
                 assert model not in found
                 found.add(model)
-                ctx.block_model(vars_, res.model)
+                ctx.block_model(vars_, res)
             expected = set()
             for bits in itertools.product([False, True], repeat=len(vars_)):
                 value = dict(zip(vars_, bits))
@@ -326,7 +311,7 @@ def test_truncated_cardinality_matches_brute_force_at_every_bound():
             count = sum(value[l] if l > 0 else not value[-l] for l in lits)
             for n in bounds:
                 res = ctx.check([guard[n], *fixed])
-                assert res.sat is (count <= n), (size, lits, n, bits)
+                assert (res is not None) is (count <= n), (size, lits, n, bits)
 
 
 def test_truncated_minimize_matches_brute_force_from_every_lower_bound():
@@ -348,9 +333,9 @@ def test_truncated_minimize_matches_brute_force_from_every_lower_bound():
                     costs.append(sum(truth(l) for l in lits))
             for lower in range(min(costs, default=0) + 1):
                 res = ctx.minimize(lits, lower=lower)
-                assert res.sat is bool(costs)
+                assert (res is not None) is bool(costs)
                 if costs:
-                    assert len(res.model.true_vars(lits)) == min(costs)
+                    assert len(res.true_vars(lits)) == min(costs)
 
 
 def test_exactly_one_over_many_literals_adds_linear_clauses():
@@ -384,10 +369,10 @@ def test_minimize_from_last_optimum_lists_models_by_cost():
             if all(any(dict(zip(vars_, bits))[v] == pos for v, pos in lits)
                    for lits in clauses))
         got, lower = [], 0
-        while (res := ctx.minimize(vars_, lower=lower)).sat:
-            lower = len(res.model.true_vars(vars_))
+        while (res := ctx.minimize(vars_, lower=lower)) is not None:
+            lower = len(res.true_vars(vars_))
             got.append(lower)
-            ctx.block_model(vars_, res.model)
+            ctx.block_model(vars_, res)
         assert got == costs
 
 
@@ -534,8 +519,8 @@ def test_model_values_are_exact_fractions():
     ctx.assert_formula(ctx.le(b, 0, 147))  # b <= 7/10
     ctx.assert_formula(ctx.le(0, a, -60))  # a >= 2/7
     res = ctx.check()
-    assert res.sat
-    ia, ib = res.model.real(a), res.model.real(b)
+    assert res is not None
+    ia, ib = res.real(a), res.real(b)
     assert isinstance(ia, int) and isinstance(ib, int)
     va, vb = Fraction(ia, 210), Fraction(ib, 210)
     assert va >= Fraction(2, 7) and vb - va >= Fraction(1, 3)
@@ -598,10 +583,10 @@ def _brute_force_projections(bools, xs, atoms, clauses):
     return out
 
 
-def _check_model(res, bools, atoms, clauses):
+def _check_model(m, bools, atoms, clauses):
     for cl in clauses:
-        assert any(_holds(lit, bools, atoms, res.model) for lit in cl), cl
-    return tuple(res.model.value(v) for v in bools)
+        assert any(_holds(lit, bools, atoms, m) for lit in cl), cl
+    return tuple(m.value(v) for v in bools)
 
 
 def _random_lit(rng, nb, na):
@@ -635,8 +620,8 @@ def test_cdcl_t_core_matches_brute_force():
             for bits in itertools.product([False, True], repeat=len(bools)):
                 lits = [v if t else -v for v, t in zip(bools, bits)]
                 res = ctx.check(assumptions=lits)
-                assert res.sat == (bits in expected), (round_, bits)
-                if res.sat:
+                assert (res is not None) == (bits in expected), (round_, bits)
+                if res is not None:
                     assert _check_model(res, bools, atoms, clauses) == bits
             if round_ == 0:
                 # a unit clause between two check() calls
@@ -647,12 +632,12 @@ def test_cdcl_t_core_matches_brute_force():
         found = set()
         while True:
             res = ctx.check()
-            if not res.sat:
+            if res is None:
                 break
             bits = _check_model(res, bools, atoms, clauses)
             assert bits in expected and bits not in found
             found.add(bits)
-            ctx.block_model(bools, res.model)
+            ctx.block_model(bools, res)
         assert found == expected
 
 
@@ -679,10 +664,9 @@ def _apply(ctx, entry):
         ctx.at_most(*args)
 
 
-def _model_satisfies(ctx, res, log, assumptions):
-    """The model of res against every entry of log and the assumptions; its
+def _model_satisfies(ctx, m, log, assumptions):
+    """The model m against every entry of log and the assumptions; its
     reals must equal the Fraction reference over its true literals."""
-    m = res.model
     for a in assumptions:
         assert m.value(a)
     for kind, *args in log:
@@ -786,13 +770,13 @@ def test_incremental_context_matches_fresh_context():
             for entry in log:
                 _apply(fresh, entry)
             expected = fresh.check(assumptions)
-            assert res.sat is expected.sat, log
+            assert (res is None) is (expected is None), log
             if dead:
-                assert not res.sat
+                assert res is None
                 break
-            if failed and res.sat:
+            if failed and res is not None:
                 seen["assumption failed then sat"] += 1
-            if res.sat:
+            if res is not None:
                 seen["sat"] += 1
                 _model_satisfies(ctx, res, log, assumptions)
                 _model_satisfies(fresh, expected, log, assumptions)
@@ -828,12 +812,12 @@ def test_unsat_without_assumptions_stays_unsat():
     ctx.assert_formula(ctx.le(x, y, -1))  # x <= y - 1
     ctx.assert_formula(ctx.le(y, x, 0), b)
     ctx.assert_formula(-b)
-    assert not ctx.check().sat  # a theory conflict on level 0
+    assert ctx.check() is None  # a theory conflict on level 0
     assert ctx._sat.empty_clause
     c = ctx.new_bool()
     ctx.assert_formula(c)
-    assert not ctx.check().sat
-    assert not ctx.check([c]).sat
+    assert ctx.check() is None
+    assert ctx.check([c]) is None
 
 
 def test_failed_assumption_does_not_poison_a_later_check():
@@ -845,11 +829,11 @@ def test_failed_assumption_does_not_poison_a_later_check():
     low = ctx.le(x, 0, 1)  # x <= 1
     ctx.assert_formula(-a, ctx.le(0, x, -2))  # a -> x >= 2
     ctx.assert_formula(-a, -b)
-    assert not ctx.check([a, b]).sat
-    assert not ctx.check([a, low]).sat
+    assert ctx.check([a, b]) is None
+    assert ctx.check([a, low]) is None
     for assumptions in ([], [a], [b], [low]):
         res = ctx.check(assumptions)
-        assert res.sat and all(res.model.value(l) for l in assumptions)
+        assert res is not None and all(res.value(l) for l in assumptions)
     assert not ctx._sat.empty_clause
 
 
@@ -865,8 +849,7 @@ def test_model_is_a_snapshot():
         ctx.assert_formula(-b, ctx.le(0, xs[i % 3], -_scaled(i + 1)))
     ctx.assert_formula(*bools)
     models = []
-    while len(models) < 16 and (res := ctx.check()).sat:
-        m = res.model
+    while len(models) < 16 and (m := ctx.check()) is not None:
         lits = {l: m.value(l)
                 for v in range(1, ctx._sat.nvars + 1) for l in (v, -v)}
         assert all(lits[v] is not lits[-v] for v in bools)
@@ -898,13 +881,12 @@ def test_negated_atom_is_refused_at_every_entry_point():
     high = ctx.le(x, 0, 1)  # x <= 1
     ctx.assert_formula(low, b)
     ctx.assert_formula(high)
-    m = ctx.check().model
+    m = ctx.check()
     assert m.value(high) and m.value(b) and not m.value(low)
     size = (ctx._sat.nvars, len(ctx._sat.clauses), len(_atoms(ctx)))
     refused = [
         lambda: ctx.assert_formula(b, -high),
         lambda: ctx.block_model([b, high], m),
-        lambda: ctx.block_true_subset([high], m),
         lambda: ctx.check([b, -low]),
         lambda: ctx.at_most([b, low], 1),
         lambda: ctx.exactly_one([high, b]),
@@ -915,6 +897,6 @@ def test_negated_atom_is_refused_at_every_entry_point():
         assert (ctx._sat.nvars, len(ctx._sat.clauses),
                 len(_atoms(ctx))) == size
         res = ctx.check()
-        assert res.sat and res.model.value(b) and res.model.value(high)
-        assert res.model.real(x) <= 1
-        assert not ctx.check([low]).sat
+        assert res is not None and res.value(b) and res.value(high)
+        assert res.real(x) <= 1
+        assert ctx.check([low]) is None

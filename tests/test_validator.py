@@ -1,8 +1,8 @@
 """Independent schedule validation and the brute-force oracle.
 
-The fault-injection battery mutates known-good schedules in twenty-one
-ways and checks each one is rejected with the right violation kind (or as
-structurally malformed).
+The fault-injection battery breaks known-good schedules, or the instances
+they serve, in twenty-five ways and checks each one is rejected with the
+right violation kind (or as structurally malformed).
 """
 
 import dataclasses
@@ -18,13 +18,13 @@ from cfevrp.driver import comsat_solve, shortest_path_map
 from cfevrp.errors import MalformedSchedule, TooLarge
 from cfevrp.graph import validate_graph
 from cfevrp.instance import (
-    FleetParams, Job, Task, TimeWindow, Ticks, Vehicle, build_instance,
+    FleetParams, Job, Task, TimeWindow, Vehicle, build_instance,
 )
-from cfevrp.routing import Route, RouteSet
+from cfevrp.routing import Route
 from cfevrp.validator import (
     CHARGING_GAP, EDGE_CAPACITY_DIRECT, EDGE_CAPACITY_OPPOSITE, ELIGIBILITY,
     HORIZON, JOB_CONTIGUITY, NODE_CAPACITY, OPERATING_RANGE, PRECEDENCE,
-    TIME_WINDOW,
+    SERVICE_TIME, TIME_WINDOW,
     _Potential, _ticks, brute_force_feasible, validate_schedule,
 )
 from conftest import corridor_instance, swap_deadlock_instance
@@ -39,7 +39,7 @@ def _manual_schedule(inst, orders):
         locs = [depot] + [inst.tasks[t].location for t in tasks] + [depot]
         legs = tuple(sp[(a, b)] for a, b in zip(locs, locs[1:]))
         routes.append(Route(depot, tuple(tasks), legs))
-    cr = RouteSet(tuple(routes), Ticks(inst))
+    cr = tuple(routes)
     ca = next(assignments(cr, inst), None)
     assert ca is not None
     cvs, _ = verify_capacity(ca, cr, inst)
@@ -120,6 +120,25 @@ def shift_route(cvs: Schedule, idx: int, delta: float) -> Schedule:
     return Schedule(tuple(routes))
 
 
+def cut_service(cvs: Schedule, idx: int) -> Schedule:
+    """Route idx leaves its first served position as soon as it arrives:
+    that departure and every later time move the service earlier."""
+    r = cvs.routes[idx]
+    p = next(p for p, ts in enumerate(r.position_tasks) if ts)
+    cut = r.node_out[p] - r.node_in[p]
+    assert cut > 0
+    return patch(
+        cvs, idx,
+        node_in=tuple(t - cut * (q > p) for q, t in enumerate(r.node_in)),
+        node_out=tuple(t - cut * (q >= p) for q, t in enumerate(r.node_out)),
+        edge_in=tuple(t - cut * (q >= p) for q, t in enumerate(r.edge_in)))
+
+
+def with_range(inst, operating_range):
+    return dataclasses.replace(inst, fleet=dataclasses.replace(
+        inst.fleet, operating_range=operating_range))
+
+
 def patch(cvs: Schedule, idx: int, **fields) -> Schedule:
     routes = list(cvs.routes)
     routes[idx] = dataclasses.replace(routes[idx], **fields)
@@ -134,7 +153,7 @@ def _later_index(cvs):
     return max(range(len(cvs.routes)), key=lambda i: cvs.routes[i].node_in[0])
 
 
-# --- the twenty-one injections -----------------------------------------------
+# --- the twenty-five injections ----------------------------------------------
 
 def mutations():
     """Yields (label, instance, broken schedule, expectation)."""
@@ -150,10 +169,14 @@ def mutations():
     yield ("vehicles swapped", inst, swapped, ELIGIBILITY)
     yield ("ineligible vehicle on one route", inst,
            patch(good, i1, vehicle=good.routes[i2].vehicle), ELIGIBILITY)
-    yield ("route length beyond the charge budget", inst,
-           patch(good, i2, length=11.0), OPERATING_RANGE)
-    yield ("route length just over the budget", inst,
-           patch(good, i1, length=10.5), OPERATING_RANGE)
+    # the longer route exceeds a budget that the shorter one still meets
+    short, long_ = sorted(r.length for r in good.routes)
+    assert short + 1 < long_
+    yield ("route length beyond the charge budget",
+           with_range(inst, short + 1), good, OPERATING_RANGE)
+    yield ("route length just over the budget",
+           with_range(inst, long_ - Fraction(1, 2)), good, OPERATING_RANGE)
+    yield ("service cut short", inst, cut_service(good, i1), SERVICE_TIME)
 
     t_inst, t_good = tandem_case()
     late = _later_index(t_good)
@@ -195,7 +218,8 @@ def mutations():
 
     k_inst, k_good = contiguity_case()
     yield ("job interleaved in the task order", k_inst,
-           patch(k_good, 0, tasks=("a1", "b1", "a2")), JOB_CONTIGUITY)
+           _manual_schedule(k_inst, [(1, ["a1", "b1", "a2"])]),
+           JOB_CONTIGUITY)
     yield ("job split across routes", k_inst,
            _split_job_schedule(k_inst), JOB_CONTIGUITY)
 
@@ -222,6 +246,15 @@ def mutations():
            patch(good, i1,
                  node_out=tuple(t - 0.5 for t in good.routes[i1].node_out)),
            MalformedSchedule)
+    ends = good.routes[i1].node_out
+    yield ("last departure before the last arrival", inst,
+           patch(good, i1,
+                 node_out=ends[:-1] + (good.routes[i1].node_in[-1] - 0.5,)),
+           MalformedSchedule)
+    yield ("length not its edges' sum", inst, patch(good, i2, length=0),
+           MalformedSchedule)
+    yield ("task order not the served order", inst,
+           patch(good, i1, tasks=()), MalformedSchedule)
 
 
 def _reversed_line_schedule(inst):
@@ -236,7 +269,7 @@ def _split_job_schedule(inst):
 
 def test_fault_injection_battery():
     cases = list(mutations())
-    assert len(cases) == 21
+    assert len(cases) == 25
     for label, inst, bad, expected in cases:
         if expected is MalformedSchedule:
             with pytest.raises(MalformedSchedule):
