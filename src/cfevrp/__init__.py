@@ -4,7 +4,6 @@ from .driver import (
     ABORTED, FEASIBLE, INFEASIBLE, Limits, SolveOutcome, c_comsat_solve,
     comsat_solve, total_distance,
 )
-from .generator import GenParams, generate_instance
 from .instance import (
     FleetParams, Instance, Job, Task, TimeWindow, Vehicle, build_instance,
 )
@@ -13,7 +12,6 @@ from .validator import brute_force_feasible, validate_schedule
 __all__ = [
     "ABORTED", "FEASIBLE", "INFEASIBLE", "Limits", "SolveOutcome",
     "c_comsat_solve", "comsat_solve", "total_distance",
-    "GenParams", "generate_instance",
     "FleetParams", "Instance", "Job", "Task", "TimeWindow", "Vehicle",
     "build_instance",
     "brute_force_feasible", "validate_schedule",

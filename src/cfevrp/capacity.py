@@ -15,8 +15,9 @@ alone.  Both run on the instance's ticks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import solver as S
 from .errors import BrokenChain
@@ -25,8 +26,7 @@ from .instance import Instance, Ticks
 from .routing import Route, RouteSet
 
 
-@dataclass(frozen=True)
-class VisitPosition:
+class VisitPosition(NamedTuple):
     node: NodeId
     lower: int  # in ticks
     upper: int
@@ -34,8 +34,7 @@ class VisitPosition:
     tasks: tuple[str, ...]  # tasks served at this stop, () for intersections
 
 
-@dataclass(frozen=True)
-class VisitList:
+class VisitList(NamedTuple):
     depot: NodeId
     route_tasks: tuple[str, ...]
     positions: tuple[VisitPosition, ...]
@@ -116,7 +115,7 @@ def build_visit_lists(cr: RouteSet, inst: Instance) -> list[VisitList]:
         if positions[-1].node != r.depot:
             raise BrokenChain(f"route does not return to depot {r.depot}")
         last = positions[-1]
-        positions[-1] = replace(last, upper=min(last.upper, T - last.service))
+        positions[-1] = last._replace(upper=min(last.upper, T - last.service))
         out.append(VisitList(
             r.depot, r.tasks, tuple(positions), tuple(edges), r.length))
     return out
@@ -246,14 +245,15 @@ def _assert_conflicts(ctx, visit_lists, x, d, inst, ticks, stats) -> None:
     one = ticks.scale  # the 1-unit separation
     g = inst.graph
     n_routes = len(visit_lists)
+    nodes = [[pos.node for pos in vl.positions] for vl in visit_lists]
     # shared non-hub nodes: one vehicle at a time, no swapping
     for r1 in range(n_routes):
         for r2 in range(r1 + 1, n_routes):
-            for p1, pos1 in enumerate(visit_lists[r1].positions):
-                for p2, pos2 in enumerate(visit_lists[r2].positions):
-                    if pos1.node != pos2.node:
+            for p1, n1 in enumerate(nodes[r1]):
+                for p2, n2 in enumerate(nodes[r2]):
+                    if n1 != n2:
                         continue
-                    if pos1.node in g.hubs:
+                    if n1 in g.hubs:
                         stats.hub_exempt_pairs += 1
                         continue
                     # one enters a unit after the other has left it

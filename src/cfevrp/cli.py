@@ -153,6 +153,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """A whole number of 0 or more; anything else is a usage error."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfevrp",
@@ -163,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--relaxed", action="store_true",
                    help="ignore occupancy limits")
-    p.add_argument("--max-path-sets", type=int, default=50)
+    p.add_argument("--max-path-sets", type=_count, default=50)
     p.add_argument("--log-json", action="store_true",
                    help="include the phase event log in the output")
     p.add_argument("--out")
@@ -189,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=None,
                    help="label a solve aborted once it has run longer than "
                         "this many seconds; the solve is not stopped")
-    p.add_argument("--max-path-sets", type=int, default=50)
+    p.add_argument("--max-path-sets", type=_count, default=50)
     p.add_argument("--csv", help="write the table to this file")
     p.set_defaults(fn=cmd_bench)
     return parser

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .assignment import Assignment, assignments
 from .capacity import Schedule, verify_capacity
@@ -33,13 +33,11 @@ INFEASIBLE = "infeasible"
 ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     max_path_sets: int = 50          # alternative path combinations per assignment
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     phase: str       # router | assign | capacity | paths | routes_check
     sat: bool
     seconds: float

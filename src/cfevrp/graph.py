@@ -11,6 +11,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BadCapacity, DanglingEdgeEndpoint, NonPositiveLength, NotStronglyConnected
 
@@ -31,8 +32,7 @@ def exact(x: int | float | Fraction) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: NodeId
     dst: NodeId
     length: Fraction

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .graph import NodeId, PlantGraph, exact
@@ -57,15 +58,13 @@ class Task:
         _make_exact(self, "service_time")
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(NamedTuple):
     id: str
     tasks: tuple[str, ...]
     eligible_vehicles: frozenset[str]
 
 
-@dataclass(frozen=True)
-class Vehicle:
+class Vehicle(NamedTuple):
     id: str
     depot: NodeId
 

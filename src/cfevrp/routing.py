@@ -17,9 +17,8 @@ from the instance's ticks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import solver as S
 from .errors import MalformedChain
@@ -27,8 +26,7 @@ from .graph import NodeId, Path
 from .instance import Instance
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     depot: NodeId
     tasks: tuple[str, ...]
     legs: tuple[Path, ...]  # len(tasks) + 1: depot->t1->...->tn->depot
@@ -47,10 +45,9 @@ RouteSet = tuple[Route, ...]
 PathMap = dict[tuple[NodeId, NodeId], Path]
 
 
-@dataclass(frozen=True)
-class Anchor:
-    """A depot as the routing model's start (or end) of routes: a key of
-    its own type, so that no task id can equal it."""
+class Anchor(NamedTuple):
+    """A depot as the routing model's start (or end) of routes: a tuple,
+    so that no task id (a str) can equal it."""
     depot: NodeId
     end: bool
 

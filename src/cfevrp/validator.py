@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from typing import NamedTuple
 
 from .capacity import Schedule
 from .errors import MalformedSchedule, TooLarge
@@ -49,16 +50,14 @@ HORIZON = "Horizon"
 SERVICE_TIME = "ServiceTime"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     route: int | None
     time: float | None
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -226,9 +225,9 @@ def _capacity_violations(
                             NODE_CAPACITY, r1, a.node_in[p1],
                             f"routes {r1} and {r2} clash at node {n1}"))
             for q1, e1 in enumerate(a.edges):
+                if g.edges[e1].capacity != 1:
+                    continue
                 for q2, e2 in enumerate(b.edges):
-                    if g.edges[e1].capacity != 1:
-                        continue
                     t1, t2 = a.edge_in[q1], b.edge_in[q2]
                     if e1 == e2:
                         if abs(t1 - t2) < 1 - _TOL:
@@ -348,8 +347,7 @@ def _ticks(value: Fraction, scale: int) -> int:
     return ticks
 
 
-@dataclass(frozen=True)
-class _Clock:
+class _Clock(NamedTuple):
     """An instance's times in integer ticks of 1/scale time units.
 
     `scale` is the LCM of the denominators of T, the task windows and
@@ -385,8 +383,7 @@ def _clock(inst: Instance) -> _Clock:
                   ticks(upper), ticks(service), charge_coeff)
 
 
-@dataclass(frozen=True)
-class _Ruler:
+class _Ruler(NamedTuple):
     """An instance's lengths in integer ticks of 1/scale length units.
 
     `scale` is the LCM of the edge lengths' denominators.  `per_charge` is
@@ -651,9 +648,9 @@ def _timing_ok(inst, clock, part, depots, vehicles, legs_per_route,
                     if opts:
                         disjunctions.append(opts)
             for q1, e1 in enumerate(route_edges[r1]):
+                if g.edges[e1].capacity != 1:
+                    continue
                 for q2, e2 in enumerate(route_edges[r2]):
-                    if g.edges[e1].capacity != 1:
-                        continue
                     y1, y2 = var_of_y[r1][q1], var_of_y[r2][q2]
                     if e1 == e2:
                         disjunctions.append([(y1, y2, -one), (y2, y1, -one)])

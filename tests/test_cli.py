@@ -54,6 +54,15 @@ def test_solve_aborts_with_zero_path_budget(corridor_file, tmp_path):
     assert code == 20
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_negative_path_set_limit_is_a_usage_error(corridor_file, command, capsys):
+    target = corridor_file if command == "solve" else corridor_file.parent
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(target), "--max-path-sets", "-3"])
+    assert exc.value.code == 2
+    assert "--max-path-sets: expected a count >= 0" in capsys.readouterr().err
+
+
 def test_solve_unreadable_file_exit_two(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
 
